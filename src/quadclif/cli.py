@@ -83,7 +83,6 @@ class JobSpec:
     form: str = None
     pencil: str = None
     budget_height: int = 10
-    budget_degree: int = 2
     budget_enum: int = 200000
     format: str = "human"
     scenario: str = None
@@ -93,7 +92,6 @@ class JobSpec:
 
 def input_block(spec):
     return {
-        "budget_degree": spec.budget_degree,
         "budget_enum": spec.budget_enum,
         "budget_height": spec.budget_height,
         "checks": list(spec.checks) if spec.checks is not None else None,
@@ -116,7 +114,6 @@ def jobspec_from_input(block):
         form=block.get("form"),
         pencil=block.get("pencil"),
         budget_height=block["budget_height"],
-        budget_degree=block["budget_degree"],
         budget_enum=block["budget_enum"],
         format=block["format"],
         scenario=block.get("scenario"),
@@ -348,10 +345,9 @@ def render_human(report):
 
 
 def _budget(spec):
-    if spec.budget_height < 1 or spec.budget_degree < 0 or spec.budget_enum < 1:
+    if spec.budget_height < 1 or spec.budget_enum < 1:
         raise CliInputError("budgets must be positive")
-    return SearchBudget(height=spec.budget_height, degree=spec.budget_degree,
-                        enum=spec.budget_enum)
+    return SearchBudget(height=spec.budget_height, enum=spec.budget_enum)
 
 
 def cmd_analyze(spec):
@@ -576,8 +572,6 @@ def build_parser():
                         default="human", help="report format")
     common.add_argument("--budget-height", type=int, default=10,
                         help="rational search height bound")
-    common.add_argument("--budget-degree", type=int, default=2,
-                        help="function-field search degree bound")
     common.add_argument("--budget-enum", type=int, default=200000,
                         help="enumeration cap for searches")
     common.add_argument("--fault-inject", dest="fault", metavar="NAME",
@@ -622,7 +616,6 @@ def jobspec_from_args(args):
         form=_expand_at(getattr(args, "form", None)),
         pencil=_expand_at(getattr(args, "pencil", None)),
         budget_height=args.budget_height,
-        budget_degree=args.budget_degree,
         budget_enum=args.budget_enum,
         format=args.format,
         scenario=getattr(args, "scenario", None),

@@ -233,19 +233,6 @@ class StructuredAlgebra:
             rows.append(row)
         return Matrix(self.field, rows)
 
-
-def opposite_algebra(a):
-    """Same space, reversed multiplication."""
-    return StructuredAlgebra(
-        a.field,
-        a.dim,
-        lambda i, j: a.mul_basis(j, i),
-        labels=a.labels,
-        gen_indices=a.gen_indices,
-        check="auto" if a.dim <= 16 else False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Clifford construction by word rewriting
 
@@ -353,32 +340,8 @@ def full_clifford(form, check="auto", seed=0):
         raise ValueError("full Clifford construction supports rank 1 through 7, got %d" % n)
     return CliffordAlgebra(form, list(range(1 << n)), 1, check=check, seed=seed)
 
-
-def even_part_matches(full, even):
-    """Every product of even-mask pairs agrees between the two algebras."""
-    for ms in even.masks:
-        for mt in even.masks:
-            if full.mask_mul(ms, mt) != even.mask_mul(ms, mt):
-                raise InvariantViolation(
-                    "even-subalgebra",
-                    "even-part product e(%s) e(%s) disagrees" % (ms, mt),
-                )
-    return True
-
-
-def reversal_on_basis(cliff):
-    """Images of each basis element under the word-reversal antiautomorphism."""
-    out = []
-    field = cliff.field
-    for m in cliff.masks:
-        acc = {}
-        _reduce_word(cliff.form, tuple(reversed(_mask_word(m))), acc, field.one())
-        out.append({cliff.mask_index[mask]: c for mask, c in acc.items() if c})
-    return out
-
-
 # ---------------------------------------------------------------------------
-# graded tensor decomposition and scaling
+# graded tensor decomposition
 
 
 def verify_orthogonal_sum(q1, q2, check="auto"):
@@ -415,32 +378,6 @@ def verify_orthogonal_sum(q1, q2, check="auto"):
                             "masks (%d|%d)*(%d|%d)" % (s1, s2, t1, t2),
                         )
     return True
-
-
-def verify_scaling_iso(form, lam, check="auto"):
-    """e_S -> lam^(|S|/2) e_S is an isomorphism C0(lam q) -> C0(q)."""
-    if not lam:
-        raise ValueError("scaling by zero is not an isomorphism")
-    a = even_clifford(form, check=check)
-    b = even_clifford(form.scale(lam), check=check)
-    half = [bin(m).count("1") // 2 for m in a.masks]
-    pows = [a.field.one()]
-    for _ in range(max(half) + 1):
-        pows.append(pows[-1] * lam)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = {k: pows[half[k]] * c for k, c in b.mul_basis(i, j).items()}
-            rhs_scale = pows[half[i]] * pows[half[j]]
-            rhs = {k: rhs_scale * c for k, c in a.mul_basis(i, j).items()}
-            lhs = {k: c for k, c in lhs.items() if c}
-            rhs = {k: c for k, c in rhs.items() if c}
-            if lhs != rhs:
-                raise InvariantViolation(
-                    "scaling-isomorphism",
-                    "pair (%s, %s)" % (a.labels[i], a.labels[j]),
-                )
-    return True
-
 
 # ---------------------------------------------------------------------------
 # center extraction

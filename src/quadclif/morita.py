@@ -1,48 +1,34 @@
 """Even Clifford algebra of H | q' as a matrix algebra over that of q'.
 
-Splitting one hyperbolic plane off a quadratic form drops the even
-Clifford algebra to a Morita-equivalent one, and the equivalence is
-completely explicit.  Write the ambient form as H | q' on coordinates
+Splitting one hyperbolic plane off a quadratic form replaces its even
+Clifford algebra by a Morita-equivalent one (Kuznetsov, Derived
+categories of quadric fibrations and intersections of quadrics, Adv.
+Math. 2008).  Write the ambient form as H | q' on coordinates
 (e0, e1 | e2, ..., e_{n-1}) with q(e0) = q(e1) = 0 and b(e0, e1) = 1.
-Inside the full Clifford algebra C of the ambient form put
+The full Clifford algebra of q', acted on from the right by its own
+even part, is a module P whose even and odd summands carry the ambient
+even algebra as matrices: e0 e1 projects onto the even summand, pairs
+of complement generators act by left Clifford multiplication, and for
+a complement generator e_j, e1 e_j sends the even summand into the odd
+one by left multiplication with e_j while e0 e_j sends the odd summand
+back with a sign.
 
-    eps = e0 e1,
+morita_witness certifies that this is an isomorphism from the even
+algebra of H | q' onto End(P), with exact arithmetic on explicit bases:
 
-an idempotent.  The left ideal P = C0 . eps (C0 the even subalgebra) is
-spanned by the dictionary elements
+* the images of the generator pairs are written down as above, and the
+  image of every other even basis element is the product of the images
+  of its consecutive generator pairs;
+* the map is multiplicative on all pairs of even basis elements;
+* End(P) is solved as the matrices commuting with the right action, and
+  every image lies in it;
+* the images are linearly independent, so the map is injective;
+* both sides have the same dimension, so the map is onto.
 
-    d(S) = e~_S eps          for even subsets S of the complement,
-    d(S) = e1 e~_S eps       for odd subsets,
-
-where e~ denotes the complement generators shifted into the ambient
-algebra.  Right multiplication by even complement words turns P into a
-right module over the even algebra of q', and the dictionary identifies
-it with the full Clifford algebra of q' carrying its own right even
-multiplication.  That module is free of rank two (basis 1 and any
-vector v with q'(v) invertible), so its endomorphism algebra has
-dimension four times the even algebra of q'.
-
-verify_morita checks, on an explicit basis and with exact arithmetic:
-
-* eps is idempotent and P = C0 . eps has the dictionary dimension;
-* the right action matches the Clifford multiplication of q' verbatim;
-* P is free of rank two over the even algebra of q';
-* left multiplication is a unital, injective, multiplicative map from
-  C0 into the right-module endomorphisms, hence onto them by the
-  dimension count;
-* eps acts as the projector onto the even summand and the mixed
-  generators e0 e~_j, e1 e~_j exchange the two summands;
-* the commutant of the left action is exactly the right action, and
-  composing with the reversal antiautomorphism makes that an algebra
-  isomorphism from the even algebra of q' onto the commutant.
-
-The commutant identification uses no blind linear algebra: P = C0 . eps
-is cyclic (checked), so any left-module endomorphism is determined by
-the image u of eps, and u = eps . u forces u into eps C0 eps, which the
-corner check identifies with the even algebra of q' acting on the
-right.  Every computational ingredient of that argument is certified
-here; the only imported facts are associativity of C (checked at
-construction) and linear algebra over the ground field.
+The right action itself is checked unital and associative when P is
+built.  A complement that is identically zero is refused up front: the
+theorem needs a vector v with q'(v) != 0, and without one the map above
+is not an isomorphism.
 """
 
 from __future__ import annotations
@@ -57,306 +43,11 @@ from .rings import (
     kernel_basis_mod_p,
 )
 from .quadform import QuadraticForm
-from .clifford import StructuredAlgebra, full_clifford, reversal_on_basis
-from .splitting import DEFAULT_BUDGET, find_isotropic, split_hyperbolic
+from .clifford import StructuredAlgebra, full_clifford
 
 
 def _even(mask):
     return bin(mask).count("1") % 2 == 0
-
-
-def hyperbolic_block_rest(q):
-    """The complement form q' of a form shaped H | q', validating the shape."""
-    field = q.field
-    if q.n < 3:
-        raise ValueError("need at least one coordinate beyond the hyperbolic plane")
-    z, o = field.zero(), field.one()
-    if q.c[0][0] != z or q.c[1][1] != z or q.c[0][1] != o:
-        raise ValueError("coordinates (0, 1) do not carry a standard hyperbolic plane")
-    for j in range(2, q.n):
-        if q.c[0][j] or q.c[1][j]:
-            raise ValueError("hyperbolic plane is not orthogonal to the complement")
-    rows = [[q.c[i][j] for j in range(2, q.n)] for i in range(2, q.n)]
-    return QuadraticForm(field, rows)
-
-
-def _unit_vector(qp):
-    """A vector v with q'(v) nonzero; exists whenever q' is nonzero."""
-    field = qp.field
-    z, o = field.zero(), field.one()
-    for i in range(qp.n):
-        if qp.c[i][i]:
-            return tuple(o if k == i else z for k in range(qp.n))
-    for i in range(qp.n):
-        for j in range(i + 1, qp.n):
-            if qp.c[i][j]:
-                # with all squares zero, q'(e_i + e_j) = c_ij
-                return tuple(o if k in (i, j) else z for k in range(qp.n))
-    raise ValueError("complement form is identically zero; module is not free")
-
-
-@dataclass(frozen=True)
-class MoritaReport:
-    field_label: str
-    rank: int
-    dim_even: int
-    dim_module: int
-    dim_rest_even: int
-    dim_end: int
-    checks: tuple
-
-    def __repr__(self):
-        return "MoritaReport(rank=%d, even=%d, module=%d, rest_even=%d, checks=%d)" % (
-            self.rank, self.dim_even, self.dim_module,
-            self.dim_rest_even, len(self.checks))
-
-
-def verify_morita(q, check="auto"):
-    """Certify the explicit Morita equivalence for a form shaped H | q'.
-
-    Raises InvariantViolation the moment any certified property fails;
-    on success returns a MoritaReport listing what was verified.
-    """
-    qp = hyperbolic_block_rest(q)
-    field = q.field
-    one = field.one()
-    C = full_clifford(q, check=check)
-    Cp = full_clifford(qp, check=check)
-    checks = []
-
-    eps = {C.mask_index[0b11]: one}
-    g = {C.mask_index[0b10]: one}  # e1, the odd-summand prefix
-    if C.mul_elem(eps, eps) != eps:
-        raise InvariantViolation("plane-idempotent", "e0 e1 is not idempotent")
-    checks.append("plane-idempotent")
-
-    # dictionary basis of P, indexed like the basis of C(q')
-    d = []
-    for mp in Cp.masks:
-        elem = C.mul_elem({C.mask_index[mp << 2]: one}, eps)
-        if not _even(mp):
-            elem = C.mul_elem(g, elem)
-        d.append(elem)
-    dim_p = len(d)
-    try:
-        solver = SpanSolver(field, [C.dense(x) for x in d])
-    except ValueError:
-        raise InvariantViolation("module-basis", "dictionary elements are dependent")
-    checks.append("module-basis-independent")
-
-    even_idx = [i for i, m in enumerate(C.masks) if _even(m)]
-    even_p = [i for i, m in enumerate(Cp.masks) if _even(m)]
-
-    # P is exactly C0 . eps (containment one way is by construction)
-    for a in even_idx:
-        if solver.solve_sparse(C.mul_elem({a: one}, eps)) is None:
-            raise InvariantViolation(
-                "cyclic-left-ideal",
-                "%s . eps escapes the dictionary span" % C.labels[a])
-    checks.append("module-equals-even-times-idempotent")
-
-    # right action by even complement words = Clifford multiplication of q'
-    for x in even_p:
-        xt = {C.mask_index[Cp.masks[x] << 2]: one}
-        for j in range(dim_p):
-            coords = solver.solve_sparse(C.mul_elem(d[j], xt))
-            if coords is None:
-                raise InvariantViolation("right-action-closure",
-                                         "d_%d . x~ escapes the module" % j)
-            expected = Cp.mul_basis(j, x)
-            for k, c in enumerate(coords):
-                if c != expected.get(k, field.zero()):
-                    raise InvariantViolation(
-                        "right-action-dictionary",
-                        "right multiplication disagrees with the complement "
-                        "Clifford product at (%d, %s)" % (j, Cp.labels[x]))
-    checks.append("right-action-matches-rest-clifford")
-
-    # left action: columns of each even basis element on the d basis
-    psi = []
-    for a in even_idx:
-        cols = []
-        for j in range(dim_p):
-            coords = solver.solve_sparse(C.mul_elem({a: one}, d[j]))
-            if coords is None:
-                raise InvariantViolation("module-closure",
-                                         "%s . d_%d escapes the module" % (C.labels[a], j))
-            cols.append(coords)
-        psi.append(cols)
-    checks.append("module-closed-under-even-left-mult")
-
-    unit_pos = even_idx.index(C.mask_index[0])
-    ident = [tuple(one if i == j else field.zero() for i in range(dim_p))
-             for j in range(dim_p)]
-    if psi[unit_pos] != ident:
-        raise InvariantViolation("unit-action", "1 does not act as the identity")
-    checks.append("unit-acts-as-identity")
-
-    # freeness: p1 = eps and p2 = e1 v~ eps generate a free rank-2 module
-    v = _unit_vector(qp)
-    vt = {C.mask_index[1 << (i + 2)]: c for i, c in enumerate(v) if c}
-    p2 = C.mul_elem(g, C.mul_elem(vt, eps))
-    rows = []
-    for x in even_p:
-        xt = {C.mask_index[Cp.masks[x] << 2]: one}
-        for p in (eps, p2):
-            coords = solver.solve_sparse(C.mul_elem(p, xt))
-            if coords is None:
-                raise InvariantViolation("free-module", "generator orbit escapes P")
-            rows.append(list(coords))
-    if Matrix(field, rows).rank() != dim_p:
-        raise InvariantViolation(
-            "free-module",
-            "(1, v) do not generate; the module is not free of rank two")
-    if dim_p != 2 * len(even_p) or len(even_idx) != 4 * len(even_p):
-        raise InvariantViolation("free-module", "dimension bookkeeping is off")
-    checks.append("free-of-rank-two")
-
-    # injectivity: a is determined by (a . eps, a . p2)
-    rows = []
-    for a in even_idx:
-        ca = solver.solve_sparse(C.mul_elem({a: one}, eps))
-        cb = solver.solve_sparse(C.mul_elem({a: one}, p2))
-        rows.append(list(ca) + list(cb))
-    if Matrix(field, rows).rank() != len(even_idx):
-        raise InvariantViolation("left-representation-injective",
-                                 "left action has a kernel")
-    checks.append("left-representation-injective")
-
-    # multiplicativity of the left action, evaluated on the module basis
-    for b_pos, b in enumerate(even_idx):
-        bd = [C.mul_elem({b: one}, dj) for dj in d]
-        for a in even_idx:
-            ab = C.mul_basis(a, b)
-            for j in range(dim_p):
-                lhs = C.mul_elem({a: one}, bd[j])
-                rhs = C.mul_elem(ab, d[j])
-                if lhs != rhs:
-                    raise InvariantViolation(
-                        "left-representation-multiplicative",
-                        "(%s %s) . d_%d != %s . (%s . d_%d)"
-                        % (C.labels[a], C.labels[b], j,
-                           C.labels[a], C.labels[b], j))
-        del bd
-    checks.append("left-representation-multiplicative")
-
-    # the left image commutes with the right action (matrix level, sampled
-    # via the module identity a.(d.x) = (a.d).x on all generator pairs)
-    gen_even = [i for i in even_idx if bin(C.masks[i]).count("1") == 2]
-    for a in gen_even:
-        for x in even_p:
-            xt = {C.mask_index[Cp.masks[x] << 2]: one}
-            for j in range(dim_p):
-                lhs = C.mul_elem({a: one}, C.mul_elem(d[j], xt))
-                rhs = C.mul_elem(C.mul_elem({a: one}, d[j]), xt)
-                if lhs != rhs:
-                    raise InvariantViolation("actions-commute",
-                                             "left and right actions fail to commute")
-    checks.append("actions-commute")
-
-    # injective + multiplicative + commuting, and the dimensions agree:
-    # the left action is all of End over the even complement algebra
-    if len(even_idx) != 4 * len(even_p):
-        raise InvariantViolation("endomorphism-dimension", "dimension mismatch")
-    checks.append("even-equals-endomorphism-algebra")
-
-    # eps projects onto the even summand
-    eps_pos = even_idx.index(C.mask_index[0b11])
-    for j, mp in enumerate(Cp.masks):
-        col = psi[eps_pos][j]
-        want = ident[j] if _even(mp) else tuple(field.zero() for _ in range(dim_p))
-        if col != want:
-            raise InvariantViolation("summand-projector",
-                                     "eps is not the projector onto the even summand")
-    checks.append("idempotent-projects-even-summand")
-
-    # mixed generators exchange the summands (with the complementary kernel)
-    parity = [0 if _even(mp) else 1 for mp in Cp.masks]
-    for j in range(2, q.n):
-        for base_bit, kills in ((0b01, 0), (0b10, 1)):
-            mask = base_bit | (1 << j)
-            a_pos = even_idx.index(C.mask_index[mask])
-            for col_j in range(dim_p):
-                col = psi[a_pos][col_j]
-                if parity[col_j] == kills:
-                    if any(col):
-                        raise InvariantViolation(
-                            "mixed-generator-blocks",
-                            "%s does not kill its summand" % C.labels[even_idx[a_pos]])
-                else:
-                    for k in range(dim_p):
-                        if col[k] and parity[k] == parity[col_j]:
-                            raise InvariantViolation(
-                                "mixed-generator-blocks",
-                                "%s fails to swap the summands" % C.labels[even_idx[a_pos]])
-    checks.append("mixed-generators-swap-summands")
-
-    # corner algebra: eps C0 eps is the even complement algebra on the right
-    rows = []
-    for a in even_idx:
-        u = C.mul_elem(eps, C.mul_elem({a: one}, eps))
-        coords = solver.solve_sparse(u)
-        if coords is None:
-            raise InvariantViolation("corner-algebra", "eps a eps escapes the module")
-        for k, c in enumerate(coords):
-            if c and parity[k]:
-                raise InvariantViolation("corner-algebra",
-                                         "eps a eps has an odd-summand component")
-        rows.append(list(coords))
-    if Matrix(field, rows).rank() != len(even_p):
-        raise InvariantViolation("corner-algebra",
-                                 "eps C0 eps has the wrong dimension")
-    checks.append("corner-algebra-matches-rest-even")
-
-    # reversal of the complement algebra is an antiautomorphism on its
-    # even part; composed with the right action it gives the commutant iso
-    tau = reversal_on_basis(Cp)
-    rows = []
-    for x in even_p:
-        img = tau[x]
-        for k in img:
-            if parity[k]:
-                raise InvariantViolation("reversal-parity",
-                                         "reversal does not preserve the even part")
-        rows.append([img.get(k, field.zero()) for k in even_p])
-        for y in even_p:
-            lhs = Cp.mul_elem(tau[x], tau[y])
-            rhs = {}
-            for k, c in Cp.mul_basis(y, x).items():
-                for k2, c2 in tau[k].items():
-                    acc = rhs.get(k2, field.zero()) + c * c2
-                    if acc:
-                        rhs[k2] = acc
-                    elif k2 in rhs:
-                        del rhs[k2]
-            if lhs != rhs:
-                raise InvariantViolation("reversal-antihomomorphism",
-                                         "tau(x) tau(y) != tau(y x) on the even part")
-    if Matrix(field, rows).rank() != len(even_p):
-        raise InvariantViolation("reversal-bijective", "reversal is singular")
-    checks.append("commutant-is-rest-even-via-reversal")
-
-    return MoritaReport(
-        field_label=field.label(),
-        rank=q.n,
-        dim_even=len(even_idx),
-        dim_module=dim_p,
-        dim_rest_even=len(even_p),
-        dim_end=4 * len(even_p),
-        checks=tuple(checks),
-    )
-
-
-# ---------------------------------------------------------------------------
-# standalone right module over the even complement algebra
-#
-# The dictionary view above lives inside the big Clifford algebra.  The
-# operations below realize the same objects without it: the module is
-# the full Clifford algebra of q' acting on itself on the right through
-# its even part, the endomorphism algebra is solved blindly from the
-# commuting condition, and the candidate isomorphism from the ambient
-# even algebra is generated from the block images of the generators and
-# then checked pair by pair.  The two routes cross-validate each other.
 
 
 @dataclass
@@ -369,25 +60,6 @@ class RightModule:
     even_idx: list
     parity: list
     action: list  # one dim x dim matrix (tuple of row tuples) per even_idx
-
-    def action_of(self, x):
-        """Right multiplication matrix of an even element given by sparse
-        coordinates over even_idx positions."""
-        f = self.qp.field
-        z = f.zero()
-        cols = []
-        for b in range(self.dim):
-            acc = {}
-            for pos, c in x.items():
-                for k, c2 in self.cp.mul_basis(b, self.even_idx[pos]).items():
-                    s = acc.get(k, z) + c * c2
-                    if s:
-                        acc[k] = s
-                    elif k in acc:
-                        del acc[k]
-            cols.append(acc)
-        return tuple(tuple(cols[b].get(i, z) for b in range(self.dim))
-                     for i in range(self.dim))
 
 
 def build_P(qp, check="auto"):
@@ -629,6 +301,8 @@ def morita_witness(qp, check="auto"):
     a sign.  Every other basis element is the product of its consecutive
     generator pairs, so its image is the corresponding matrix product.
     """
+    if not any(c for row in qp.c for c in row):
+        raise ValueError("complement form is identically zero; nothing to certify")
     field = qp.field
     q = QuadraticForm.hyperbolic(field, 1).direct_sum(qp)
     P = build_P(qp, check=check)
@@ -730,84 +404,3 @@ def morita_witness(qp, check="auto"):
         matrix=tuple(rows),
         checks=tuple(checks),
     )
-
-
-def double_centralizer_check(qp, check="auto"):
-    """End over End: the commutant of the solved endomorphism algebra
-    inside gl(P) is again the even algebra of q', via right
-    multiplication twisted by reversal.  Exact at small rank."""
-    field = qp.field
-    if 2 ** (qp.n - 1) > 8:
-        raise ValueError("double centralizer kept to even algebras of dim <= 8")
-    P = build_P(qp, check=check)
-    end_mats = endomorphism_algebra(P, check=check)[1]
-    cp = P.cp
-    dim = P.dim
-    one = field.one()
-
-    comm = _commuting_matrices(field, dim, end_mats)
-    if len(comm) != len(P.even_idx):
-        raise InvariantViolation(
-            "double-centralizer-dimension",
-            "commutant of End has dim %d, expected %d" % (len(comm), len(P.even_idx)))
-
-    tau = reversal_on_basis(cp)
-    # rho(a) = right multiplication by tau(a); a homomorphism because both
-    # reversal and right-multiplication reverse the order of products
-    rho = []
-    for pos in P.even_idx:
-        rho.append(P.action_of(
-            {P.even_idx.index(k): c for k, c in tau[pos].items()}))
-    solver = SpanSolver(field, [_flat(m) for m in comm])
-    coords_rows = []
-    for m in rho:
-        coords = solver.solve_sparse({p: e for p, e in enumerate(_flat(m)) if e})
-        if coords is None:
-            raise InvariantViolation("double-centralizer-containment",
-                                     "twisted right multiplication is not in the commutant")
-        coords_rows.append(list(coords))
-    if Matrix(field, coords_rows).rank() != len(P.even_idx):
-        raise InvariantViolation("double-centralizer-span",
-                                 "twisted right multiplications do not span the commutant")
-    # multiplicativity of rho on all pairs of even basis elements
-    for apos, a in enumerate(P.even_idx):
-        for bpos, b in enumerate(P.even_idx):
-            ab = cp.mul_basis(a, b)
-            tau_ab = {}
-            for k, c in ab.items():
-                for k2, c2 in tau[k].items():
-                    acc = tau_ab.get(k2, field.zero()) + c * c2
-                    if acc:
-                        tau_ab[k2] = acc
-                    elif k2 in tau_ab:
-                        del tau_ab[k2]
-            lhs = _matmul(field, rho[apos], rho[bpos])
-            rhs = P.action_of({P.even_idx.index(k): c for k, c in tau_ab.items()})
-            if lhs != rhs:
-                raise InvariantViolation(
-                    "double-centralizer-homomorphism",
-                    "rho(%s) rho(%s) != rho(%s %s)"
-                    % (cp.labels[a], cp.labels[b], cp.labels[a], cp.labels[b]))
-    return {
-        "dim_module": dim,
-        "dim_commutant": len(comm),
-        "dim_rest_even": len(P.even_idx),
-        "isomorphic": True,
-    }
-
-
-def morita_from_isotropic(q, budget=DEFAULT_BUDGET, check="auto"):
-    """Split one plane off an isotropic regular form and certify the
-    equivalence in the resulting coordinates.
-
-    Returns (report, basis) where basis lists the plane pair followed by
-    the orthogonal complement, all in the original coordinates.  Raises
-    ValueError when no isotropic vector is found within the budget.
-    """
-    v = find_isotropic(q, budget)
-    if v is None:
-        raise ValueError("no isotropic vector within the search budget")
-    w, comp, _rest = split_hyperbolic(q, v)
-    basis = [v, w] + comp
-    report = verify_morita(q.restrict(basis), check=check)
-    return report, basis

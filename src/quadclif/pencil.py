@@ -25,17 +25,14 @@ from dataclasses import dataclass
 from .rings import (
     BinaryForm,
     ExtensionField,
-    FunctionField,
     InvariantViolation,
-    Matrix,
     Poly,
     PrimeField,
     irreducible_factors,
     scalar_str,
-    squarefree_decomposition,
 )
 from .quadform import QuadraticForm
-from .splitting import DEFAULT_BUDGET, split_hyperbolic
+from .splitting import DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -721,131 +718,3 @@ def common_isotropic_plane_rank6(q1, q2):
         hit = (fu, fv)
     return PlaneSearchReport(plane=hit, candidates=count,
                              beta_trivial=hit is not None)
-
-
-# -- reduction at the pencil level -------------------------------------
-
-
-def _odd_part(poly):
-    """Monic product of the irreducible factors of odd multiplicity."""
-    if poly.degree() <= 0:
-        return Poly(poly.field, poly.var, (poly.field.one(),))
-    _, decomp = squarefree_decomposition(poly)
-    out = Poly(poly.field, poly.var, (poly.field.one(),))
-    for g, m in decomp:
-        if m % 2:
-            out = out * g
-    return out.monic()
-
-
-def _rational_root_strs(poly):
-    if poly.degree() <= 0:
-        return ()
-    if poly.field.size() is not None:
-        from .rings import factor_roots_prime_field
-        aff, _ = factor_roots_prime_field(poly)
-    else:
-        from .rings import rational_roots
-        aff, _ = rational_roots(poly)
-    return tuple(sorted(scalar_str(r) for r, _ in aff))
-
-
-@dataclass(frozen=True)
-class PencilReductionReport:
-    vector: tuple
-    ambient_delta: BinaryForm
-    reduced_num: Poly
-    reduced_den: Poly
-    base_change_det: object  # element of k(x), squared ratio witness
-    odd_part: Poly  # shared odd-multiplicity part of both discriminants
-    squarefree_ambient: bool
-    squarefree_reduced: bool
-    flags_equal: bool
-    rational_roots_ambient: tuple
-    rational_roots_reduced: tuple
-    root_sets_equal: bool
-
-
-def reduce_pencil_common(q1, q2, budget=DEFAULT_BUDGET):
-    """Reduce the generic member through a common isotropic vector and
-    compare discriminants.
-
-    The generic member x*q1 + q2 over k(x) splits one hyperbolic plane
-    off through a constant common isotropic vector.  Writing delta for
-    the ambient discriminant in the x chart and delta' for the reduced
-    discriminant, the exact relation is
-
-        delta * det(M)^2 = -delta'
-
-    with M the base-change matrix (vector, partner, complement), and it
-    is asserted here together with its consequence: the monic products
-    of odd-multiplicity irreducible factors of delta and of
-    num(delta') * den(delta') coincide.  The literal squarefree flags
-    and rational root sets (both read in the x chart) are recorded as
-    observations only, since the square factor can add or absorb
-    even-multiplicity roots.
-    """
-    if q1.field is not q2.field or q1.n != q2.n:
-        raise ValueError("forms must share a field and a rank")
-    field, n = q1.field, q1.n
-    if n < 3:
-        raise ValueError("reduction needs rank at least 3")
-    v = common_isotropic_vector(q1, q2, budget)
-    if v is None:
-        raise ValueError("no common isotropic vector found within the budget")
-    b1 = q1.polar_matrix().mul_vec(v)
-    b2 = q2.polar_matrix().mul_vec(v)
-    if not any(b1) and not any(b2):
-        raise ValueError("common vector is radical for the whole pencil")
-
-    F = FunctionField(field, "x")
-
-    def lift(a):
-        return F.from_poly(Poly.const(field, "x", a))
-
-    x = F.gen()
-    p1 = q1.map_field(F, lift)
-    p2 = q2.map_field(F, lift)
-    member = QuadraticForm(F, [[x * a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(p1.c, p2.c)])
-    vf = tuple(lift(a) for a in v)
-    w, comp, reduced = split_hyperbolic(member, vf)
-
-    amb = discriminant_form(Pencil(q1, q2))
-    # chart with q2 at x = 0 and q1 at infinity, i.e. delta(x, 1) in x
-    amb_poly = Poly(field, "x", tuple(amb.coeffs[n - i] for i in range(n + 1)))
-    red_disc = reduced.discriminant()
-    if not red_disc or amb.is_zero():
-        raise ValueError("identically degenerate pencil has no reduction story")
-
-    num, den = red_disc.num, red_disc.den
-    det_m = Matrix(F, [vf, w] + list(comp)).det()
-    if F.from_poly(amb_poly) * det_m * det_m != F.from_int(-1) * red_disc:
-        raise InvariantViolation(
-            "reduction-discriminant",
-            "ambient and reduced discriminants are not off by minus the "
-            "squared base-change determinant")
-
-    odd_amb = _odd_part(amb_poly)
-    odd_red = _odd_part(num * den)
-    if odd_amb != odd_red:
-        raise InvariantViolation(
-            "reduction-odd-part",
-            "odd-multiplicity parts differ: %s vs %s" % (odd_amb, odd_red))
-
-    sq_amb = amb.is_squarefree()
-    prod = num * den
-    _, prod_decomp = squarefree_decomposition(prod)
-    sq_red = all(m == 1 for _, m in prod_decomp)
-
-    roots_a = _rational_root_strs(amb_poly)
-    roots_r = _rational_root_strs(prod)
-
-    return PencilReductionReport(
-        vector=v, ambient_delta=amb, reduced_num=num, reduced_den=den,
-        base_change_det=det_m, odd_part=odd_amb,
-        squarefree_ambient=sq_amb, squarefree_reduced=sq_red,
-        flags_equal=sq_amb == sq_red,
-        rational_roots_ambient=roots_a, rational_roots_reduced=roots_r,
-        root_sets_equal=roots_a == roots_r,
-    )

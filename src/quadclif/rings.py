@@ -1036,40 +1036,6 @@ def quadratic_extension(base):
         return ExtensionField(base, m)
     return ExtensionField(base, find_irreducible(base, 2))
 
-
-class SquarefreeReport:
-    """Outcome of the derivative-gcd squarefree test."""
-
-    __slots__ = ("is_squarefree", "radical")
-
-    def __init__(self, is_squarefree, radical):
-        self.is_squarefree = is_squarefree
-        self.radical = radical
-
-    def __repr__(self):
-        return "SquarefreeReport(%r, %r)" % (self.is_squarefree, self.radical)
-
-
-def squarefree_test(f):
-    """gcd(f, f') test; radical is f / gcd(f, f').
-
-    In characteristic p the inseparable corner (nonconstant f with zero
-    derivative) is rejected rather than silently misreported.
-    """
-    if not f:
-        raise ValueError("squarefree test is undefined for the zero polynomial")
-    d = f.derivative()
-    if not d:
-        if f.degree() > 0:
-            raise ValueError(
-                "inseparable input: derivative of %s vanishes in characteristic %d"
-                % (f, f.field.characteristic)
-            )
-        return SquarefreeReport(True, f.monic())
-    g = poly_gcd(f, d)
-    return SquarefreeReport(g.degree() == 0, (f // g).monic())
-
-
 def squarefree_decomposition(f):
     """(unit, [(g_i, m_i)]) with f = unit * prod g_i^{m_i}, g_i monic squarefree.
 
@@ -1831,29 +1797,3 @@ def poly_str(f):
     for t in terms[1:]:
         out += t if t.startswith("-") else "+" + t
     return out
-
-
-def field_from_label(text):
-    """Inverse of FieldContext.label for the user-facing kinds."""
-    text = text.strip()
-    depth = 0
-    bases = []
-    while text.endswith(")") and "(" in text:
-        i = text.rindex("(")
-        var = text[i + 1 : -1]
-        if not var.isidentifier():
-            break
-        bases.append(var)
-        text = text[:i]
-        depth += 1
-        if depth > 2:
-            raise ValueError("function field towers deeper than two are not supported")
-    if text == "Q":
-        base = QQ
-    elif text.startswith("Fp:"):
-        base = PrimeField(int(text[3:]))
-    else:
-        raise ValueError("unknown field %r (expected Q or Fp:<prime>)" % (text,))
-    for var in reversed(bases):
-        base = FunctionField(base, var)
-    return base

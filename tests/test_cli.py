@@ -187,6 +187,7 @@ def test_machine_output_is_sorted_and_roundtrips():
                               "--format", "machine"])
     rep = json.loads(out)
     assert out == render_machine(rep)  # sorted keys, stable formatting
+    assert "budget_degree" not in rep["input"]
     spec = jobspec_from_input(rep["input"])
     assert spec == JobSpec(command="analyze", form="field=Q; q=diag(1,2,3)",
                            format="machine")

@@ -6,36 +6,19 @@ from hypothesis import given, settings, strategies as st
 from quadclif.rings import QQ, PrimeField, quadratic_extension
 from quadclif.quadform import QuadraticForm
 from quadclif.clifford import even_clifford, center_report
-from quadclif.morita import (
-    build_P,
-    double_centralizer_check,
-    endomorphism_algebra,
-    hyperbolic_block_rest,
-    morita_from_isotropic,
-    morita_witness,
-    verify_morita,
-)
+from quadclif.morita import build_P, endomorphism_algebra, morita_witness
+from quadclif.splitting import DEFAULT_BUDGET, find_isotropic, split_hyperbolic
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 ALL_CHECKS = (
-    "plane-idempotent",
-    "module-basis-independent",
-    "module-equals-even-times-idempotent",
-    "right-action-matches-rest-clifford",
-    "module-closed-under-even-left-mult",
-    "unit-acts-as-identity",
-    "free-of-rank-two",
-    "left-representation-injective",
-    "left-representation-multiplicative",
-    "actions-commute",
-    "even-equals-endomorphism-algebra",
-    "idempotent-projects-even-summand",
-    "mixed-generators-swap-summands",
-    "corner-algebra-matches-rest-even",
-    "commutant-is-rest-even-via-reversal",
+    "unit-preserved",
+    "multiplicative-on-all-pairs",
+    "lands-in-endomorphism-algebra",
+    "injective",
+    "dimensions-match-hence-bijective",
 )
 
 
@@ -44,84 +27,71 @@ def hyp_plus(field, entries):
         QuadraticForm.diagonal(field, entries))
 
 
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        hyperbolic_block_rest(QuadraticForm.diagonal(F3, [1, 1, 1]))
-    with pytest.raises(ValueError):
-        hyperbolic_block_rest(QuadraticForm.hyperbolic(F3, 1))  # nothing left
-    rows = [[0, 1, 1], [0, 0, 0], [0, 0, 1]]  # plane touches the complement
-    with pytest.raises(ValueError):
-        hyperbolic_block_rest(QuadraticForm.of_ints(F3, rows))
-    qp = hyperbolic_block_rest(hyp_plus(F3, [1, 2]))
-    assert qp == QuadraticForm.diagonal(F3, [1, 2])
+def split_and_certify(q):
+    """Split a plane off q through a found isotropic vector and certify
+    the rest; the certified ambient must be q in the split coordinates."""
+    v = find_isotropic(q, DEFAULT_BUDGET)
+    assert v is not None
+    w, comp, rest = split_hyperbolic(q, v)
+    basis = [v, w] + comp
+    wit = morita_witness(rest)
+    assert wit.ambient == q.restrict(basis)
+    return wit, basis
 
 
 def test_all_checks_run_in_order():
-    rep = verify_morita(hyp_plus(F5, [1]))
-    assert rep.checks == ALL_CHECKS
+    w = morita_witness(QuadraticForm.diagonal(F5, [1]))
+    assert w.checks == ALL_CHECKS
 
 
 def test_dimension_bookkeeping():
     for entries in ([1], [1, 2], [1, 1, 2]):
-        rep = verify_morita(hyp_plus(F3, entries))
+        w = morita_witness(QuadraticForm.diagonal(F3, entries))
         n = 2 + len(entries)
-        assert rep.rank == n
-        assert rep.dim_even == 2 ** (n - 1)
-        assert rep.dim_module == 2 ** (n - 2)
-        assert rep.dim_rest_even == 2 ** (n - 3)
-        assert rep.dim_end == rep.dim_even
-
-
-def test_rank7_finite_field():
-    rep = verify_morita(hyp_plus(F3, [1, 1, 2, 1, 2]))
-    assert rep.rank == 7
-    assert rep.dim_even == 64
-    assert rep.dim_end == 64
+        assert w.ambient == hyp_plus(F3, entries)
+        assert w.dim_even == w.dim_end == 2 ** (n - 1)
+        assert len(w.matrix) == w.dim_even
+        assert w.checks == ALL_CHECKS
 
 
 def test_rational_pipeline():
     q = QuadraticForm.diagonal(QQ, [1, -1, 2, 3])
-    rep, basis = morita_from_isotropic(q)
-    assert rep.rank == 4
+    w, basis = split_and_certify(q)
+    assert w.ambient.n == 4
     # the basis witnesses the plane inside the original coordinates
-    v, w = basis[0], basis[1]
+    v, u = basis[0], basis[1]
     assert q.evaluate(v) == QQ.zero()
-    assert q.evaluate(w) == QQ.zero()
-    assert q.polar(v, w) == QQ.one()
-
-
-def test_pipeline_requires_isotropy():
-    q = QuadraticForm.diagonal(QQ, [1, 1, 1, 1])
-    with pytest.raises(ValueError):
-        morita_from_isotropic(q)
+    assert q.evaluate(u) == QQ.zero()
+    assert q.polar(v, u) == QQ.one()
 
 
 def test_char2_regular_complement():
-    q = QuadraticForm.hyperbolic(F2, 1).direct_sum(
-        QuadraticForm.of_ints(F2, [[1, 1], [0, 1]]))
-    rep = verify_morita(q)
-    assert rep.checks == ALL_CHECKS
+    w = morita_witness(QuadraticForm.of_ints(F2, [[1, 1], [0, 1]]))
+    assert w.checks == ALL_CHECKS
+    assert w.dim_even == w.dim_end == 8
 
 
 def test_char2_hyperbolic_complement():
-    # complement has no nonzero squares; the free basis vector comes from
-    # a pair sum
-    rep = verify_morita(QuadraticForm.hyperbolic(F2, 2))
-    assert rep.dim_module == 4
+    # the complement has no nonzero squares, only a nonzero cross term
+    w = morita_witness(QuadraticForm.hyperbolic(F2, 1))
+    assert w.checks == ALL_CHECKS
+    assert w.dim_even == w.dim_end == 8
 
 
 def test_zero_complement_rejected():
-    q = QuadraticForm.hyperbolic(F5, 1).direct_sum(QuadraticForm.zero_form(F5, 1))
-    with pytest.raises(ValueError):
-        verify_morita(q)
+    # the module is not free over an exterior algebra; refuse the input
+    # instead of reporting a broken theorem
+    for field, n in ((F5, 1), (QQ, 1), (F3, 2)):
+        with pytest.raises(ValueError):
+            morita_witness(QuadraticForm.zero_form(field, n))
 
 
 def test_extension_field():
     F9 = quadratic_extension(F3)
-    q = QuadraticForm.hyperbolic(F9, 1).direct_sum(
-        QuadraticForm.diagonal(F9, [F9.one(), F9.from_int(2)]))
-    rep = verify_morita(q)
-    assert rep.rank == 4
+    w = morita_witness(QuadraticForm.diagonal(F9, [F9.one(), F9.from_int(2)]))
+    assert w.ambient.n == 4
+    assert w.dim_even == w.dim_end == 8
+    assert w.checks == ALL_CHECKS
 
 
 def test_morita_partners_share_center_kind():
@@ -139,9 +109,9 @@ def test_morita_partners_share_center_kind():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
 def test_random_complements_f5(entries):
-    rep = verify_morita(hyp_plus(F5, entries))
-    assert rep.checks == ALL_CHECKS
-    assert rep.dim_end == 4 * rep.dim_rest_even
+    w = morita_witness(QuadraticForm.diagonal(F5, entries))
+    assert w.checks == ALL_CHECKS
+    assert w.dim_even == w.dim_end == 2 ** (len(entries) + 1)
 
 
 @settings(max_examples=15, deadline=None)
@@ -150,12 +120,12 @@ def test_random_complements_f5(entries):
 def test_pipeline_random_isotropic_f3(entries, salt):
     # make the form isotropic by construction: include 1 and -1
     q = QuadraticForm.diagonal(F3, [1, 2] + entries)
-    rep, basis = morita_from_isotropic(q)
-    assert rep.rank == q.n
+    w, basis = split_and_certify(q)
+    assert w.ambient.n == q.n
     assert q.restrict(basis).c[0][1] == F3.one()
 
 
-# -- the standalone module route --------------------------------------
+# -- the module and its endomorphism algebra ---------------------------
 
 
 def test_module_and_end_dimensions():
@@ -224,16 +194,3 @@ def test_witness_center_square_classes_match():
         assert (amb.delta == field.zero()) == (rest.delta == field.zero())
         if amb.delta:
             assert field.sqrt(amb.delta / rest.delta) is not None
-
-
-def test_double_centralizer_small():
-    out = double_centralizer_check(QuadraticForm.diagonal(QQ, [1]))
-    assert out["dim_commutant"] == out["dim_rest_even"] == 1
-    out = double_centralizer_check(QuadraticForm.diagonal(F3, [1, 1, 1]))
-    assert out["dim_commutant"] == out["dim_rest_even"] == 4
-    assert out["isomorphic"]
-
-
-def test_double_centralizer_degenerate():
-    out = double_centralizer_check(QuadraticForm.diagonal(F3, [1, 1, 1, 0]))
-    assert out["dim_commutant"] == 8

@@ -20,7 +20,6 @@ from quadclif.pencil import (
     discriminant_form,
     gaussian_binomial,
     pencil_isotropy_witness,
-    reduce_pencil_common,
 )
 
 F2 = PrimeField(2)
@@ -319,44 +318,6 @@ def test_plane_search_gaussian_binomial_values():
     assert gaussian_binomial(6, 2, 3) == 11011
     assert gaussian_binomial(6, 2, 5) == 508431
     assert gaussian_binomial(4, 2, 3) == 130
-
-
-# -------------------------------------------------- pencil reduction
-
-
-def test_reduction_invariants_over_q():
-    r = reduce_pencil_common(diag(QQ, [1, 1, 1, -3]), diag(QQ, [1, 2, -1, -2]))
-    # the exact square/odd-part identities are asserted inside; here the
-    # observed flags and x-chart rational root sets also happen to agree
-    assert r.squarefree_ambient and r.squarefree_reduced and r.flags_equal
-    assert r.root_sets_equal
-    assert len(r.rational_roots_ambient) == 4
-
-
-def test_reduction_invariants_over_f3():
-    r = reduce_pencil_common(diag(F3, [1, 2, 1, 1]), diag(F3, [2, 1, 2, 1]))
-    assert r.odd_part.degree() >= 1
-    assert r.root_sets_equal == (r.rational_roots_ambient == r.rational_roots_reduced)
-
-
-def test_reduction_rank3():
-    r = reduce_pencil_common(diag(F3, [1, -1, 1]), diag(F3, [1, 1, -1]))
-    assert r.flags_equal in (True, False)  # observation, not a law
-    assert r.odd_part.lc() == F3.one()
-
-
-def test_reduction_needs_a_common_vector():
-    with pytest.raises(ValueError):
-        reduce_pencil_common(diag(F3, [1, 1, 1]), diag(F3, [1, 1, 2]))
-
-
-def test_reduction_rejects_fully_radical_vector():
-    # the only projective common zero is (1,0,0,0), which lies in both
-    # radicals, so no hyperbolic plane can come off the pencil there
-    q1 = diag(QQ, [0, 1, 1, 1])
-    q2 = diag(QQ, [0, 1, 2, 3])
-    with pytest.raises(ValueError):
-        reduce_pencil_common(q1, q2)
 
 
 # --------------------------------------------------------- common zeros
