@@ -7,12 +7,15 @@ computation actually touches.  Basis element 0 is always the unit.
 
 The even Clifford algebra of a quadratic form q on k^n has one basis
 element per even-cardinality subset S of {1, ..., n}, encoded as a
-bitmask, with dimension 2^(n-1).  Products are computed by rewriting
-concatenated index words with the two local rules
+bitmask, with dimension 2^(n-1).  Products follow from the two local
+rules
 
     e_i e_i -> q(e_i)           e_i e_j -> b(e_i, e_j) - e_j e_i   (i > j)
 
-until every word is strictly increasing.  The same engine produces the
+applied one generator at a time: e_S e_T is a memoized earlier product
+e_S' e_T, with S' the basis mask left after dropping the lowest indices
+of S, multiplied on the left by those generators, each moved into
+strictly increasing position by the rules.  The same engine produces the
 full Clifford algebra (all 2^n subsets), used by the orthogonal-sum and
 hyperbolic-splitting verifications.
 
@@ -187,11 +190,48 @@ class StructuredAlgebra:
             rng = random.Random(seed)
             triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
                        for _ in range(samples))
-        one = self.field.one()
+        # structure constants recoded as Python ints where the field allows
+        # (residues over F_p, integral rationals over Q): an injective ring
+        # map, so a triple fails here exactly when it fails in the field
+        field = self.field
+        if field.kind == "prime":
+            p = field.p
+
+            def code(c):
+                return c.v
+
+            def clean(acc):
+                return {w: c % p for w, c in acc.items() if c % p}
+        else:
+            if field.kind == "rationals":
+                def code(c):
+                    return c.numerator if c.denominator == 1 else c
+            else:
+                def code(c):
+                    return c
+
+            def clean(acc):
+                return {w: c for w, c in acc.items() if c}
+        coded = {}
+
+        def row(i, j):
+            out = coded.get((i, j))
+            if out is None:
+                out = coded[i, j] = [(w, code(c)) for w, c in self.mul_basis(i, j).items()]
+            return out
+
         for i, j, k in triples:
-            left = self.mul_elem(self.mul_basis(i, j), {k: one})
-            right = self.mul_elem({i: one}, self.mul_basis(j, k))
-            if left != right:
+            left = {}
+            for u, cu in row(i, j):
+                for w, cw in row(u, k):
+                    s = left.get(w)
+                    left[w] = cu * cw if s is None else s + cu * cw
+            right = {}
+            for v, cv in row(j, k):
+                for w, cw in row(i, v):
+                    s = right.get(w)
+                    right[w] = cw * cv if s is None else s + cw * cv
+            if clean(left) != clean(right):
                 raise InvariantViolation(
                     "algebra-associativity",
                     "(%s %s) %s != %s (%s %s)"
@@ -237,33 +277,26 @@ class StructuredAlgebra:
 # Clifford construction by word rewriting
 
 
-def _reduce_word(form, word, out, coef):
-    """Accumulate the normal form of coef * e_word into the dict out."""
-    stack = [(coef, tuple(word))]
-    while stack:
-        c, w = stack.pop()
-        changed = False
-        for idx in range(len(w) - 1):
-            a, b = w[idx], w[idx + 1]
-            if a == b:
-                cc = form.coeff(a, a)
-                if cc:
-                    stack.append((c * cc, w[:idx] + w[idx + 2:]))
-                changed = True
-                break
-            if a > b:
-                cab = form.coeff(b, a)  # the polar value b(e_b, e_a)
-                if cab:
-                    stack.append((c * cab, w[:idx] + w[idx + 2:]))
-                stack.append((-c, w[:idx] + (b, a) + w[idx + 2:]))
-                changed = True
-                break
-        if not changed:
-            mask = 0
-            for i in w:
-                mask |= 1 << i
-            prev = out.get(mask)
-            out[mask] = c if prev is None else prev + c
+def _generator_times(form, a, mask):
+    """Normal form of e_a * e_mask as a mask-keyed dict.
+
+    With t the lowest index in the mask and rest the other indices,
+    e_a e_t = b(e_t, e_a) - e_t e_a for a > t, and every index in
+    e_a e_rest exceeds t, so prefixing e_t there needs no reordering.
+    """
+    low = mask & -mask
+    t = low.bit_length() - 1
+    if not mask or a < t:
+        return {mask | 1 << a: form.field.one()}
+    if a == t:
+        cc = form.coeff(a, a)
+        return {mask ^ low: cc} if cc else {}
+    rest = mask ^ low
+    cab = form.coeff(t, a)  # the polar value b(e_t, e_a)
+    out = {rest: cab} if cab else {}
+    for m, c in _generator_times(form, a, rest).items():
+        out[m | low] = -c
+    return out
 
 
 def _mask_word(mask):
@@ -294,9 +327,26 @@ class CliffordAlgebra(StructuredAlgebra):
         field = form.field
 
         def mul_fn(i, j):
-            out = {}
-            _reduce_word(form, _mask_word(self.masks[i]) + _mask_word(self.masks[j]),
-                         out, field.one())
+            # e_S e_T = e_s1 (... (e_sr (e_S' e_T))) where s1 < ... < sr are
+            # the fewest lowest indices of S leaving a basis mask S', so
+            # e_S' e_T is an earlier entry of the memoized table
+            s = self.masks[i]
+            if not s:
+                return {j: field.one()}
+            peeled = []
+            while not peeled or s not in self.mask_index:
+                low = s & -s
+                peeled.append(low.bit_length() - 1)
+                s ^= low
+            rest = self.mul_basis(self.mask_index[s], j)
+            out = {self.masks[k]: c for k, c in rest.items()}
+            for a in reversed(peeled):
+                nxt = {}
+                for m, c in out.items():
+                    for m2, c2 in _generator_times(form, a, m).items():
+                        prev = nxt.get(m2)
+                        nxt[m2] = c * c2 if prev is None else prev + c * c2
+                out = nxt
             result = {}
             for mask, c in out.items():
                 if not c:

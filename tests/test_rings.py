@@ -152,7 +152,11 @@ def test_squarefree_frozen_examples():
     t = Poly.x(F5, "t")
     g = (t + 1) * (t + 1) * (t + 2)
     assert squarefree_decomposition(g) == (F5.one(), [(t + 2, 1), (t + 1, 2)])
+
+
+def test_squarefree_inseparable_corner_raises():
     # t^5 + 1 over F_5 has zero derivative: a p-th power, not squarefree
+    t = Poly.x(F5, "t")
     h = Poly.of_ints(F5, "t", [1, 0, 0, 0, 0, 1])
     assert squarefree_decomposition(h) == (F5.one(), [(t + 1, 5)])
     with pytest.raises(ValueError):
