@@ -156,7 +156,7 @@ def check_function_field_witness():
     pens = rank5_pencil_corpus()
     worst = -1
     for pen in pens:
-        v = pencil_isotropy_witness(pen.q1, pen.q2, max_degree=3)
+        v, _ = pencil_isotropy_witness(pen.q1, pen.q2, max_degree=3)
         if v is None:
             raise InvariantViolation(
                 "c2-witness", "no degree <= 3 witness for a rank-5 pencil over F3")

@@ -468,7 +468,7 @@ def cmd_pencil(spec):
         if verdict.kind == "unknown":
             code = 1
     elif spec.scenario == "delpezzo":
-        v = pencil_isotropy_witness(pen.q1, pen.q2, max_degree=3)
+        v, _ = pencil_isotropy_witness(pen.q1, pen.q2, max_degree=3)
         body["isotropy_witness"] = {
             "found": v is not None,
             "degree": max(c.degree() for c in v) if v is not None else -1,

@@ -418,16 +418,165 @@ def _b_val(b, u, v, p):
     return acc % p
 
 
-def pencil_isotropy_witness(q1, q2, max_degree=3):
-    """A vector of polynomials v(x), not identically zero, with
-    x*q1(v) + q2(v) = 0 identically, of degree <= max_degree; or None.
+def _int_forms(q1, q2):
+    """(coefficient matrix, polar matrix, shift) of q1 and q2 as int64
+    arrays, the shift being the power of x that multiplies the form in
+    x*q1 + q2."""
+    import numpy as np
+    return tuple((np.array(_int_form(q), dtype=np.int64),
+                  np.array(_int_polar(q), dtype=np.int64), shift)
+                 for q, shift in ((q1, 1), (q2, 0)))
 
-    The search is exhaustive for each degree d in ascending order.  The
-    head coefficient vector must be a zero of q2 (coefficient of x^0),
-    each next coefficient vector solves one linear condition, and the
-    top half of the coefficient equations is checked at the leaves.  A
-    degree-0 witness is exactly a common zero of the two forms.
+
+def _point_table(p, n):
+    """Every vector of F_p^n whose first nonzero coordinate is 1, one per
+    projective point, as the rows of an int64 array in lexicographic
+    order."""
+    import numpy as np
+    pts = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    nonzero = pts != 0
+    lead = nonzero.argmax(axis=1)
+    return pts[nonzero.any(axis=1) & (pts[np.arange(len(pts)), lead] == 1)]
+
+
+def _bilinear(u, m, v):
+    """u_r^T m v_r for every row r of u and v (a single row broadcasts);
+    with m a coefficient matrix and u = v this is the form value."""
+    return ((u @ m) * v).sum(axis=1)
+
+
+def _coefficient(vs, k, forms, p):
+    """Coefficient of x^k in x*q1(v) + q2(v) mod p, for every row of the
+    batch v = sum vs[a] x^a; coefficient vectors past vs are zero."""
+    import numpy as np
+    top = len(vs) - 1
+    acc = np.zeros(len(vs[-1]), dtype=np.int64)
+    for c, b, shift in forms:
+        kk = k - shift
+        if kk < 0:
+            continue
+        if kk % 2 == 0 and kk // 2 <= top:
+            acc += _bilinear(vs[kk // 2], c, vs[kk // 2])
+        for a in range(max(0, kk - top), (kk + 1) // 2):
+            acc += _bilinear(vs[a], b, vs[kk - a])
+    return acc % p
+
+
+# leaves evaluated per batch at the top level, which bounds memory
+_LEAF_BLOCK = 1 << 15
+
+
+def _head_search(forms, p, head, d):
+    """Exhaustive search for v = head + v_1 x + ... + v_d x^d with v_d != 0
+    and x*q1(v) + q2(v) = 0, head a zero of q2 and d >= 1.
+
+    Returns (vs, leaves): vs the coefficient vectors of the first solution
+    in enumeration order, or None, and leaves the number of candidate
+    tuples (head, v_1, ..., v_d) generated up to it.  The coefficient of
+    x^k is B2(head, v_k) plus terms in v_0..v_{k-1}, so level k keeps
+    every partial tuple as one batch of rows and gives each row the
+    solutions v_k of that linear condition: a particular solution plus
+    the kernel span of ell = B2(head, .).  When ell = 0 (characteristic 2
+    or a radical head) a row survives only if its condition is already
+    met, and v_k runs over all of F_p^n.  Rows come out in the order of
+    a depth-first walk over the kernel combinations, level 1 outermost.
+    At level d the top half of the equations is checked, the coefficient
+    q1(v_d) of x^(2d+1) first.
     """
+    import numpy as np
+    n = len(head)
+    ell = head @ forms[1][1] % p
+    pivots = np.flatnonzero(ell)
+    if len(pivots):
+        pivot = pivots[0]
+        inv = pow(int(ell[pivot]), p - 2, p)
+        kernel = np.delete(np.eye(n, dtype=np.int64), pivot, axis=0)
+        kernel[:, pivot] = (-ell[np.arange(n) != pivot] * inv) % p
+    else:
+        pivot = None
+        kernel = np.eye(n, dtype=np.int64)
+    combos = np.array(list(itertools.product(range(p), repeat=len(kernel))),
+                      dtype=np.int64)
+    span = (combos @ kernel) % p
+    width = len(span)
+
+    vs = [head[None, :]]  # v_0, then one (rows, n) array per level
+    for k in range(1, d + 1):
+        rhs = (-_coefficient(vs, k, forms, p)) % p
+        if pivot is None:
+            keep = rhs == 0
+            vs = vs[:1] + [v[keep] for v in vs[1:]]
+            base = np.zeros((int(keep.sum()), n), dtype=np.int64)
+        else:
+            base = np.zeros((len(rhs), n), dtype=np.int64)
+            base[:, pivot] = (rhs * inv) % p
+        if k < d:
+            vs = vs[:1] + [np.repeat(v, width, axis=0) for v in vs[1:]]
+            vs.append(((base[:, None, :] + span[None]) % p).reshape(-1, n))
+
+    # level d: base holds one particular solution per tuple in vs
+    rows = len(base)
+    step = max(1, _LEAF_BLOCK // width)
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        top = ((base[lo:hi, None, :] + span[None]) % p).reshape(-1, n)
+        pos = np.arange(lo * width, hi * width)
+        keep = top.any(axis=1) & (_bilinear(top, forms[0][0], top) % p == 0)
+        top, pos = top[keep], pos[keep]
+        for k in range(2 * d, d, -1):
+            if not len(pos):
+                break
+            full = vs[:1] + [v[pos // width] for v in vs[1:]] + [top]
+            keep = _coefficient(full, k, forms, p) == 0
+            top, pos = top[keep], pos[keep]
+        if len(pos):
+            first = pos[0] // width
+            return [head] + [v[first] for v in vs[1:]] + [top[0]], int(pos[0]) + 1
+    return None, rows * width
+
+
+def _witness_polys(q1, q2, vs):
+    """The polynomial coordinates of v = sum vs[a] x^a, after checking
+    x*q1(v) + q2(v) = 0 in the wrapped field."""
+    field, n = q1.field, q1.n
+    polys = tuple(
+        Poly(field, "x", tuple(field.from_int(int(vs[a][i])) for a in range(len(vs))))
+        for i in range(n))
+    xq1 = Poly(field, "x", (field.zero(), field.one()))
+    total = Poly(field, "x", ())
+    qs = [(q1, xq1), (q2, Poly(field, "x", (field.one(),)))]
+    for q, mult in qs:
+        val = Poly(field, "x", ())
+        for i in range(n):
+            if q.c[i][i]:
+                val = val + polys[i] * polys[i] * Poly(field, "x", (q.c[i][i],))
+            for j in range(i + 1, n):
+                if q.c[i][j]:
+                    val = val + polys[i] * polys[j] * Poly(field, "x", (q.c[i][j],))
+        total = total + mult * val
+    if total:
+        raise InvariantViolation("pencil-witness",
+                                 "claimed witness fails the identity")
+    return polys
+
+
+def pencil_isotropy_witness(q1, q2, max_degree=3):
+    """Search for a vector of polynomials v(x), not identically zero, with
+    x*q1(v) + q2(v) = 0 identically and degree <= max_degree.
+
+    Returns (witness, leaves): the witness as polynomial coordinates, or
+    None, and the number of candidate coefficient tuples of degree >= 1
+    generated before the search stopped.  The search is exhaustive for
+    each degree d in ascending order.  The head coefficient vector v_0
+    runs over the projective zeros of q2 (coefficient of x^0), first
+    nonzero coordinate 1, in lexicographic order; a degree-0 witness is
+    exactly a common zero of the two forms.  For d >= 1 each head is
+    searched by _head_search, in batches of integer-coded coefficient
+    vectors.  With p odd and B2(v_0, .) != 0 for every head, an exhausted
+    search generates #heads * sum_{d=1}^{max_degree} p^((n-1)d) leaves.
+    The witness is checked over the wrapped field before it is returned.
+    """
+    import numpy as np
     if q1.field is not q2.field or q1.n != q2.n:
         raise ValueError("forms must share a field and a rank")
     field, n = q1.field, q1.n
@@ -436,104 +585,21 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
     if n > 5:
         raise ValueError("witness search kept to rank <= 5")
     p = field.p
-    c1, c2 = _int_form(q1), _int_form(q2)
-    b1, b2 = _int_polar(q1), _int_polar(q2)
+    forms = _int_forms(q1, q2)
+    pts = _point_table(p, n)
+    heads = pts[_bilinear(pts, forms[1][0], pts) % p == 0]
 
-    heads = [v for v in itertools.product(range(p), repeat=n)
-             if any(v) and _q_val(c2, v, p) == 0]
-    # projective normalization: first nonzero coordinate 1
-    heads = [v for v in heads if v[next(i for i, a in enumerate(v) if a)] == 1]
-
-    def coeff_eq(vs, k):
-        # coefficient of x^k in x*q1(v) + q2(v), for v = sum vs[a] x^a
-        acc = 0
-        d = len(vs) - 1
-        for (q, b, shift) in ((c1, b1, 1), (c2, b2, 0)):
-            kk = k - shift
-            if kk < 0 or kk > 2 * d:
-                continue
-            if kk % 2 == 0 and kk // 2 <= d:
-                acc += _q_val(q, vs[kk // 2], p)
-            lo = max(0, kk - d)
-            for a in range(lo, (kk + 1) // 2):
-                acc += _b_val(b, vs[a], vs[kk - a], p)
-        return acc % p
-
-    def found(vs):
-        polys = tuple(
-            Poly(field, "x", tuple(field.from_int(vs[a][i]) for a in range(len(vs))))
-            for i in range(n))
-        # construction-time identity check over the wrapped field
-        xq1 = Poly(field, "x", (field.zero(), field.one()))
-        total = Poly(field, "x", ())
-        qs = [(q1, xq1), (q2, Poly(field, "x", (field.one(),)))]
-        for q, mult in qs:
-            val = Poly(field, "x", ())
-            for i in range(n):
-                if q.c[i][i]:
-                    val = val + polys[i] * polys[i] * Poly(field, "x", (q.c[i][i],))
-                for j in range(i + 1, n):
-                    if q.c[i][j]:
-                        val = val + polys[i] * polys[j] * Poly(field, "x", (q.c[i][j],))
-            total = total + mult * val
-        if total:
-            raise InvariantViolation("pencil-witness",
-                                     "claimed witness fails the identity")
-        return polys
-
-    for d in range(0, max_degree + 1):
+    common = np.flatnonzero(_bilinear(heads, forms[0][0], heads) % p == 0)
+    if max_degree >= 0 and len(common):
+        return _witness_polys(q1, q2, [heads[common[0]]]), 0
+    leaves = 0
+    for d in range(1, max_degree + 1):
         for head in heads:
-            if d == 0:
-                if coeff_eq((head,), 1) == 0:
-                    return found((head,))
-                continue
-            # one linear functional serves every level: ell = B2(head, .)
-            ell = [_b_val(b2, head, tuple(1 if j == i else 0 for j in range(n)), p)
-                   for i in range(n)]
-            pivot = next((i for i, a in enumerate(ell) if a), None)
-            if pivot is None:
-                kernel = [tuple(1 if j == i else 0 for j in range(n))
-                          for i in range(n)]
-            else:
-                inv = pow(ell[pivot], p - 2, p)
-                kernel = []
-                for i in range(n):
-                    if i == pivot:
-                        continue
-                    vec = [0] * n
-                    vec[i] = 1
-                    vec[pivot] = (-ell[i] * inv) % p
-                    kernel.append(tuple(vec))
-
-            def assign(vs, level):
-                rhs = (-coeff_eq(vs + ((0,) * n,), level)) % p
-                if pivot is None:
-                    if rhs:
-                        return None
-                    base = (0,) * n
-                else:
-                    base = tuple((rhs * pow(ell[pivot], p - 2, p)) % p if i == pivot else 0
-                                 for i in range(n))
-                for combo in itertools.product(range(p), repeat=len(kernel)):
-                    vec = list(base)
-                    for coef, kv in zip(combo, kernel):
-                        if coef:
-                            for i in range(n):
-                                vec[i] = (vec[i] + coef * kv[i]) % p
-                    vec = tuple(vec)
-                    if level == d:
-                        if not any(vec):
-                            continue  # exact degree d, lower handled earlier
-                        full = vs + (vec,)
-                        if all(coeff_eq(full, k) == 0 for k in range(2 * d + 1, d, -1)):
-                            yield full
-                    else:
-                        for out in assign(vs + (vec,), level + 1):
-                            yield out
-
-            for vs in assign((head,), 1):
-                return found(vs)
-    return None
+            vs, count = _head_search(forms, p, head, d)
+            leaves += count
+            if vs is not None:
+                return _witness_polys(q1, q2, vs), leaves
+    return None, leaves
 
 
 @dataclass(frozen=True)
@@ -543,6 +609,7 @@ class IsotropyCorrespondence:
     witness: tuple  # polynomial coordinates, or None
     witness_degree: int  # -1 when absent
     searched_degree: int
+    leaves: int  # candidate tuples the witness search generated
 
 
 def amer_brumer_check(q1, q2, max_degree=3):
@@ -550,11 +617,15 @@ def amer_brumer_check(q1, q2, max_degree=3):
     zeros of (q1, q2) and isotropy of x*q1 + q2 over the rational
     function field.
 
-    Side A enumerates every projective point; side B runs the bounded
-    witness search.  A common zero must reappear as a degree-0 witness,
-    and a witness without a common zero falsifies the correspondence, so
-    either direction failing raises instead of reporting.
+    Side A evaluates both forms on every projective point; side B runs
+    the bounded witness search.  A common zero must reappear as a
+    degree-0 witness, and a witness without a common zero falsifies the
+    correspondence, so either direction failing raises instead of
+    reporting.  An exhausted search over an odd prime field whose heads
+    all have B2(head, .) != 0 must have generated exactly its closed-form
+    number of leaves.
     """
+    import numpy as np
     if q1.field is not q2.field or q1.n != q2.n:
         raise ValueError("forms must share a field and a rank")
     field, n = q1.field, q1.n
@@ -562,32 +633,45 @@ def amer_brumer_check(q1, q2, max_degree=3):
         raise ValueError("the exhaustive side needs a prime field with p <= 5")
     if n > 5:
         raise ValueError("rank capped at 5")
+    p = field.p
+    (c1, _, _), (c2, b2, _) = _int_forms(q1, q2)
+    pts = _point_table(p, n)
+    on_q2 = _bilinear(pts, c2, pts) % p == 0
+    zeros = pts[on_q2 & (_bilinear(pts, c1, pts) % p == 0)]
+    # the order of _canonical_vectors: by lead index, then lexicographic
+    zeros = zeros[np.argsort((zeros != 0).argmax(axis=1), kind="stable")]
+    witness, leaves = pencil_isotropy_witness(q1, q2, max_degree)
 
-    zeros = [v for v in _canonical_vectors(field, n)
-             if not q1.evaluate(v) and not q2.evaluate(v)]
-    witness = pencil_isotropy_witness(q1, q2, max_degree)
-
-    if zeros and witness is None:
+    if len(zeros) and witness is None:
         raise InvariantViolation(
             "isotropy-correspondence",
             "common zero exists but no constant witness was produced")
-    if zeros:
+    if len(zeros):
         deg = max(c.degree() for c in witness)
         if deg != 0:
             raise InvariantViolation(
                 "isotropy-correspondence",
                 "common zero exists but the first witness has degree %d" % deg)
-    if witness is not None and not zeros:
+    if witness is not None and not len(zeros):
         raise InvariantViolation(
             "isotropy-correspondence",
             "function-field witness at degree <= %d without any common zero"
             % max_degree)
+    heads = pts[on_q2]
+    if witness is None and p % 2 and (heads @ b2 % p).any(axis=1).all():
+        want = len(heads) * sum(p ** ((n - 1) * d) for d in range(1, max_degree + 1))
+        if leaves != want:
+            raise InvariantViolation(
+                "witness-coverage",
+                "exhausted search generated %d leaves, the closed form says %d"
+                % (leaves, want))
     return IsotropyCorrespondence(
-        common_zero=zeros[0] if zeros else None,
+        common_zero=tuple(field.from_int(int(a)) for a in zeros[0]) if len(zeros) else None,
         common_zero_count=len(zeros),
         witness=witness,
         witness_degree=max(c.degree() for c in witness) if witness else -1,
         searched_degree=max_degree,
+        leaves=leaves,
     )
 
 
@@ -596,7 +680,7 @@ def amer_brumer_check(q1, q2, max_degree=3):
 
 @dataclass(frozen=True)
 class BrauerVerdict:
-    kind: str  # "trivial" | "nontrivial" | "unknown"
+    kind: str  # "trivial" | "unknown"
     witness: tuple  # section witness when trivial
     scope: str  # what was searched, and how exhaustively
     witness_degree: int  # -1 for constant/none
@@ -611,10 +695,11 @@ def brauer_triviality_rank4(q1, q2, budget=DEFAULT_BUDGET, max_degree=3):
 
     A section of the quadric bundle is equivalent to isotropy of the
     generic member over k(x), and the common-zero correspondence pulls
-    that down to a common zero of the two forms.  Finding either gives
-    Trivial with a checked witness.  Over a finite field both searches
-    are exhaustive within their scope, and that scope (constants plus
-    degree <= max_degree) is recorded on the Nontrivial verdict; over an
+    that down to a common zero of the two forms.  Finding one gives
+    Trivial with a checked witness.  Over F_q the common-zero search is
+    exhaustive and always succeeds: the pencil cuts out a smooth genus-1
+    curve C, and Hasse-Weil gives |#C - q - 1| <= 2 sqrt(q) < q + 1, so
+    an empty search raises InvariantViolation("hasse-weil").  Over an
     infinite field exhaustion is impossible and the fallback is Unknown.
     """
     if q1.n != 4 or q2.n != 4:
@@ -630,16 +715,11 @@ def brauer_triviality_rank4(q1, q2, budget=DEFAULT_BUDGET, max_degree=3):
         return BrauerVerdict("trivial", v, "common-isotropic-vector", -1)
 
     if q1.field.size() is not None:
-        witness = pencil_isotropy_witness(q1, q2, max_degree)
-        if witness is not None:
-            # unreachable if the correspondence holds; surface loudly
-            raise InvariantViolation(
-                "isotropy-correspondence",
-                "witness found although the exhaustive common-zero search failed")
-        return BrauerVerdict(
-            "nontrivial", (),
-            "exhaustive: all projective points and all function-field "
-            "witnesses of degree <= %d" % max_degree, -1)
+        raise InvariantViolation(
+            "hasse-weil",
+            "simple rank-4 pencil over %s without a common zero, but the "
+            "smooth genus-1 curve it cuts out must have a point"
+            % q1.field.label())
     return BrauerVerdict(
         "unknown", (),
         "budget exhausted: heights <= %d, degree <= %d"

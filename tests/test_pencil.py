@@ -1,6 +1,8 @@
 """Pencil discriminants, degeneration reports, and the isotropy
 correspondence searches."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from quadclif.pencil import (
     gaussian_binomial,
     pencil_isotropy_witness,
 )
+from quadclif.pencil import _head_search, _int_forms, _witness_polys
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -29,6 +32,12 @@ F5 = PrimeField(5)
 
 def diag(field, entries):
     return QuadraticForm.diagonal(field, entries)
+
+
+def _random_form(rng, field, n):
+    rows = [[rng.randrange(field.p) if j >= i else 0 for j in range(n)]
+            for i in range(n)]
+    return QuadraticForm.of_ints(field, rows)
 
 
 # ------------------------------------------------- discriminant oracles
@@ -209,11 +218,15 @@ def test_anisotropic_rank2_pair_has_neither():
     r = amer_brumer_check(diag(F3, [1, 1]), diag(F3, [1, 2]))
     assert r.common_zero is None and r.witness is None
     assert r.searched_degree == 3
+    # 2 heads, each searched over 3 + 3^2 + 3^3 leaves
+    assert r.leaves == 78
 
 
 def test_rank4_pair_without_common_zero_has_no_witness():
     r = amer_brumer_check(diag(F3, [1, 1, 1, 1]), diag(F3, [1, 2, 1, 2]))
     assert r.common_zero is None and r.witness is None
+    # 16 heads, each searched over 3^3 + 3^6 + 3^9 leaves
+    assert r.leaves == 327024
 
 
 def test_f2_rank3_pair():
@@ -223,16 +236,127 @@ def test_f2_rank3_pair():
 
 
 def test_witness_polynomials_satisfy_the_pencil_identity():
-    w = pencil_isotropy_witness(diag(F3, [1, -1, 1]), diag(F3, [1, 1, -1]))
+    w, leaves = pencil_isotropy_witness(diag(F3, [1, -1, 1]), diag(F3, [1, 1, -1]))
     assert w is not None
     assert max(c.degree() for c in w) == 0
+    assert leaves == 0
 
 
 def test_rank5_f3_always_finds_degree_zero():
     # four quadratic conditions in five variables cannot avoid a common
     # zero over a finite field, so the witness is always constant
-    w = pencil_isotropy_witness(diag(F3, [1, 1, 1, 2, 2]), diag(F3, [1, 2, 2, 1, 1]))
+    w, _ = pencil_isotropy_witness(diag(F3, [1, 1, 1, 2, 2]), diag(F3, [1, 2, 2, 1, 1]))
     assert w is not None and max(c.degree() for c in w) == 0
+
+
+# By Amer-Brumer a full search never returns a witness of degree >= 1,
+# so the leaf check of the degree-d level is tested head by head: a
+# common zero z of the two forms is a head, and z*(x+1)^d is a witness
+# of exact degree d with that head.  The expected vectors are the first
+# solutions of a depth-first walk over the kernel combinations.
+HEAD_SEARCH_CASES = [
+    ([1, 2, 1], [1, 1, 2], [0, 1, 1], 1, [[0, 1, 1], [0, 1, 1]], 2),
+    ([1, 2, 1], [1, 1, 2], [0, 1, 1], 2, [[0, 1, 1], [0, 0, 0], [0, 1, 1]], 2),
+    ([1, 2, 1], [1, 1, 2], [0, 1, 1], 3,
+     [[0, 1, 1], [0, 0, 0], [0, 0, 0], [0, 1, 1]], 2),
+    ([1, 1, 1, 2], [2, 2, 2, 2], [1, 1, 1, 0], 1, [[1, 1, 1, 0], [1, 1, 1, 0]], 13),
+    ([1, 1, 1, 2], [2, 2, 2, 2], [1, 1, 1, 0], 2,
+     [[1, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 0]], 13),
+    ([1, 1, 1, 2], [2, 2, 2, 2], [1, 1, 1, 0], 3,
+     [[1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 0]], 13),
+]
+
+
+@pytest.mark.parametrize("c1,c2,z,d,want,leaves", HEAD_SEARCH_CASES)
+def test_head_search_finds_a_witness_of_each_degree(c1, c2, z, d, want, leaves):
+    import numpy as np
+    q1, q2 = diag(F3, c1), diag(F3, c2)
+    vs, count = _head_search(_int_forms(q1, q2), 3, np.array(z), d)
+    assert [[int(a) for a in v] for v in vs] == want
+    assert count == leaves
+    polys = _witness_polys(q1, q2, vs)
+    assert max(c.degree() for c in polys) == d
+
+
+def _loop_coefficient(forms, vs, k, p):
+    # x^k coefficient of x*q1(v) + q2(v): q(v_a) where 2a = kk, and
+    # B(v_a, v_b) where a < b and a + b = kk
+    n = len(vs[0])
+    acc = 0
+    for c, b, shift in forms:
+        for a, b_ in itertools.combinations_with_replacement(range(len(vs)), 2):
+            if a + b_ == k - shift:
+                m = c if a == b_ else b
+                acc += sum(int(vs[a][i]) * int(m[i][j]) * int(vs[b_][j])
+                           for i in range(n) for j in range(n))
+    return acc % p
+
+
+def _loop_head_search(forms, p, head, d):
+    """Depth-first loop version of _head_search, the reference for its
+    enumeration order and leaf count."""
+    n = len(head)
+    ell = [sum(int(head[i]) * int(forms[1][1][i][j]) for i in range(n)) % p
+           for j in range(n)]
+    pivot = next((j for j, a in enumerate(ell) if a), None)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    if pivot is None:
+        kernel = units
+    else:
+        inv = pow(ell[pivot], p - 2, p)
+        kernel = [[(-ell[i] * inv) % p if j == pivot else u[j] for j in range(n)]
+                  for i, u in enumerate(units) if i != pivot]
+    leaves = 0
+
+    def walk(vs):
+        nonlocal leaves
+        k = len(vs)
+        rhs = (-_loop_coefficient(forms, vs, k, p)) % p
+        if pivot is None and rhs:
+            return None
+        base = [(rhs * inv) % p if j == pivot else 0 for j in range(n)]
+        for combo in itertools.product(range(p), repeat=len(kernel)):
+            v = [(base[j] + sum(a * kv[j] for a, kv in zip(combo, kernel))) % p
+                 for j in range(n)]
+            if k < d:
+                got = walk(vs + [v])
+                if got:
+                    return got
+                continue
+            leaves += 1
+            if any(v) and all(_loop_coefficient(forms, vs + [v], kk, p) == 0
+                              for kk in range(d + 1, 2 * d + 2)):
+                return vs + [v]
+        return None
+
+    return walk([[int(a) for a in head]]), leaves
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2),
+                                   (3, 4, 2), (5, 2, 2)])
+def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
+    import random
+    import quadclif.pencil as pencil_mod
+    from quadclif.pencil import _bilinear, _point_table
+    # small leaf blocks, so that rows straddle block boundaries
+    monkeypatch.setattr(pencil_mod, "_LEAF_BLOCK", 7)
+    field = PrimeField(p)
+    rng = random.Random(100 * p + n)
+    for _ in range(6):
+        q1, q2 = _random_form(rng, field, n), _random_form(rng, field, n)
+        forms = _int_forms(q1, q2)
+        pts = _point_table(p, n)
+        for head in pts[_bilinear(pts, forms[1][0], pts) % p == 0][:3]:
+            vs, leaves = _head_search(forms, p, head, d)
+            want, want_leaves = _loop_head_search(forms, p, head, d)
+            assert leaves == want_leaves
+            assert (None if vs is None else [[int(a) for a in v] for v in vs]) == want
+
+
+def test_witness_polys_rejects_a_non_witness():
+    with pytest.raises(InvariantViolation) as err:
+        _witness_polys(diag(F3, [1, 1]), diag(F3, [1, 2]), [[1, 1], [1, 0]])
+    assert err.value.invariant == "pencil-witness"
 
 
 def test_witness_rejects_big_fields():
@@ -267,6 +391,33 @@ def test_brauer_trivial_over_f3():
     # verdict comes back trivial with a checked witness
     verdict = brauer_triviality_rank4(diag(F3, [1, 0, 1, 1]), diag(F3, [0, 1, 1, 2]))
     assert verdict.kind == "trivial"
+
+
+@pytest.mark.parametrize("field", [F3, F5])
+def test_simple_rank4_pencils_have_points_within_hasse_weil(field):
+    # a simple rank-4 pencil over F_q cuts out a smooth genus-1 curve C,
+    # so #C >= 1 and (#C - q - 1)^2 <= 4q
+    import random
+    rng = random.Random(20 + field.p)
+    q = field.p
+    simple = 0
+    for _ in range(40):
+        q1, q2 = _random_form(rng, field, 4), _random_form(rng, field, 4)
+        if not analyze(Pencil(q1, q2)).simple:
+            continue
+        simple += 1
+        assert brauer_triviality_rank4(q1, q2).kind == "trivial"
+        points = amer_brumer_check(q1, q2).common_zero_count
+        assert points >= 1 and (points - q - 1) ** 2 <= 4 * q
+    assert simple >= 5
+
+
+def test_brauer_over_finite_field_without_zero_is_an_invariant_violation(monkeypatch):
+    import quadclif.pencil as pencil_mod
+    monkeypatch.setattr(pencil_mod, "common_isotropic_vector", lambda *a: None)
+    with pytest.raises(InvariantViolation) as err:
+        brauer_triviality_rank4(diag(F3, [1, 0, 1, 1]), diag(F3, [0, 1, 1, 2]))
+    assert err.value.invariant == "hasse-weil"
 
 
 def test_brauer_rejects_non_simple_pencil():
