@@ -29,19 +29,32 @@ The right action itself is checked unital and associative when P is
 built.  A complement that is identically zero is refused up front: the
 theorem needs a vector v with q'(v) != 0, and without one the map above
 is not an isomorphism.
+
+How End(P) is solved.  X commutes with the right action exactly when it
+commutes with the degree-2 elements e_i e_j, which generate the even
+algebra.  Each of them preserves the Z/2 grading of P (checked at run
+time, InvariantViolation "module-grading"), so the commuting condition
+splits into one independent linear system per parity block of X, each
+with a quarter of the unknowns, stacked from Kronecker products and
+solved by the one exact elimination of rings.coded_rref.  Merged by
+free position, the block kernels give exactly the reduced echelon
+kernel basis of the full system, so the End basis does not depend on
+the splitting.
+
+All matrix work runs on coded numpy arrays (rings.ArrayCoding): int64
+residues over F_p, and object arrays over other fields, where rationals
+are Python ints when integral and Fractions otherwise.  Where products
+would mix in Fractions, the checks first scale a whole stack of matrices
+by one common denominator, so they run on Python ints.  Field elements
+are decoded only for the returned End basis, the structure constants of
+the End algebra and the witness matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import (
-    InvariantViolation,
-    Matrix,
-    PrimeField,
-    SpanSolver,
-    kernel_basis_mod_p,
-)
+from .rings import ArrayCoding, InvariantViolation, coded_kernel, coded_rref
 from .quadform import QuadraticForm
 from .clifford import StructuredAlgebra, full_clifford
 
@@ -56,10 +69,36 @@ class RightModule:
 
     qp: QuadraticForm
     cp: object
+    coding: ArrayCoding
     dim: int
     even_idx: list
     parity: list
-    action: list  # one dim x dim matrix (tuple of row tuples) per even_idx
+    # coded array, one dim x dim matrix per even_idx: action[k][i][b] is
+    # the coefficient of e_i in e_b e_a for a = even_idx[k]
+    action: object
+
+
+def _product_defects(coding, mats, prods, pos, right=False):
+    """Multiplicativity defects, one matrix per pair (a, b) in row-major
+    order: mats[a] mats[b] (mats[b] mats[a] for a right action) minus
+    sum_u c_u mats[pos[u]], where prods[a * len(mats) + b] = {u: c_u} is
+    the product of the two basis elements behind them.  The map is
+    multiplicative on a pair exactly when its defect is zero.  Over Q the
+    matrices are first scaled by one common denominator d, so that the
+    products run on Python ints; every defect is then d^2 times its value.
+    """
+    import numpy as np
+
+    ints, den = coding.integral(mats)
+    left, other = ints[:, None], ints[None, :]
+    got = (other @ left if right else left @ other).reshape((len(prods),) + mats.shape[1:])
+    terms = [(k, pos[u], coding.code(c))
+             for k, prod in enumerate(prods) for u, c in prod.items()]
+    if terms:
+        at, src, coefs = zip(*terms)
+        coefs = np.array(coefs, dtype=coding.dtype)
+        np.subtract.at(got, np.array(at), den * coefs[:, None, None] * ints[np.array(src)])
+    return coding.reduce(got)
 
 
 def build_P(qp, check="auto"):
@@ -67,107 +106,77 @@ def build_P(qp, check="auto"):
     if qp.n > 4:
         raise ValueError("module machinery kept to rank <= 4 so the"
                          " endomorphism systems stay at 256 unknowns")
+    import numpy as np
+
     cp = full_clifford(qp, check=check)
-    field = qp.field
-    z, one = field.zero(), field.one()
+    coding = ArrayCoding(qp.field)
     even_idx = [i for i, m in enumerate(cp.masks) if _even(m)]
     parity = [0 if _even(m) else 1 for m in cp.masks]
     dim = cp.dim
-    action = []
-    for a in even_idx:
-        cols = [cp.mul_basis(b, a) for b in range(dim)]
-        action.append(tuple(tuple(cols[b].get(i, z) for b in range(dim))
-                            for i in range(dim)))
-    # unital
+    action = coding.zeros((len(even_idx), dim, dim))
+    for k, a in enumerate(even_idx):
+        for b in range(dim):
+            for i, c in cp.mul_basis(b, a).items():
+                action[k, i, b] = coding.code(c)
     unit_pos = even_idx.index(cp.mask_index[0])
-    ident = tuple(tuple(one if i == j else z for j in range(dim)) for i in range(dim))
-    if action[unit_pos] != ident:
+    if not coding.equal(action[unit_pos], coding.eye(dim)):
         raise InvariantViolation("module-unital", "unit does not act as identity")
-    # associativity of the action on basis triples: x.(ab) == (x.a).b
-    for apos, a in enumerate(even_idx):
-        for bpos, b in enumerate(even_idx):
-            ab = cp.mul_basis(a, b)
-            for x in range(dim):
-                lhs = cp.mul_elem(cp.mul_basis(x, a), {b: one})
-                rhs = cp.mul_elem({x: one}, ab)
-                if lhs != rhs:
-                    raise InvariantViolation(
-                        "module-associative",
-                        "right action fails associativity at (%d, %s, %s)"
-                        % (x, cp.labels[a], cp.labels[b]))
-    return RightModule(qp=qp, cp=cp, dim=dim, even_idx=even_idx,
+    # associativity of the action on basis triples, x.(ab) == (x.a).b,
+    # for all x at once: the action of ab is R_b R_a
+    pos = {a: k for k, a in enumerate(even_idx)}
+    n_even = len(even_idx)
+    defects = _product_defects(coding, action, [cp.mul_basis(a, b) for a in even_idx
+                                                for b in even_idx], pos, right=True)
+    bad = np.count_nonzero(defects, axis=1)
+    if np.count_nonzero(bad):
+        k, x = (int(v) for v in np.argwhere(bad)[0])
+        raise InvariantViolation(
+            "module-associative",
+            "right action fails associativity at (%d, %s, %s)"
+            % (x, cp.labels[even_idx[k // n_even]], cp.labels[even_idx[k % n_even]]))
+    return RightModule(qp=qp, cp=cp, coding=coding, dim=dim, even_idx=even_idx,
                        parity=parity, action=action)
 
 
-def _flat(mat):
-    return [e for row in mat for e in row]
+def _commutant(coding, parity, gens):
+    """Canonical basis of {X : X M = M X for every M in gens} in gl(dim).
 
-
-def _commuting_matrices(field, dim, mats):
-    """Basis of {X : X M = M X for every M in mats} inside gl(dim).
-
-    Over a prime field the constraints X M - M X = 0 are stacked as one
-    integer matrix via Kronecker products, row-major flattening of X:
-    vec(X M) = (I (x) M^T) vec(X) and vec(M X) = (M (x) I) vec(X).
-    Other fields fall back to an incremental kernel intersection.
+    The constraints on X, flattened row-major, stack via Kronecker
+    products: vec(X M) = (I (x) M^T) vec(X), vec(M X) = (M (x) I) vec(X).
+    Every M preserves the Z/2 grading given by parity (checked here), so
+    the system splits into the four parity blocks X_st of X, each solved
+    on its own with a quarter of the unknowns.  Equation (i, j) involves
+    only the block of (parity i, parity j), so the full system is block
+    diagonal up to a permutation, its pivot columns are the union of the
+    blocks' pivot columns, and its reduced echelon kernel basis is the
+    union of the blocks' kernel bases, ordered by free position.
+    Returns (free positions, stacked solutions).
     """
-    n2 = dim * dim
-    if isinstance(field, PrimeField):
-        import numpy as np
-        p = field.p
-        ident = np.eye(dim, dtype=np.int64)
-        blocks = []
-        for m in mats:
-            a = np.array([[int(e.v) for e in row] for row in m], dtype=np.int64)
-            blocks.append((np.kron(ident, a.T) - np.kron(a, ident)) % p)
-        stacked = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, n2), dtype=np.int64)
-        combos = kernel_basis_mod_p([list(r) for r in stacked], p)
-        out = []
-        for combo in combos:
-            out.append(tuple(tuple(field.from_int(int(combo[i * dim + j]))
-                                   for j in range(dim)) for i in range(dim)))
-        return out
+    import numpy as np
 
-    one = field.one()
-    zero = field.zero()
-
-    def commutator_rows(cand_flat, m):
-        # rows of X M - M X for X given flat, as one flat vector
-        x = [cand_flat[i * dim:(i + 1) * dim] for i in range(dim)]
-        out = []
-        for i in range(dim):
-            for j in range(dim):
-                acc = zero
-                for k in range(dim):
-                    if x[i][k] and m[k][j]:
-                        acc = acc + x[i][k] * m[k][j]
-                    if m[i][k] and x[k][j]:
-                        acc = acc - m[i][k] * x[k][j]
-                out.append(acc)
-        return out
-
-    cands = []
-    for pos in range(n2):
-        v = [zero] * n2
-        v[pos] = one
-        cands.append(v)
-    for m in mats:
-        images = [commutator_rows(c, m) for c in cands]
-        mat = Matrix(field, [[images[c][r] for c in range(len(cands))]
-                             for r in range(n2)])
-        combos = mat.kernel_basis()
-        new = []
-        for combo in combos:
-            vec = [zero] * n2
-            for cpos, coef in enumerate(combo):
-                if coef:
-                    vec = [a + coef * b for a, b in zip(vec, cands[cpos])]
-            new.append(vec)
-        cands = new
-        if not cands:
-            break
-    return [tuple(tuple(c[i * dim + j] for j in range(dim)) for i in range(dim))
-            for c in cands]
+    dim = len(parity)
+    parts = [np.flatnonzero(np.array(parity) == s) for s in (0, 1)]
+    for m in gens:
+        for s, t in ((0, 1), (1, 0)):
+            if np.count_nonzero(coding.reduce(m[np.ix_(parts[s], parts[t])])):
+                raise InvariantViolation(
+                    "module-grading",
+                    "the right action sends part of the %s summand to the %s one"
+                    % (("even", "odd")[t], ("even", "odd")[s]))
+    found = []
+    for rows in parts:
+        for cols in parts:
+            a, b = len(rows), len(cols)
+            eqs = [np.kron(coding.eye(a), m[np.ix_(cols, cols)].T)
+                   - np.kron(m[np.ix_(rows, rows)], coding.eye(b)) for m in gens]
+            system = coding.reduce(np.concatenate(eqs)) if eqs else coding.zeros((0, a * b))
+            free, kernel = coded_kernel(coding, system)
+            for f, vec in zip(free, kernel):
+                x = coding.zeros((dim, dim))
+                x[np.ix_(rows, cols)] = vec.reshape(a, b)
+                found.append((int(rows[f // b]) * dim + int(cols[f % b]), x))
+    found.sort(key=lambda fx: fx[0])
+    return [f for f, _ in found], np.stack([x for _, x in found])
 
 
 def endomorphism_algebra(P, check="auto"):
@@ -175,102 +184,87 @@ def endomorphism_algebra(P, check="auto"):
 
     Returns (algebra, basis_mats) where basis_mats[k] is the matrix of
     the k-th basis endomorphism (unit first) and algebra multiplies by
-    composition.
+    composition.  Commuting with the degree-2 elements e_i e_j, which
+    generate the even algebra, is commuting with all of it.
     """
-    field = P.qp.field
-    dim = P.dim
-    sols = _commuting_matrices(field, dim, P.action)
-    if not sols:
-        raise InvariantViolation("endomorphisms", "no endomorphisms found, not even 1")
-    one, zero = field.one(), field.zero()
-    ident = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
-    basis = _unit_first_basis(field, ident, sols)
+    coding = P.coding
+    gens = P.action[[k for k, a in enumerate(P.even_idx)
+                     if bin(P.cp.masks[a]).count("1") == 2]]
+    free, sols = _commutant(coding, P.parity, gens)
+    basis, coords = _unit_first_basis(coding, free, sols)
     if len(basis) != 2 * P.dim:
         # dim End = 4 . dim C0(q') = dim C0(H | q'), whatever the radical
         raise InvariantViolation(
             "endomorphism-dimension",
             "solved dim %d, expected %d" % (len(basis), 2 * P.dim))
-    return _package_end(field, dim, basis, check), basis
+    mats = [tuple(tuple(coding.decode(e) for e in row) for row in m) for m in basis]
+    return _package_end(coding, basis, coords, check), mats
 
 
-def _unit_first_basis(field, ident, sols):
-    """Independent subset of sols re-rooted at the identity matrix."""
-    basis = [ident]
-    pivots = {}  # pivot position -> row, kept in full reduced form
+def _unit_first_basis(coding, free, sols):
+    """The identity, then the solutions minus the one it replaces.
 
-    def insert(vec):
-        vec = list(vec)
-        for pos, prow in pivots.items():
-            if vec[pos]:
-                f = vec[pos]
-                vec = [a - f * b for a, b in zip(vec, prow)]
-        lead = next((i for i, e in enumerate(vec) if e), None)
-        if lead is None:
-            return False
-        inv = field.one() / vec[lead]
-        vec = [inv * a for a in vec]
-        for pos, prow in pivots.items():
-            if prow[lead]:
-                f = prow[lead]
-                pivots[pos] = [a - f * b for a, b in zip(prow, vec)]
-        pivots[lead] = vec
-        return True
+    sols is a reduced echelon basis, so the coordinates of any Y in its
+    span are the entries of Y at the free positions.  The identity has
+    coordinates c in {0, 1}; the solution dropped is the last one with
+    c_k = 1, as inserting the identity first and then every independent
+    solution in order would drop.  Returns (basis, coords): coords(y)
+    gives the coordinates of y in basis, or None when y is outside the
+    span (and coords is None when the identity is).  Over Q the solutions
+    are scaled to integers once, so the span check on an integral y runs
+    on Python ints.
+    """
+    import numpy as np
 
-    insert(_flat(ident))
-    for s in sols:
-        if insert(_flat(s)):
-            basis.append(s)
-    return basis
+    dim = sols.shape[1]
+    flat, den = coding.integral(sols.reshape(len(sols), -1))
+    ident = coding.eye(dim)
+
+    def sol_coords(y):
+        c = y.reshape(-1)[free]
+        nz = np.flatnonzero(c)
+        return c if coding.equal(c[nz] @ flat[nz], den * y.reshape(-1)) else None
+
+    c = sol_coords(ident)
+    if c is None:
+        return np.concatenate([ident[None], sols]), None
+    k = int(np.flatnonzero(c)[-1])
+
+    def coords(y):
+        yc = sol_coords(y)
+        if yc is None:
+            return None
+        return np.concatenate([yc[k:k + 1], np.delete(coding.reduce(yc - yc[k] * c), k)])
+
+    return np.concatenate([ident[None], np.delete(sols, k, axis=0)]), coords
 
 
-def _package_end(field, dim, basis, check):
-    solver = SpanSolver(field, [_flat(b) for b in basis])
+def _package_end(coding, basis, coords, check):
+    # the integral multiples den * basis[i] compose to den^2 times the
+    # compositions of the basis elements, with den^2 times their coordinates
+    ints, den = coding.integral(basis)
 
     def mul_fn(i, j):
-        a, b = basis[i], basis[j]
-        prod = {}
-        for r in range(dim):
-            arow = a[r]
-            for k in range(dim):
-                if arow[k]:
-                    brow = b[k]
-                    for c in range(dim):
-                        if brow[c]:
-                            pos = r * dim + c
-                            s = prod.get(pos, field.zero()) + arow[k] * brow[c]
-                            if s:
-                                prod[pos] = s
-                            elif pos in prod:
-                                del prod[pos]
-        coords = solver.solve_sparse(prod)
-        if coords is None:
+        cs = coords(coding.reduce(ints[i] @ ints[j])) if coords else None
+        if cs is None:
             raise InvariantViolation("endomorphism-closure",
                                      "composition escapes the solved space")
-        return {k: c for k, c in enumerate(coords) if c}
+        return {k: coding.decode(c, den * den) for k, c in enumerate(cs) if c}
 
-    return StructuredAlgebra(field, len(basis), mul_fn, check=check)
-
-
-def _matmul(field, a, b):
-    dim = len(a)
-    z = field.zero()
-    out = []
-    for i in range(dim):
-        arow = a[i]
-        row = [z] * dim
-        for k in range(dim):
-            if arow[k]:
-                f = arow[k]
-                brow = b[k]
-                for j in range(dim):
-                    if brow[j]:
-                        row[j] = row[j] + f * brow[j]
-        out.append(tuple(row))
-    return tuple(out)
+    return StructuredAlgebra(coding.field, len(basis), mul_fn, check=check)
 
 
-def _scale_mat(field, c, a):
-    return tuple(tuple(c * e for e in row) for row in a)
+def _solve_rows(coding, basis, ys):
+    """Coordinates of each row of ys in the independent rows of basis,
+    or None when some row of ys is outside their span: one elimination
+    of the augmented system [basis^T | ys^T]."""
+    import numpy as np
+
+    n = len(basis)
+    red, pivots = coded_rref(coding, np.concatenate([basis, ys]).T)
+    if pivots != list(range(n)):
+        return None
+    return red[:, n:].T
 
 
 @dataclass(frozen=True)
@@ -290,117 +284,121 @@ class MoritaWitness:
             self.rest.n, self.dim_even, self.dim_end, len(self.checks))
 
 
+def _pair_images(P, n):
+    """{(i, j): image of the ambient generator pair e_i e_j}, i < j < n.
+
+    e0 e1 projects onto the even summand, pairs of complement generators
+    act by left Clifford multiplication on both summands, e1 e~_j sends
+    the even summand into the odd one by left multiplication with e_j,
+    and e0 e~_j sends the odd summand back with a sign.
+    """
+    import numpy as np
+
+    cp, coding, dim = P.cp, P.coding, P.dim
+    odd = np.array(P.parity) == 1
+
+    def left_mult(mask, sign=1):
+        # matrix of x -> sign e_mask . x on C(q')
+        m = coding.zeros((dim, dim))
+        s = cp.mask_index[mask]
+        for b in range(dim):
+            for i, c in cp.mul_basis(s, b).items():
+                m[i, b] = coding.code(c if sign == 1 else -c)
+        return m
+
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) == (0, 1):
+                img = coding.eye(dim)
+                img[:, odd] = 0
+            elif i == 0:  # e0 e~_j: odd summand -> even, with a sign; kills even
+                img = left_mult(1 << (j - 2), -1)
+                img[:, ~odd] = 0
+            elif i == 1:  # e1 e~_j: even summand -> odd; kills odd
+                img = left_mult(1 << (j - 2))
+                img[:, odd] = 0
+            else:
+                img = left_mult((1 << (i - 2)) | (1 << (j - 2)))
+            pairs[i, j] = img
+    return pairs
+
+
 def morita_witness(qp, check="auto"):
     """Build H | q', map its even algebra into End(P) block by block,
     and certify that the map is an isomorphism.
 
-    The generator images: e0 e1 projects onto the even summand, pairs of
-    complement generators act by left Clifford multiplication on both
-    summands, e1 e~_j sends the even summand into the odd one by left
-    multiplication with e_j, and e0 e~_j sends the odd summand back with
-    a sign.  Every other basis element is the product of its consecutive
-    generator pairs, so its image is the corresponding matrix product.
+    The generator pairs go to the matrices of _pair_images.  Every other
+    basis element is the product of its consecutive generator pairs, so
+    its image is the corresponding matrix product.
     """
     if not any(c for row in qp.c for c in row):
         raise ValueError("complement form is identically zero; nothing to certify")
+    import numpy as np
+
     field = qp.field
     q = QuadraticForm.hyperbolic(field, 1).direct_sum(qp)
     P = build_P(qp, check=check)
     end_mats = endomorphism_algebra(P, check=check)[1]
-    cp = P.cp
-    dim = P.dim
-    z, one = field.zero(), field.one()
+    coding, dim = P.coding, P.dim
     checks = []
 
     C = full_clifford(q, check=check)
     even_idx = [i for i, m in enumerate(C.masks) if _even(m)]
 
-    def left_mult_matrix(y):
-        # matrix of x -> y . x on C(q') for a sparse element y
-        cols = []
-        for b in range(dim):
-            cols.append(cp.mul_elem(y, {b: one}))
-        return tuple(tuple(cols[b].get(i, z) for b in range(dim))
-                     for i in range(dim))
-
-    def pair_image(i, j):
-        # image of the ambient generator e_i e_j (i < j)
-        if (i, j) == (0, 1):
-            return tuple(tuple(one if (r == c and P.parity[r] == 0) else z
-                               for c in range(dim)) for r in range(dim))
-        if i == 0:  # e0 e~_j: odd summand -> even, with a sign; kills even
-            base = left_mult_matrix({cp.mask_index[1 << (j - 2)]: -one})
-            return tuple(tuple(base[r][c] if P.parity[c] == 1 else z
-                               for c in range(dim)) for r in range(dim))
-        if i == 1:  # e1 e~_j: even summand -> odd; kills odd
-            base = left_mult_matrix({cp.mask_index[1 << (j - 2)]: one})
-            return tuple(tuple(base[r][c] if P.parity[c] == 0 else z
-                               for c in range(dim)) for r in range(dim))
-        mask = (1 << (i - 2)) | (1 << (j - 2))
-        return left_mult_matrix({cp.mask_index[mask]: one})
-
-    ident = tuple(tuple(one if r == c else z for c in range(dim)) for r in range(dim))
+    pairs = _pair_images(P, q.n)
+    ident = coding.eye(dim)
     images = []
     for pos in even_idx:
         mask = C.masks[pos]
         bits = [b for b in range(q.n) if mask >> b & 1]
         img = ident
         for k in range(0, len(bits), 2):
-            img = _matmul(field, img, pair_image(bits[k], bits[k + 1]))
+            img = coding.reduce(img @ pairs[bits[k], bits[k + 1]])
         images.append(img)
+    images = np.stack(images)
 
     unit_pos = even_idx.index(C.mask_index[0])
-    if images[unit_pos] != ident:
+    if not coding.equal(images[unit_pos], ident):
         raise InvariantViolation("witness-unit", "unit image is not the identity")
     checks.append("unit-preserved")
 
-    # multiplicativity on every pair of basis elements
+    # multiplicativity on every pair of basis elements, all pairs at once
+    n_even = len(even_idx)
     pos_in_even = {p: k for k, p in enumerate(even_idx)}
-    for ka, a in enumerate(even_idx):
-        for kb, b in enumerate(even_idx):
-            prod = C.mul_basis(a, b)
-            expect = None
-            for u, cu in prod.items():
-                term = _scale_mat(field, cu, images[pos_in_even[u]])
-                expect = term if expect is None else tuple(
-                    tuple(x + y for x, y in zip(r1, r2))
-                    for r1, r2 in zip(expect, term))
-            if expect is None:
-                expect = tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-            got = _matmul(field, images[ka], images[kb])
-            if got != expect:
-                raise InvariantViolation(
-                    "witness-multiplicative",
-                    "images of %s and %s do not compose to the image of their product"
-                    % (C.labels[a], C.labels[b]))
+    defects = _product_defects(coding, images, [C.mul_basis(a, b) for a in even_idx
+                                                for b in even_idx], pos_in_even)
+    bad = np.flatnonzero(np.count_nonzero(defects.reshape(len(defects), -1), axis=1))
+    if bad.size:
+        ka, kb = divmod(int(bad[0]), n_even)
+        raise InvariantViolation(
+            "witness-multiplicative",
+            "images of %s and %s do not compose to the image of their product"
+            % (C.labels[even_idx[ka]], C.labels[even_idx[kb]]))
     checks.append("multiplicative-on-all-pairs")
 
     # bijectivity onto the solved endomorphism algebra
-    solver = SpanSolver(field, [_flat(m) for m in end_mats])
-    rows = []
-    for img in images:
-        coords = solver.solve_sparse(
-            {p: e for p, e in enumerate(_flat(img)) if e})
-        if coords is None:
-            raise InvariantViolation("witness-into-end",
-                                     "an image is not an endomorphism")
-        rows.append(coords)
+    rows = _solve_rows(coding, coding.array(end_mats).reshape(len(end_mats), -1),
+                       images.reshape(n_even, -1))
+    if rows is None:
+        raise InvariantViolation("witness-into-end",
+                                 "an image is not an endomorphism")
     checks.append("lands-in-endomorphism-algebra")
-    if Matrix(field, [list(r) for r in rows]).rank() != len(even_idx):
+    if len(coded_rref(coding, rows)[1]) != n_even:
         raise InvariantViolation("witness-injective", "the candidate map has a kernel")
     checks.append("injective")
-    if len(even_idx) != len(end_mats):
+    if n_even != len(end_mats):
         raise InvariantViolation(
             "witness-dimension",
-            "dim C0 = %d but dim End = %d" % (len(even_idx), len(end_mats)))
+            "dim C0 = %d but dim End = %d" % (n_even, len(end_mats)))
     checks.append("dimensions-match-hence-bijective")
 
     return MoritaWitness(
         rest=qp,
         ambient=q,
-        dim_even=len(even_idx),
+        dim_even=n_even,
         dim_end=len(end_mats),
         matches_power_formula=(len(end_mats) == 2 ** (qp.regular_rank() + 1)),
-        matrix=tuple(rows),
+        matrix=tuple(tuple(coding.decode(e) for e in row) for row in rows),
         checks=tuple(checks),
     )

@@ -689,7 +689,7 @@ class BrauerVerdict:
         return self.kind == "trivial"
 
 
-def brauer_triviality_rank4(q1, q2, budget=DEFAULT_BUDGET, max_degree=3):
+def brauer_triviality_rank4(q1, q2, budget=DEFAULT_BUDGET):
     """Triviality verdict for the even Clifford class of a rank-4 pencil
     with simple degeneration.
 
@@ -700,7 +700,9 @@ def brauer_triviality_rank4(q1, q2, budget=DEFAULT_BUDGET, max_degree=3):
     exhaustive and always succeeds: the pencil cuts out a smooth genus-1
     curve C, and Hasse-Weil gives |#C - q - 1| <= 2 sqrt(q) < q + 1, so
     an empty search raises InvariantViolation("hasse-weil").  Over an
-    infinite field exhaustion is impossible and the fallback is Unknown.
+    infinite field exhaustion is impossible and the fallback is Unknown,
+    scoped by the height budget of the common-zero search, the only
+    search that runs.
     """
     if q1.n != 4 or q2.n != 4:
         raise ValueError("rank-4 verdict needs two rank-4 forms")
@@ -722,8 +724,7 @@ def brauer_triviality_rank4(q1, q2, budget=DEFAULT_BUDGET, max_degree=3):
             % q1.field.label())
     return BrauerVerdict(
         "unknown", (),
-        "budget exhausted: heights <= %d, degree <= %d"
-        % (budget.height, max_degree), -1)
+        "budget exhausted: heights <= %d" % budget.height, -1)
 
 
 def gaussian_binomial(n, k, q):

@@ -1622,112 +1622,176 @@ def _dot(u, v, field):
     return acc
 
 
-def kernel_basis_mod_p(rows, p):
-    """Kernel of an integer matrix mod p, echelon-canonical basis.
+def _denominator(x):
+    return x.denominator
 
-    rows: iterable of equal-length int sequences (entries reduced mod p
-    here).  Returns a list of int tuples; free columns in ascending
-    order, one basis vector per free column with a 1 there.  Uses numpy
-    int64 throughout, which is exact for p < 2^16.
+
+class ArrayCoding:
+    """Field elements coded as numpy array entries.
+
+    Over F_p an element is its residue in an int64 array; products of
+    two residues stay below 2^32, so sums of up to 2^31 of them are
+    exact, and reduce() brings them back mod p.  Over Q an element is a
+    Python int when it is integral and stays a Fraction otherwise, in an
+    object array; over any other field it is the element itself, in an
+    object array.  Coding is an injective ring map, so two coded
+    matrices agree after reduce() exactly when the matrices agree.
+    """
+
+    def __init__(self, field):
+        import numpy as np
+
+        self.field = field
+        self.p = field.p if field.kind == "prime" else None
+        self.dtype = np.int64 if self.p else object
+
+    def code(self, c):
+        if self.p:
+            return c.v
+        if self.field.kind == "rationals":
+            return c.numerator if c.denominator == 1 else c
+        return c
+
+    def decode(self, x, den=1):
+        """The field element x / den; den > 1 only over Q."""
+        field = self.field
+        if self.p:
+            return field.from_int(int(x))
+        if field.kind == "rationals":
+            # a float here would be a bug upstream; Fraction would hide it
+            if den != 1:
+                return Fraction(x.__index__(), den)
+            return x if type(x) is Fraction else Fraction(x.__index__())
+        return field.from_int(x) if isinstance(x, int) else x
+
+    def array(self, rows):
+        """Coded array of a (nested) sequence of field elements."""
+        import numpy as np
+
+        def walk(x):
+            return [walk(e) for e in x] if isinstance(x, (list, tuple)) else self.code(x)
+
+        return np.array(walk(rows), dtype=self.dtype)
+
+    def zeros(self, shape):
+        import numpy as np
+
+        return np.zeros(shape, dtype=self.dtype)
+
+    def eye(self, n):
+        import numpy as np
+
+        return np.eye(n, dtype=self.dtype)
+
+    def reduce(self, a):
+        """Canonical codes of an array of sums and products."""
+        return a % self.p if self.p else a
+
+    def equal(self, a, b):
+        import numpy as np
+
+        return not np.count_nonzero(self.reduce(a - b))
+
+    def integral(self, a, per_row=False):
+        """(d * a, d) with d the least common denominator of the entries
+        of a over Q (of each row of a matrix a when per_row), so that
+        d * a has Python int entries; d = 1 over other fields."""
+        import numpy as np
+
+        if self.field.kind != "rationals" or not a.size:
+            return a.copy(), 1
+        den = np.frompyfunc(_denominator, 1, 1)(a)
+        if per_row:
+            d = np.lcm.reduce(den, axis=1)
+            scaled = a * d[:, None]
+        else:
+            d = np.lcm.reduce(den.ravel())
+            scaled = a * d
+        return np.frompyfunc(int, 1, 1)(scaled).astype(object), d
+
+    def _primitive(self, rows):
+        """Rows rescaled without changing their span: reduced mod p, or
+        divided by their content over Q."""
+        import numpy as np
+
+        if self.p:
+            return rows % self.p
+        if self.field.kind == "rationals":
+            g = np.gcd.reduce(rows, axis=1)
+            g[g == 0] = 1
+            return rows // g[:, None]
+        return rows
+
+    def _divide_rows(self, rows, pivots):
+        """Each row divided by its own pivot entry."""
+        import numpy as np
+
+        if self.p:
+            p = self.p
+            inv = np.array([pow(int(v), p - 2, p) for v in pivots], dtype=np.int64)
+            return rows * inv[:, None] % p
+        out = rows.copy()
+        for r, v in enumerate(pivots):
+            if self.field.kind == "rationals":
+                out[r] = [self.code(Fraction(x, v)) for x in rows[r]]
+            else:
+                out[r] = [x / v for x in rows[r]]
+        return out
+
+
+def coded_rref(coding, a):
+    """(reduced row echelon rows, pivot columns) of a coded matrix.
+
+    The one exact elimination for every field.  Each pivot step updates
+    every other row with a nonzero entry in the pivot column at once, as
+    pivot * row - entry * pivot_row (fraction free), and the pivot rows
+    are divided by their pivots at the end.  Over F_p rows are reduced
+    mod p after each step; over Q they are first scaled to integers and
+    then kept primitive, so entries stay small Python ints until the
+    final division.  The reduced echelon form of a matrix is unique, so
+    the result is the one Matrix.rref gives on the decoded matrix.
     """
     import numpy as np
 
-    a = np.array([[e % p for e in r] for r in rows], dtype=np.int64)
-    if a.size == 0:
-        ncols = len(rows[0]) if rows else 0
-        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
+    a = coding.reduce(coding.integral(a, per_row=True)[0])
     m, n = a.shape
-    piv_of_col = {}
-    row = 0
+    pivots = []
+    r = 0
     for col in range(n):
-        if row >= m:
+        if r == m:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        nz = np.flatnonzero(a[r:, col])
         if nz.size == 0:
             continue
-        r = row + int(nz[0])
-        if r != row:
-            a[[row, r]] = a[[r, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        hits = np.nonzero(a[:, col])[0]
-        for i in hits:
-            if i != row:
-                a[i] = (a[i] - a[i, col] * a[row]) % p
-        piv_of_col[col] = row
-        row += 1
-    free = [c for c in range(n) if c not in piv_of_col]
-    out = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for c, r in piv_of_col.items():
-            v[c] = int(-a[r, f]) % p
-        out.append(tuple(v))
-    return out
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        hits = np.flatnonzero(a[:, col])
+        hits = hits[hits != r]
+        if hits.size:
+            a[hits] = coding._primitive(a[r, col] * a[hits] - np.outer(a[hits, col], a[r]))
+        pivots.append(col)
+        r += 1
+    return coding._divide_rows(a[:r], [a[k, c] for k, c in enumerate(pivots)]), pivots
 
 
-class SpanSolver:
-    """Repeated coordinate solves against one fixed independent spanning set.
+def coded_kernel(coding, a):
+    """(free columns, kernel basis) of a coded matrix with n columns.
 
-    Columns are the spanning vectors (length m each, n of them, n <= m).
-    One Gaussian elimination is paid up front, tracking the row operations
-    applied to an identity, after which each solve of span . x = b costs
-    only a few column combinations, and sparse right-hand sides cost
-    proportionally less.
+    One basis vector per free column, in ascending order, with a 1 there
+    and 0 at the other free columns: the basis Matrix.kernel_basis gives.
     """
+    import numpy as np
 
-    def __init__(self, field, columns):
-        self.field = field
-        self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        m, n = self.nrows, self.ncols
-        z, o = field.zero(), field.one()
-        work = [[columns[j][i] for j in range(n)] for i in range(m)]
-        ops = [[o if i == j else z for j in range(m)] for i in range(m)]
-        row = 0
-        pivots = []
-        for col in range(n):
-            pr = None
-            for i in range(row, m):
-                if work[i][col]:
-                    pr = i
-                    break
-            if pr is None:
-                raise ValueError("spanning vectors are dependent at column %d" % col)
-            work[row], work[pr] = work[pr], work[row]
-            ops[row], ops[pr] = ops[pr], ops[row]
-            inv = o / work[row][col]
-            work[row] = [inv * a for a in work[row]]
-            ops[row] = [inv * a for a in ops[row]]
-            for i in range(m):
-                if i != row and work[i][col]:
-                    f = work[i][col]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-                    ops[i] = [a - f * b for a, b in zip(ops[i], ops[row])]
-            pivots.append(col)
-            row += 1
-        # column view of the op matrix for cheap sparse application
-        self._op_cols = [tuple(ops[i][j] for i in range(m)) for j in range(m)]
-        self._rank = row
-
-    def solve_sparse(self, b):
-        """Coordinates of the sparse dict b in the span, or None."""
-        z = self.field.zero()
-        c = [z] * self.nrows
-        for i, coef in b.items():
-            if coef:
-                col = self._op_cols[i]
-                for r in range(self.nrows):
-                    if col[r]:
-                        c[r] = c[r] + coef * col[r]
-        for r in range(self.ncols, self.nrows):
-            if c[r]:
-                return None
-        return tuple(c[: self.ncols])
-
-    def solve_dense(self, b):
-        return self.solve_sparse({i: v for i, v in enumerate(b) if v})
+    n = a.shape[1]
+    red, pivots = coded_rref(coding, a)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    kernel = coding.zeros((len(free), n))
+    kernel[np.arange(len(free)), free] = 1
+    if pivots:
+        kernel[:, pivots] = coding.reduce(-red[:, free].T)
+    return free, kernel
 
 
 # ---------------------------------------------------------------------------

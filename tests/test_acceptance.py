@@ -18,7 +18,7 @@ TIME_BUDGETS = {
     "c02-orthogonal-sum": 30.0,
     "c03-hyperbolic-fibers": 5.0,
     "c04-reduction-invariance": 60.0,
-    "c05-matrix-algebra-witness": 60.0,
+    "c05-matrix-algebra-witness": 15.0,
     "c06-isotropy-correspondence": 60.0,
     "c07-function-field-witness": 120.0,
     "c08-cover-genus": 10.0,

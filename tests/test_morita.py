@@ -1,9 +1,12 @@
 """Explicit Morita equivalence after splitting a hyperbolic plane."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadclif.rings import QQ, PrimeField, quadratic_extension
+from quadclif import morita
+from quadclif.rings import QQ, InvariantViolation, Matrix, PrimeField, quadratic_extension
 from quadclif.quadform import QuadraticForm
 from quadclif.clifford import even_clifford, center_report
 from quadclif.morita import build_P, endomorphism_algebra, morita_witness
@@ -12,6 +15,7 @@ from quadclif.splitting import DEFAULT_BUDGET, find_isotropic, split_hyperbolic
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F9 = quadratic_extension(F3)
 
 ALL_CHECKS = (
     "unit-preserved",
@@ -194,3 +198,117 @@ def test_witness_center_square_classes_match():
         assert (amb.delta == field.zero()) == (rest.delta == field.zero())
         if amb.delta:
             assert field.sqrt(amb.delta / rest.delta) is not None
+
+
+# -- the End solve, pinned against the full system ----------------------
+
+
+def _full_kernel_basis(P):
+    """Matrix.kernel_basis of X M - M X = 0 for the action of every even
+    basis element, stacked via Kronecker products, X flattened row-major."""
+    field, dim = P.qp.field, P.dim
+    z = field.zero()
+    rows = []
+    for m in P.action:
+        m = [[P.coding.decode(e) for e in row] for row in m]
+        for i in range(dim):
+            for j in range(dim):
+                row = [z] * (dim * dim)
+                for k in range(dim):
+                    row[i * dim + k] = row[i * dim + k] + m[k][j]
+                    row[k * dim + j] = row[k * dim + j] - m[i][k]
+                rows.append(row)
+    return [tuple(tuple(v[i * dim:(i + 1) * dim]) for i in range(dim))
+            for v in Matrix(field, rows).kernel_basis()]
+
+
+def _unit_first(field, ident, sols):
+    """The identity, then every solution independent of those before."""
+    flat = lambda m: [e for row in m for e in row]  # noqa: E731
+    basis = [ident]
+    for s in sols:
+        if Matrix(field, [flat(b) for b in basis + [s]]).rank() == len(basis) + 1:
+            basis.append(s)
+    return basis
+
+
+PINNED_MODULES = [
+    QuadraticForm.hyperbolic(F2, 1),
+    QuadraticForm.of_ints(F2, [[1, 1], [0, 1]]),
+    QuadraticForm.diagonal(F3, [1, 2, 0]),
+    QuadraticForm.diagonal(F5, [1, 2]),
+    QuadraticForm.diagonal(F5, [3]),
+    QuadraticForm.diagonal(QQ, [1, 2, -3]),
+    QuadraticForm.diagonal(QQ, [Fraction(1, 2), 3]),
+    QuadraticForm.diagonal(F9, [F9.one(), F9.gen()]),
+]
+
+
+@pytest.mark.parametrize("qp", PINNED_MODULES,
+                         ids=lambda q: "%s-%s" % (q.field.label(), q.n))
+def test_end_basis_is_the_echelon_kernel_of_the_full_system(qp):
+    P = build_P(qp)
+    want = _full_kernel_basis(P)
+    # the parity-block solve, on every even element or only on the
+    # degree-2 generators, gives the same matrices in the same order
+    free, sols = morita._commutant(P.coding, P.parity, P.action)
+    decoded = [tuple(tuple(P.coding.decode(e) for e in row) for row in m) for m in sols]
+    assert decoded == want
+    assert len(free) == len(want)
+    field = qp.field
+    ident = tuple(tuple(field.one() if i == j else field.zero() for j in range(P.dim))
+                  for i in range(P.dim))
+    assert endomorphism_algebra(P)[1] == _unit_first(field, ident, want)
+
+
+def test_witness_on_non_integral_rational_rest():
+    for entries in ([Fraction(1, 2), 3], [Fraction(1, 2), Fraction(-2, 3), 5]):
+        w = morita_witness(QuadraticForm.diagonal(QQ, entries))
+        assert w.checks == ALL_CHECKS
+        assert w.dim_even == w.dim_end == 2 ** (len(entries) + 1)
+        # no float from an int / int division inside the coded elimination
+        assert all(type(e) is Fraction for row in w.matrix for e in row)
+    assert any(e.denominator != 1 for row in w.matrix for e in row)
+
+
+# -- faults -----------------------------------------------------------------
+
+
+def test_corrupted_pair_image_is_not_multiplicative(monkeypatch):
+    real = morita._pair_images
+
+    def corrupted(P, n):
+        pairs = real(P, n)
+        pairs[2, 3] = P.coding.reduce(2 * pairs[2, 3])
+        return pairs
+
+    monkeypatch.setattr(morita, "_pair_images", corrupted)
+    with pytest.raises(InvariantViolation) as err:
+        morita_witness(QuadraticForm.diagonal(F5, [1, 2]))
+    assert err.value.invariant == "witness-multiplicative"
+
+
+def _generator_positions(P):
+    return [k for k, a in enumerate(P.even_idx) if bin(P.cp.masks[a]).count("1") == 2]
+
+
+def test_action_mixing_parities_breaks_the_grading(monkeypatch):
+    P = build_P(QuadraticForm.diagonal(F3, [1, 1, 2]))
+    # one generator now sends an odd basis vector into the even summand
+    P.action[_generator_positions(P)[0], P.parity.index(0), P.parity.index(1)] = 1
+
+    def no_solve(*args):
+        raise AssertionError("a block was solved before the grading was checked")
+
+    monkeypatch.setattr(morita, "coded_kernel", no_solve)
+    with pytest.raises(InvariantViolation) as err:
+        endomorphism_algebra(P)
+    assert err.value.invariant == "module-grading"
+
+
+def test_dropped_generators_break_the_dimension_count():
+    P = build_P(QuadraticForm.diagonal(F5, [1, 2, 3]))
+    P.action[_generator_positions(P)] = 0
+    with pytest.raises(InvariantViolation) as err:
+        endomorphism_algebra(P)
+    assert err.value.invariant == "endomorphism-dimension"

@@ -382,7 +382,9 @@ def test_brauer_unknown_over_q_when_nothing_in_reach():
     verdict = brauer_triviality_rank4(diag(QQ, [1, 1, 1, 1]), diag(QQ, [1, 2, 3, 4]),
                                       budget=budget)
     assert verdict.kind == "unknown" and not bool(verdict)
-    assert "height" in verdict.scope
+    assert verdict.scope == "budget exhausted: heights <= 3"
+    # no function-field search runs over Q, so no degree bound is claimed
+    assert "degree" not in verdict.scope
 
 
 def test_brauer_trivial_over_f3():

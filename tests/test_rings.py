@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadclif.rings import (
     QQ,
+    ArrayCoding,
     BinaryForm,
     ExtensionField,
     FunctionField,
@@ -25,6 +26,8 @@ from quadclif.rings import (
     poly_gcd,
     poly_is_irreducible,
     quadratic_extension,
+    coded_kernel,
+    coded_rref,
     rational_roots,
     scalar_str,
     squarefree_decomposition,
@@ -426,6 +429,49 @@ def test_kernel_determinism():
     k2 = Matrix(F3, m.rows).kernel_basis()
     assert k1 == k2
     assert len(k1) == 2
+
+
+def _random_rows(rng, field, nrows, ncols):
+    # sparse rows with repeats, so pivots get skipped and rows cancel
+    base = [[_random_entry(rng, field) if rng.random() < 0.4 else field.zero()
+             for _ in range(ncols)] for _ in range(max(1, nrows // 2))]
+    out = []
+    for _ in range(nrows):
+        a, b = rng.choice(base), rng.choice(base)
+        c = _random_entry(rng, field)
+        out.append([x + c * y for x, y in zip(a, b)])
+    return out
+
+
+def _random_entry(rng, field):
+    if field is QQ:
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3, 6]))
+    return rng.choice(list(field.elements()))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F7, QQ, quadratic_extension(F3)],
+                         ids=lambda f: f.label())
+def test_coded_elimination_matches_matrix(field):
+    # the coded elimination gives Matrix.rref's reduced echelon form and
+    # Matrix.kernel_basis's kernel, in the same order, on every field
+    rng = random.Random(7)
+    coding = ArrayCoding(field)
+    for _ in range(12):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        rows = _random_rows(rng, field, nrows, ncols) if nrows else []
+        m = Matrix(field, rows) if rows else None
+        coded = coding.array(rows) if rows else coding.zeros((0, ncols))
+        red, pivots = coded_rref(coding, coded)
+        free, kernel = coded_kernel(coding, coded)
+        if m is None:
+            assert pivots == [] and free == list(range(ncols))
+            continue
+        want_red, want_pivots = m.rref()
+        assert tuple(pivots) == want_pivots
+        assert [[coding.decode(x) for x in row] for row in red] == \
+            [list(r) for r in want_red.rows[:len(pivots)]]
+        assert [tuple(coding.decode(x) for x in v) for v in kernel] == m.kernel_basis()
+        assert all(type(coding.decode(x)) is type(field.one()) for v in kernel for x in v)
 
 
 # ---------------------------------------------------------------------------
