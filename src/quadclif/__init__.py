@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .rings import QQ, PrimeField, FunctionField, ExtensionField  # noqa: F401
+from .rings import QQ, PrimeField, ExtensionField  # noqa: F401

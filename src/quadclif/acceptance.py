@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .clifford import (
-    center_report,
+    even_center_report,
     even_clifford,
     hyperbolic_split_structure,
     verify_orthogonal_sum,
@@ -107,8 +107,8 @@ def check_reduction_invariance():
                 "square class broke: disc(q) is not -disc(q') mod squares")
         if q.n % 2 == 0:
             even += 1
-            r1 = center_report(even_clifford(q))
-            r2 = center_report(even_clifford(qp))
+            _, r1 = even_center_report(q)
+            _, r2 = even_center_report(qp)
             if r1.dim != r2.dim:
                 raise InvariantViolation(
                     "reduction-center", "center dims %d vs %d" % (r1.dim, r2.dim))

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from . import acceptance
-from .clifford import center_report, even_clifford, inject_fault
+from .clifford import even_center_report, inject_fault
 from .lagrangian import stein_vs_center
 from .pencil import (
     Pencil,
@@ -367,8 +367,7 @@ def cmd_analyze(spec):
         "simple_degeneration": q.regular_rank() >= q.n - 1,
     }
     if q.n <= 7:
-        alg = even_clifford(q)
-        rep = center_report(alg)
+        alg, rep = even_center_report(q)
         body["even_algebra"] = {
             "dim": alg.dim,
             "center_dim": rep.dim,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .rings import ExtElem, ExtensionField, InvariantViolation, Matrix, Poly, scalar_str
+from .rings import InvariantViolation, Matrix, scalar_str
 
 # fault injection hook for the self-test machinery: when set to
 # "clifford-mul", freshly built even Clifford algebras get one corrupted
@@ -125,45 +125,6 @@ class StructuredAlgebra:
         x = {i: c for i, c in enumerate(xv) if c}
         y = {i: c for i, c in enumerate(yv) if c}
         return self.dense(self.mul_elem(x, y))
-
-    def left_matrix(self, x):
-        """Matrix of y -> x y in the algebra basis."""
-        z = self.field.zero()
-        rows = [[z] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for u, cu in x.items():
-                if not cu:
-                    continue
-                for w, cw in self.mul_basis(u, j).items():
-                    rows[w][j] = rows[w][j] + cu * cw
-        return Matrix(self.field, rows)
-
-    def right_matrix(self, x):
-        """Matrix of y -> y x in the algebra basis."""
-        z = self.field.zero()
-        rows = [[z] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for v, cv in x.items():
-                if not cv:
-                    continue
-                for w, cw in self.mul_basis(j, v).items():
-                    rows[w][j] = rows[w][j] + cv * cw
-        return Matrix(self.field, rows)
-
-    def format_elem(self, x):
-        if not x:
-            return "0"
-        parts = []
-        for k in sorted(x):
-            c = scalar_str(x[k])
-            lab = self.labels[k]
-            if lab == "1":
-                parts.append(c)
-            elif c == "1":
-                parts.append(lab)
-            else:
-                parts.append("(%s)*%s" % (c, lab) if "+" in c or "/" in c else "%s*%s" % (c, lab))
-        return " + ".join(parts)
 
     # -- construction-time checks ---------------------------------------
 
@@ -571,6 +532,29 @@ def center_report(algebra):
     return CenterReport(2, basis, "field", None, w, None, True)
 
 
+def even_center_report(form):
+    """(C0(q), center report), the center checked against disc(q).
+
+    For a regular form of even rank n in characteristic not 2 the center
+    of C0 is k[z]/(z^2 - delta) with delta in the square class of
+    (-1)^(n/2) disc(q); a center that breaks this raises
+    InvariantViolation "center-discriminant".
+    """
+    alg = even_clifford(form)
+    rep = center_report(alg)
+    field = form.field
+    if form.n % 2 == 0 and field.characteristic != 2:
+        disc = form.discriminant()
+        if disc:
+            want = field.from_int((-1) ** (form.n // 2)) * disc
+            if not rep.delta or not field.is_square(rep.delta / want):
+                raise InvariantViolation(
+                    "center-discriminant",
+                    "center %s of a regular rank-%d form, expected delta in "
+                    "the square class of %s" % (rep, form.n, scalar_str(want)))
+    return alg, rep
+
+
 def _char2_idempotent(algebra, w, root, beta):
     # with w^2 = alpha + beta w and root r of x^2 + beta x + alpha,
     # e = (w - r) / beta satisfies e^2 = e
@@ -588,10 +572,10 @@ def _check_idempotents(algebra, e1, e2):
 
 
 # ---------------------------------------------------------------------------
-# central simplicity and Azumaya fibers
+# central simplicity and Peirce fibers
 
 
-def is_central_simple(algebra, _center_dim=None):
+def is_central_simple(algebra):
     """Exact test: trivial center plus semisimplicity.
 
     A nondegenerate trace form certifies semisimplicity in every
@@ -602,8 +586,7 @@ def is_central_simple(algebra, _center_dim=None):
     in every characteristic but costing dim^2 unknowns (so capped at
     dimension 16, which covers the fibers this package produces).
     """
-    cdim = _center_dim if _center_dim is not None else len(center_basis(algebra))
-    if cdim != 1:
+    if len(center_basis(algebra)) != 1:
         return False
     if algebra.trace_form_matrix().det():
         return True
@@ -667,36 +650,33 @@ def _has_separability_idempotent(algebra):
     return Matrix(field, rows).solve(tuple(rhs)) is not None
 
 
-def algebra_on_subspace(parent, basis_elems, project=None, check="auto"):
-    """Algebra structure induced on a subspace (or quotient image).
+def algebra_on_subspace(parent, basis_elems):
+    """Algebra structure induced on a subspace.
 
     basis_elems are dense tuples over parent.field, independent, with
     the unit of the new algebra first.  Products are computed upstairs,
-    optionally projected, then re-expanded in the given basis; failure
-    to close raises.
+    then re-expanded in the given basis; failure to close raises.
     """
     m = len(basis_elems)
     cols = Matrix(parent.field, [[be[i] for be in basis_elems] for i in range(parent.dim)])
 
     def mul_fn(i, j):
         prod = parent.mul_dense(basis_elems[i], basis_elems[j])
-        if project is not None:
-            prod = project(prod)
         coords = cols.solve(prod)
         if coords is None:
             raise InvariantViolation("subalgebra-closure",
                                      "product of basis elements %d, %d escapes the span" % (i, j))
         return {k: c for k, c in enumerate(coords) if c}
 
-    return StructuredAlgebra(parent.field, m, mul_fn, check=check)
+    return StructuredAlgebra(parent.field, m, mul_fn)
 
 
-def _greedy_independent(field, dim, candidates, seeds=()):
+def _greedy_independent(field, candidates):
     """Greedy basis extraction, deterministic in candidate order."""
     chosen = []
     rows = []
     rank = 0
-    for v in list(seeds) + list(candidates):
+    for v in candidates:
         trial = rows + [list(v)]
         r = Matrix(field, trial).rank()
         if r > rank:
@@ -706,61 +686,24 @@ def _greedy_independent(field, dim, candidates, seeds=()):
     return chosen
 
 
-class FiberReport:
-    __slots__ = ("label", "dim", "central_simple")
+def split_fibers(algebra, report):
+    """The Peirce fibers e A e of an algebra over a split center.
 
-    def __init__(self, label, dim, central_simple):
-        self.label = label
-        self.dim = dim
-        self.central_simple = central_simple
-
-    def __repr__(self):
-        return "FiberReport(%s, dim=%d, cs=%s)" % (self.label, self.dim, self.central_simple)
-
-
-class AzumayaReport:
-    """Verdict: the algebra is Azumaya over its center exactly when the
-    center is etale and every fiber is central simple."""
-
-    __slots__ = ("etale_center", "fibers", "azumaya")
-
-    def __init__(self, etale_center, fibers):
-        self.etale_center = etale_center
-        self.fibers = fibers
-        self.azumaya = etale_center and all(f.central_simple for f in fibers) and bool(fibers)
-
-    def __repr__(self):
-        return "AzumayaReport(etale=%s, fibers=%r, azumaya=%s)" % (
-            self.etale_center, self.fibers, self.azumaya)
-
-
-def azumaya_fibers(algebra, report=None):
-    """Check the algebra fiberwise over its center."""
-    if report is None:
-        report = center_report(algebra)
-    if report.kind == "trivial":
-        cs = is_central_simple(algebra, _center_dim=1)
-        return AzumayaReport(True, [FiberReport("total", algebra.dim, cs)])
-    if report.kind == "split":
-        fibers = []
-        for tag, e in zip(("plus", "minus"), report.idempotents):
-            ed = algebra.dense(e)
-            cands = [algebra.mul_dense(algebra.mul_dense(ed, algebra.dense({k: algebra.field.one()})), ed)
-                     for k in range(algebra.dim)]
-            basis = _greedy_independent(algebra.field, algebra.dim, cands, seeds=[ed])
-            fiber = algebra_on_subspace(algebra, basis)
-            fibers.append(FiberReport(tag, fiber.dim, is_central_simple(fiber)))
-        return AzumayaReport(True, fibers)
-    if report.kind == "field":
-        fiber = algebra_over_quadratic_center(algebra, report)
-        return AzumayaReport(True, [FiberReport("quadratic-field", fiber.dim,
-                                                is_central_simple(fiber))])
-    if report.kind == "dual":
-        # center not etale; the reduced fiber is still informative
-        fiber = quotient_by_central_nilpotent(algebra, report.z)
-        return AzumayaReport(False, [FiberReport("reduced", fiber.dim,
-                                                 is_central_simple(fiber))])
-    return AzumayaReport(False, [])
+    One subalgebra per central idempotent e of the report, with e as its
+    unit; the algebra is Azumaya over its center exactly when both are
+    central simple.
+    """
+    if report.kind != "split":
+        raise ValueError("Peirce fibers need a split center, got %s" % report.kind)
+    one = algebra.field.one()
+    fibers = []
+    for e in report.idempotents:
+        ed = algebra.dense(e)
+        cands = [algebra.mul_dense(algebra.mul_dense(ed, algebra.dense({k: one})), ed)
+                 for k in range(algebra.dim)]
+        basis = _greedy_independent(algebra.field, [ed] + cands)
+        fibers.append(algebra_on_subspace(algebra, basis))
+    return fibers
 
 
 def hyperbolic_split_structure(m, field, check="auto"):
@@ -779,107 +722,23 @@ def hyperbolic_split_structure(m, field, check="auto"):
     if rep.kind != "split":
         raise InvariantViolation("hyperbolic-center-split",
                                  "center of C0(H(%d)) has kind %s" % (m, rep.kind))
-    az = azumaya_fibers(alg, rep)
+    fibers = split_fibers(alg, rep)
     want = (2 ** (m - 1)) ** 2
-    for f in az.fibers:
+    for label, f in zip(("plus", "minus"), fibers):
         if f.dim != want:
             raise InvariantViolation(
                 "hyperbolic-fiber-dim",
-                "fiber %s has dim %d, expected %d" % (f.label, f.dim, want))
-        if not f.central_simple:
+                "fiber %s has dim %d, expected %d" % (label, f.dim, want))
+        if not is_central_simple(f):
             raise InvariantViolation("hyperbolic-fiber-simple",
-                                     "fiber %s is not central simple" % f.label)
+                                     "fiber %s is not central simple" % label)
     if alg.dim != 2 ** (2 * m - 1):
         raise InvariantViolation("hyperbolic-total-dim",
                                  "dim C0(H(%d)) = %d" % (m, alg.dim))
     return {
         "planes": m,
         "center": "split",
-        "fiber_dims": tuple(f.dim for f in az.fibers),
+        "fiber_dims": tuple(f.dim for f in fibers),
         "fibers_central_simple": True,
         "total_dim": alg.dim,
     }
-
-
-def algebra_over_quadratic_center(algebra, report):
-    """View the algebra as an algebra over its quadratic field center."""
-    field = algebra.field
-    if field.characteristic == 2:
-        raise NotImplementedError("quadratic center refolding in characteristic 2")
-    delta = report.delta
-    ext = ExtensionField(field, Poly(field, "x", (-delta, field.zero(), field.one())))
-    zd = algebra.dense(report.z)
-    one = field.one()
-    # greedy basis over the center: candidates e_k, paired with z e_k
-    chosen = []
-    rows = []
-    rank = 0
-    for k in range(algebra.dim):
-        v = algebra.dense({k: one})
-        zv = algebra.mul_dense(zd, v)
-        trial = rows + [list(v)]
-        if Matrix(field, trial).rank() > rank:
-            chosen.append(v)
-            rows = trial + [list(zv)]
-            rank = Matrix(field, rows).rank()
-    if 2 * len(chosen) != algebra.dim:
-        raise InvariantViolation("center-refolding",
-                                 "center-module basis has wrong size %d" % len(chosen))
-    # coordinate solve: columns alternate v_i, z v_i
-    cols = []
-    for v in chosen:
-        cols.append(v)
-        cols.append(algebra.mul_dense(zd, v))
-    coord = Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(algebra.dim)])
-
-    def mul_fn(i, j):
-        prod = algebra.mul_dense(chosen[i], chosen[j])
-        coords = coord.solve(prod)
-        if coords is None:
-            raise InvariantViolation("center-refolding", "product escapes the module span")
-        out = {}
-        for k in range(len(chosen)):
-            a, b = coords[2 * k], coords[2 * k + 1]
-            if a or b:
-                out[k] = ExtElem(ext, (a, b))  # the element a + b z
-        return out
-
-    return StructuredAlgebra(ext, len(chosen), mul_fn, check="auto")
-
-
-def quotient_by_central_nilpotent(algebra, z):
-    """A / zA for a central nilpotent z (dual-numbers degeneration)."""
-    field = algebra.field
-    one = field.one()
-    zd = algebra.dense(z)
-    ideal = [algebra.mul_dense(zd, algebra.dense({k: one})) for k in range(algebra.dim)]
-    ideal_rows = [list(v) for v in ideal if any(v)]
-    # greedy complement, unit first (the unit never lies in zA)
-    comp = []
-    rows = list(ideal_rows)
-    rank = Matrix(field, rows).rank() if rows else 0
-    for k in range(algebra.dim):
-        v = algebra.dense({k: one})
-        trial = rows + [list(v)]
-        r = Matrix(field, trial).rank()
-        if r > rank:
-            comp.append(v)
-            rows = trial
-            rank = r
-    full = Matrix(field, [[row[i] for row in (ideal_rows + [list(c) for c in comp])]
-                          for i in range(algebra.dim)])
-    n_ideal = len(ideal_rows)
-
-    def project(v):
-        coords = full.solve(v)
-        if coords is None:
-            raise InvariantViolation("nilpotent-quotient", "vector escapes the span")
-        out = [field.zero()] * algebra.dim
-        for j, c in enumerate(coords[n_ideal:]):
-            if c:
-                for i in range(algebra.dim):
-                    if comp[j][i]:
-                        out[i] = out[i] + c * comp[j][i]
-        return tuple(out)
-
-    return algebra_on_subspace(algebra, comp, project=project)

@@ -30,7 +30,6 @@ from .rings import (
     InvariantViolation,
     Matrix,
     PrimeField,
-    RatFunc,
     quadratic_extension,
     scalar_str,
 )
@@ -43,8 +42,6 @@ def _context_of(a):
         return a.field
     if isinstance(a, Fraction):
         return QQ
-    if isinstance(a, RatFunc):
-        return a.field
     raise TypeError("cannot recover a field context from %r" % (a,))
 
 
@@ -379,8 +376,8 @@ def stein_vs_center(q):
         raise ValueError("regular forms only")
     m = n // 2
 
-    from .clifford import center_report, even_clifford
-    rep = center_report(even_clifford(q))
+    from .clifford import even_center_report
+    _, rep = even_center_report(q)
     if rep.kind not in ("split", "field"):
         raise InvariantViolation(
             "stein-center", "center kind %s on a regular even form" % rep.kind)

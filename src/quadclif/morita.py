@@ -46,8 +46,7 @@ residues over F_p, and object arrays over other fields, where rationals
 are Python ints when integral and Fractions otherwise.  Where products
 would mix in Fractions, the checks first scale a whole stack of matrices
 by one common denominator, so they run on Python ints.  Field elements
-are decoded only for the returned End basis, the structure constants of
-the End algebra and the witness matrix.
+are decoded only for the returned End basis and the witness matrix.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 
 from .rings import ArrayCoding, InvariantViolation, coded_kernel, coded_rref
 from .quadform import QuadraticForm
-from .clifford import StructuredAlgebra, full_clifford
+from .clifford import full_clifford
 
 
 def _even(mask):
@@ -179,26 +178,27 @@ def _commutant(coding, parity, gens):
     return [f for f, _ in found], np.stack([x for _, x in found])
 
 
-def endomorphism_algebra(P, check="auto"):
-    """Solve f(x . a) = f(x) . a blindly and package the solutions.
+def endomorphism_algebra(P):
+    """Solve f(x . a) = f(x) . a blindly for a basis of End(P).
 
-    Returns (algebra, basis_mats) where basis_mats[k] is the matrix of
-    the k-th basis endomorphism (unit first) and algebra multiplies by
-    composition.  Commuting with the degree-2 elements e_i e_j, which
-    generate the even algebra, is commuting with all of it.
+    Returns basis_mats, where basis_mats[k] is the matrix of the k-th
+    basis endomorphism, unit first.  Commuting with the degree-2
+    elements e_i e_j, which generate the even algebra, is commuting with
+    all of it.  Closure under composition is not checked here:
+    morita_witness proves it, since the images of C0 multiply like C0
+    and span this basis.
     """
     coding = P.coding
     gens = P.action[[k for k, a in enumerate(P.even_idx)
                      if bin(P.cp.masks[a]).count("1") == 2]]
     free, sols = _commutant(coding, P.parity, gens)
-    basis, coords = _unit_first_basis(coding, free, sols)
+    basis = _unit_first_basis(coding, free, sols)
     if len(basis) != 2 * P.dim:
         # dim End = 4 . dim C0(q') = dim C0(H | q'), whatever the radical
         raise InvariantViolation(
             "endomorphism-dimension",
             "solved dim %d, expected %d" % (len(basis), 2 * P.dim))
-    mats = [tuple(tuple(coding.decode(e) for e in row) for row in m) for m in basis]
-    return _package_end(coding, basis, coords, check), mats
+    return [tuple(tuple(coding.decode(e) for e in row) for row in m) for m in basis]
 
 
 def _unit_first_basis(coding, free, sols):
@@ -208,50 +208,20 @@ def _unit_first_basis(coding, free, sols):
     span are the entries of Y at the free positions.  The identity has
     coordinates c in {0, 1}; the solution dropped is the last one with
     c_k = 1, as inserting the identity first and then every independent
-    solution in order would drop.  Returns (basis, coords): coords(y)
-    gives the coordinates of y in basis, or None when y is outside the
-    span (and coords is None when the identity is).  Over Q the solutions
-    are scaled to integers once, so the span check on an integral y runs
-    on Python ints.
+    solution in order would drop.  Over Q the solutions are scaled to
+    integers once, so the span check runs on Python ints.
     """
     import numpy as np
 
     dim = sols.shape[1]
     flat, den = coding.integral(sols.reshape(len(sols), -1))
     ident = coding.eye(dim)
-
-    def sol_coords(y):
-        c = y.reshape(-1)[free]
-        nz = np.flatnonzero(c)
-        return c if coding.equal(c[nz] @ flat[nz], den * y.reshape(-1)) else None
-
-    c = sol_coords(ident)
-    if c is None:
-        return np.concatenate([ident[None], sols]), None
-    k = int(np.flatnonzero(c)[-1])
-
-    def coords(y):
-        yc = sol_coords(y)
-        if yc is None:
-            return None
-        return np.concatenate([yc[k:k + 1], np.delete(coding.reduce(yc - yc[k] * c), k)])
-
-    return np.concatenate([ident[None], np.delete(sols, k, axis=0)]), coords
-
-
-def _package_end(coding, basis, coords, check):
-    # the integral multiples den * basis[i] compose to den^2 times the
-    # compositions of the basis elements, with den^2 times their coordinates
-    ints, den = coding.integral(basis)
-
-    def mul_fn(i, j):
-        cs = coords(coding.reduce(ints[i] @ ints[j])) if coords else None
-        if cs is None:
-            raise InvariantViolation("endomorphism-closure",
-                                     "composition escapes the solved space")
-        return {k: coding.decode(c, den * den) for k, c in enumerate(cs) if c}
-
-    return StructuredAlgebra(coding.field, len(basis), mul_fn, check=check)
+    c = ident.reshape(-1)[free]
+    nz = np.flatnonzero(c)
+    if not coding.equal(c[nz] @ flat[nz], den * ident.reshape(-1)):
+        raise InvariantViolation("endomorphism-unit",
+                                 "the identity is not among the solved endomorphisms")
+    return np.concatenate([ident[None], np.delete(sols, int(nz[-1]), axis=0)])
 
 
 def _solve_rows(coding, basis, ys):
@@ -339,7 +309,7 @@ def morita_witness(qp, check="auto"):
     field = qp.field
     q = QuadraticForm.hyperbolic(field, 1).direct_sum(qp)
     P = build_P(qp, check=check)
-    end_mats = endomorphism_algebra(P, check=check)[1]
+    end_mats = endomorphism_algebra(P)
     coding, dim = P.coding, P.dim
     checks = []
 

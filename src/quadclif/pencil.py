@@ -282,7 +282,7 @@ def center_matches_cover(pencil, samples=None):
     enforced everywhere.  At degenerate samples the center must be the
     dual numbers.  Even rank only, characteristic not 2.
     """
-    from .clifford import center_report, even_clifford
+    from .clifford import even_center_report
 
     field = pencil.field
     if pencil.n % 2:
@@ -301,7 +301,7 @@ def center_matches_cover(pencil, samples=None):
     rows = []
     for s0, t0 in samples:
         member = pencil.member(s0, t0)
-        rep = center_report(even_clifford(member))
+        _, rep = even_center_report(member)
         if rep.dim != 2:
             raise InvariantViolation(
                 "center-rank", "even center has dimension %d at a rank-%d member"

@@ -78,9 +78,6 @@ class QuadraticForm:
             rows.append([z] * n + list(other.c[i]))
         return QuadraticForm(self.field, rows)
 
-    def scale(self, lam):
-        return QuadraticForm(self.field, [[lam * a for a in row] for row in self.c])
-
     # -- evaluation ---------------------------------------------------
 
     def coeff(self, i, j):
@@ -123,7 +120,7 @@ class QuadraticForm:
                 acc = acc + u[i] * _row_dot(B.rows[i], v, self.field)
         return acc
 
-    # -- restriction and quotients -------------------------------------
+    # -- restriction and radical ---------------------------------------
 
     def restrict(self, basis):
         """The form in the coordinates of the given vectors."""
@@ -144,9 +141,6 @@ class QuadraticForm:
     def regular_rank(self):
         return self.polar_matrix().rank()
 
-    def is_regular(self):
-        return not self.radical_basis()
-
     def split_radical(self):
         """(radical basis, complement basis, q on radical, q on complement).
 
@@ -162,39 +156,6 @@ class QuadraticForm:
         comp = [_std_vector(self.field, self.n, j) for j in range(self.n) if j not in pivot_set]
         return rad, comp, self.restrict(rad), self.restrict(comp)
 
-    def isotropic_quotient(self, v):
-        """(reduced form, representatives) on v-perp modulo the line k v.
-
-        v must be a nonzero isotropic vector.  The value of q on a coset
-        w + k v is independent of the representative because w lies in
-        v-perp and q(v) = 0, so the reduced form is well defined.
-        """
-        if not any(v):
-            raise ValueError("need a nonzero vector")
-        if self.evaluate(v):
-            raise ValueError("vector is not isotropic")
-        B = self.polar_matrix()
-        bv = B.mul_vec(v)
-        if any(bv):
-            perp = Matrix(self.field, [bv]).kernel_basis()
-        else:
-            perp = _std_basis(self.field, self.n)
-        reps = []
-        span = [list(v)]
-        span_rank = 1
-        for w in perp:
-            trial = Matrix(self.field, span + [list(w)])
-            r = trial.rank()
-            if r > span_rank:
-                reps.append(w)
-                span.append(list(w))
-                span_rank = r
-        return self.restrict(reps), reps
-
-    def reduced_form(self, v):
-        """The form induced on v-perp / (k v) for an isotropic v."""
-        return self.isotropic_quotient(v)[0]
-
     # -- invariants ----------------------------------------------------
 
     def discriminant(self):
@@ -209,14 +170,7 @@ class QuadraticForm:
             raise ValueError("odd rank discriminant is not defined in characteristic 2")
         return self.polar_matrix().det() / self.field.from_int(2)
 
-    def disc_square_class(self):
-        return self.field.square_class(self.discriminant())
-
     # -- plumbing -------------------------------------------------------
-
-    def coeff_list(self):
-        """Upper triangular entries as nested lists (row i from column i)."""
-        return [[self.c[i][j] for j in range(i, self.n)] for i in range(self.n)]
 
     def map_field(self, target, embed):
         """Transport coefficients along an embedding into another field."""

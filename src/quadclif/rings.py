@@ -1,8 +1,7 @@
 """Exact scalars, polynomials, and dense linear algebra over small fields.
 
-Four field kinds cover everything downstream: the rationals, prime fields
-F_p, finite extensions F_q[x]/(m), and rational function fields k(t) with
-k one of the former (towers at most two deep, so k and k(t) only).
+Three field kinds cover everything downstream: the rationals, prime
+fields F_p, and finite extensions F_q[x]/(m).
 Rationals are stdlib Fractions; the other element types are immutable
 wrappers with operator overloading, so generic code over an arbitrary
 field reads as ordinary arithmetic.  A FieldContext owns construction,
@@ -532,198 +531,6 @@ class ExtensionField(FieldContext):
         return "%s[x]/(%s)" % (self.base.label(), self.modulus)
 
 
-class FunctionField(FieldContext):
-    """k(t): fractions of polynomials over k, reduced, monic denominator."""
-
-    kind = "function"
-    _cache = {}
-
-    def __new__(cls, base, var):
-        key = (base, var)
-        f = cls._cache.get(key)
-        if f is not None:
-            return f
-        if base.kind == "function" and base.base.kind == "function":
-            raise ValueError("function field towers deeper than two are not supported")
-        if not var.isidentifier():
-            raise ValueError("bad variable name %r" % (var,))
-        if base.kind == "function" and base.var == var:
-            raise ValueError("tower reuses variable %r" % (var,))
-        f = super().__new__(cls)
-        f.base = base
-        f.var = var
-        cls._cache[key] = f
-        return f
-
-    def from_int(self, n):
-        return RatFunc(self, Poly.const(self.base, self.var, self.base.from_int(n)), None)
-
-    def from_poly(self, p):
-        if not (p.field is self.base and p.var == self.var):
-            raise ValueError("polynomial does not live in %s" % self.label())
-        return RatFunc(self, p, None)
-
-    def gen(self):
-        return RatFunc(self, Poly.x(self.base, self.var), None)
-
-    @property
-    def characteristic(self):
-        return self.base.characteristic
-
-    def is_square(self, a):
-        if not a:
-            return True
-        for part in (a.num, a.den):
-            unit, decomp = squarefree_decomposition(part)
-            if not self.base.is_square(unit):
-                return False
-            if any(mult % 2 for _, mult in decomp):
-                return False
-        return True
-
-    def square_class(self, a):
-        """unit class times the odd-multiplicity part of num * den."""
-        if not a:
-            return self.zero()
-        g = a.num * a.den
-        unit, decomp = squarefree_decomposition(g)
-        rep = Poly.const(self.base, self.var, self.base.square_class(unit))
-        for factor, mult in decomp:
-            if mult % 2:
-                rep = rep * factor
-        return RatFunc(self, rep, None)
-
-    def sqrt(self, a):
-        if not a:
-            return self.zero()
-        parts = []
-        for part in (a.num, a.den):
-            unit, decomp = squarefree_decomposition(part)
-            root_unit = self.base.sqrt(unit)
-            if root_unit is None or any(m % 2 for _, m in decomp):
-                return None
-            r = Poly.const(self.base, self.var, root_unit)
-            for factor, mult in decomp:
-                for _ in range(mult // 2):
-                    r = r * factor
-            parts.append(r)
-        return RatFunc(self, parts[0], parts[1])
-
-    def label(self):
-        return "%s(%s)" % (self.base.label(), self.var)
-
-
-class RatFunc:
-    """Reduced fraction of polynomials; denominator monic and nonzero."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field, num, den=None):
-        if den is None:
-            den = Poly.one_poly(field.base, field.var)
-        if not den:
-            raise ZeroDivisionError("zero denominator in %s" % field.label())
-        if num:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = num // g, den // g
-            lead = den.lc()
-            if lead != field.base.one():
-                inv = field.base.one() / lead
-                num, den = num * inv, den * inv
-        else:
-            num = Poly.zero_poly(field.base, field.var)
-            den = Poly.one_poly(field.base, field.var)
-        self.field = field
-        self.num = num
-        self.den = den
-
-    def _lift(self, other):
-        if isinstance(other, RatFunc) and other.field is self.field:
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Poly) and other.field is self.field.base and other.var == self.field.var:
-            return RatFunc(self.field, other, None)
-        base = self.field.base
-        if base.kind == "rationals" and isinstance(other, Fraction):
-            return RatFunc(self.field, Poly.const(base, self.field.var, other), None)
-        if isinstance(other, FpElem) and base.kind == "prime" and other.p == base.p:
-            return RatFunc(self.field, Poly.const(base, self.field.var, other), None)
-        if isinstance(other, ExtElem) and other.field is base:
-            return RatFunc(self.field, Poly.const(base, self.field.var, other), None)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.field, self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(self.field, -self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o + (-self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.field, self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero in %s" % self.field.label())
-        return RatFunc(self.field, self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (self.field.one() / self) ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def is_polynomial(self):
-        return self.den.degree() == 0
-
-    def __repr__(self):
-        return scalar_str(self)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -899,15 +706,6 @@ class Poly:
             return x * 0 if not isinstance(x, int) else self.field.zero()
         return acc
 
-    def shift(self, k):
-        """Multiply by var^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, self.var, (self.field.zero(),) * k + self.coeffs)
-
-    def map_coeffs(self, fn, field=None):
-        return Poly(field or self.field, self.var, tuple(fn(c) for c in self.coeffs))
-
     def __repr__(self):
         return poly_str(self)
 
@@ -933,17 +731,6 @@ def _as_element(field, x):
             return field.from_int(x)
         if isinstance(x, FpElem) and field.base.kind == "prime" and x.p == field.base.p:
             return field.embed(x)
-        return None
-    if field.kind == "function":
-        if isinstance(x, RatFunc) and x.field is field:
-            return x
-        if isinstance(x, int):
-            return field.from_int(x)
-        if isinstance(x, Poly) and x.field is field.base and x.var == field.var:
-            return field.from_poly(x)
-        inner = _as_element(field.base, x)
-        if inner is not None:
-            return RatFunc(field, Poly.const(field.base, field.var, inner), None)
         return None
     return None
 
@@ -1333,14 +1120,6 @@ class BinaryForm:
         self.deg = deg
         self.coeffs = coeffs
 
-    @classmethod
-    def from_dehomogenized(cls, field, poly, deg):
-        """Rebuild the degree-deg form whose value at (1, t) is poly."""
-        if poly.degree() > deg:
-            raise ValueError("polynomial degree exceeds the form degree")
-        coeffs = [poly.coeff(i) for i in range(deg + 1)]
-        return cls(field, deg, coeffs)
-
     def evaluate(self, s0, t0):
         acc = self.field.zero()
         spow = [self.field.one()]
@@ -1458,16 +1237,6 @@ class Matrix:
             if any(len(r) != w for r in self.rows):
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
     @property
     def nrows(self):
         return len(self.rows)
@@ -1488,33 +1257,6 @@ class Matrix:
 
     def __hash__(self):
         return hash(self.rows)
-
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
-
-    def __add__(self, other):
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            bt = list(zip(*other.rows))
-            return Matrix(
-                self.field,
-                [[_dot(row, col, self.field) for col in bt] for row in self.rows],
-            )
-        return NotImplemented
-
-    def scale(self, c):
-        return Matrix(self.field, [[c * a for a in row] for row in self.rows])
 
     def mul_vec(self, v):
         return tuple(_dot(row, v, self.field) for row in self.rows)
@@ -1606,9 +1348,6 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = red.rows[r][nc]
         return tuple(x)
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
 
     def __repr__(self):
         return "Matrix(%s)" % ("; ".join(" ".join(scalar_str(a) for a in r) for r in self.rows))
@@ -1806,14 +1545,6 @@ def scalar_str(a):
         return str(a.v)
     if isinstance(a, ExtElem):
         return _ext_str(a)
-    if isinstance(a, RatFunc):
-        if a.den.degree() == 0:
-            return poly_str(a.num)
-        num = poly_str(a.num)
-        den = poly_str(a.den)
-        if len(a.num.coeffs) - a.num.coeffs.count(a.num.field.zero()) > 1:
-            num = "(%s)" % num
-        return "%s/(%s)" % (num, den)
     if isinstance(a, Poly):
         return poly_str(a)
     if isinstance(a, int):

@@ -7,10 +7,7 @@ The search for isotropic vectors is exact and deterministic:
   order), so returning None is a proof of anisotropy;
 * the rationals: integer vectors swept by increasing height (maximum
   absolute coordinate), primitive and sign-normalized, up to a height
-  budget, so None is merely inconclusive;
-* rational function fields: constant vectors first (searched through
-  the base field), then polynomial coefficient vectors of bounded
-  degree when the base is finite, again inconclusive on None.
+  budget, so None is merely inconclusive.
 
 Splitting follows the classical construction: an isotropic v with
 b(v, w0) nonzero for some basis vector w0 is completed to a hyperbolic
@@ -34,19 +31,17 @@ from .rings import InvariantViolation, Matrix
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the inconclusive searches (infinite fields only).
+    """Caps for the inconclusive searches over Q.
 
-    height: maximum absolute coordinate for integer vectors over Q.
-    degree: maximum coefficient degree for polynomial vectors over k(t).
-    enum: overall cap on candidates tried in one k(t) search sweep.
+    height: maximum absolute coordinate for integer vectors.
+    enum: cap on candidates tried by the common-zero search of a pencil.
     """
 
     height: int = 10
-    degree: int = 2
     enum: int = 200000
 
     def __post_init__(self):
-        if self.height < 1 or self.degree < 0 or self.enum < 1:
+        if self.height < 1 or self.enum < 1:
             raise ValueError("budget caps must be positive")
 
 
@@ -95,14 +90,15 @@ def _eval_int_rows(rows, v, n):
 
 
 def find_isotropic(q, budget=DEFAULT_BUDGET):
-    """First nonzero vector with q(v) = 0 in the canonical order, or None."""
+    """First nonzero vector with q(v) = 0 in the canonical order, or None.
+
+    Exhaustive over finite fields, a height sweep over Q.
+    """
     kind = q.field.kind
     if kind in ("prime", "extension"):
         return _find_isotropic_finite(q)
     if kind == "rationals":
         return _find_isotropic_rational(q, budget)
-    if kind == "function":
-        return _find_isotropic_function_field(q, budget)
     raise ValueError("no isotropy search over %s" % q.field.label())
 
 
@@ -156,69 +152,6 @@ def _find_isotropic_rational(q, budget):
             if _eval_int_rows(rows, v, n) == 0:
                 return tuple(Fraction(c) for c in v)
     return None
-
-
-def _find_isotropic_function_field(q, budget):
-    K = q.field
-    base = K.base
-    n = q.n
-    # constant vectors first: q(v) must vanish identically in t
-    if base.size() is not None:
-        consts = list(base.elements())
-        count = 0
-        capped = False
-        for lead in range(n):
-            if capped:
-                break
-            for tail in itertools.product(consts, repeat=n - lead - 1):
-                count += 1
-                if count > budget.enum:
-                    capped = True
-                    break
-                v = tuple([K.zero()] * lead + [K.one()] + [_const_in(K, e) for e in tail])
-                if not q.evaluate(v):
-                    return v
-        # polynomial coefficient vectors of degree 1..degree
-        p = base.size()
-        for d in range(1, budget.degree + 1):
-            width = n * (d + 1)
-            if p ** width > budget.enum:
-                return None
-            for flat in itertools.product(consts, repeat=width):
-                v = []
-                for i in range(n):
-                    coeffs = flat[i * (d + 1):(i + 1) * (d + 1)]
-                    v.append(_poly_in(K, coeffs))
-                v = tuple(v)
-                if any(v) and not q.evaluate(v):
-                    return v
-        return None
-    # infinite base (Q): constant vectors by height sweep
-    for h in range(1, budget.height + 1):
-        for ints in itertools.product(range(-h, h + 1), repeat=n):
-            if max(abs(c) for c in ints) != h:
-                continue
-            first = next((c for c in ints if c), None)
-            if first is None or first < 0:
-                continue
-            if math.gcd(*ints) != 1:
-                continue
-            v = tuple(K.from_int(c) for c in ints)
-            if not q.evaluate(v):
-                return v
-    return None
-
-
-def _const_in(K, e):
-    from .rings import Poly, RatFunc
-
-    return RatFunc(K, Poly.const(K.base, K.var, e), None)
-
-
-def _poly_in(K, coeffs):
-    from .rings import Poly, RatFunc
-
-    return RatFunc(K, Poly(K.base, K.var, coeffs), None)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,19 @@ def test_fault_injection_fails_with_named_invariant():
     assert code == 0
 
 
+@pytest.mark.parametrize("form", ["field=F5; q=diag(1,2)", "field=Q; q=diag(1,3)",
+                                  "field=F7; q=diag(1,1)"])
+def test_fault_in_a_rank_two_center_is_refused(form):
+    # the corrupted constant keeps a rank-2 algebra associative, so only
+    # the discriminant of the form exposes the wrong center
+    code, out, err = run_cli(["analyze", "--form", form, "--fault-inject", "clifford-mul",
+                              "--format", "machine"])
+    assert code == 3 and not out
+    assert "center-discriminant" in err
+    code, out, err = run_cli(["analyze", "--form", form, "--format", "machine"])
+    assert code == 0
+
+
 def test_unknown_fault_name():
     code, out, err = run_cli(["selftest", "--fault-inject", "bogus"])
     assert code == 2 and "unknown fault" in err

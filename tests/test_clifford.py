@@ -1,4 +1,4 @@
-"""Even Clifford construction, centers, central simplicity, Azumaya fibers."""
+"""Even Clifford construction, centers, central simplicity, Peirce fibers."""
 
 import random
 from fractions import Fraction
@@ -8,14 +8,15 @@ import pytest
 from quadclif.clifford import (
     CenterReport,
     StructuredAlgebra,
-    azumaya_fibers,
     center_basis,
     center_report,
+    even_center_report,
     even_clifford,
     full_clifford,
     hyperbolic_split_structure,
     inject_fault,
     is_central_simple,
+    split_fibers,
     verify_orthogonal_sum,
 )
 from quadclif.quadform import QuadraticForm
@@ -170,6 +171,21 @@ def test_center_delta_vs_discriminant_class():
             assert field.square_class(rep.delta) == field.square_class(twist * q.discriminant())
 
 
+def test_even_center_report_checks_the_discriminant():
+    for field, entries in ((QQ, [1, 3]), (F5, [1, 2, 3, 4]), (F7, [1, 1, 0, 2])):
+        q = QuadraticForm.diagonal(field, entries)
+        alg, rep = even_center_report(q)
+        assert alg.dim == 2 ** (len(entries) - 1)
+        assert rep.kind == center_report(even_clifford(q)).kind
+    inject_fault("clifford-mul")
+    try:
+        with pytest.raises(InvariantViolation) as err:
+            even_center_report(QuadraticForm.diagonal(F7, [1, 1]))
+    finally:
+        inject_fault(None)
+    assert err.value.invariant == "center-discriminant"
+
+
 def test_char2_center_kinds():
     rep = center_report(even_clifford(QuadraticForm.hyperbolic(F2, 1)))
     assert rep.kind == "split" and rep.separable
@@ -218,34 +234,31 @@ def test_separability_fallback_char2():
 
 
 def test_azumaya_regular_even_ranks():
+    # split centers: the algebra is Azumaya iff both Peirce fibers are
+    # central simple
     cases = [
-        (QQ, [1, 2, 3, 5]),        # field center
-        (QQ, [1, -1, 2, 3]),       # split center
+        (QQ, [1, -1, 2, -2]),
         (F3, [1, 1, 1, 1]),
         (F5, [1, 2, 3, 4, 1, 1]),
     ]
     for field, entries in cases:
-        q = QuadraticForm.diagonal(field, entries)
-        rep = azumaya_fibers(even_clifford(q))
-        assert rep.azumaya, (field.label(), entries, rep)
-
-
-def test_azumaya_fails_at_degeneration():
-    q = QuadraticForm.diagonal(F5, [1, 1, 1, 0])
-    rep = azumaya_fibers(even_clifford(q))
-    assert not rep.azumaya and not rep.etale_center
-    assert rep.fibers and rep.fibers[0].central_simple  # reduced fiber is fine
+        a = even_clifford(QuadraticForm.diagonal(field, entries))
+        rep = center_report(a)
+        assert rep.kind == "split", (field.label(), entries, rep)
+        fibers = split_fibers(a, rep)
+        assert len(fibers) == 2 and all(is_central_simple(f) for f in fibers)
 
 
 def test_peirce_fibers_have_half_dimension():
     q = QuadraticForm.diagonal(F3, [1, 2, 1, 2])  # disc class forces split over F_3?
     rep = center_report(even_clifford(q))
     if rep.kind == "split":
-        az = azumaya_fibers(even_clifford(q), rep)
-        assert all(f.dim == 4 for f in az.fibers)
-    h = QuadraticForm.hyperbolic(F3, 2)
-    az = azumaya_fibers(even_clifford(h))
-    assert az.azumaya and all(f.dim == 4 for f in az.fibers)
+        assert all(f.dim == 4 for f in split_fibers(even_clifford(q), rep))
+    a = even_clifford(QuadraticForm.hyperbolic(F3, 2))
+    fibers = split_fibers(a, center_report(a))
+    assert all(f.dim == 4 and is_central_simple(f) for f in fibers)
+    with pytest.raises(ValueError):
+        split_fibers(a, center_report(even_clifford(QuadraticForm.diagonal(F3, [1, 1]))))
 
 
 def test_lazy_table_only_fills_what_is_used():

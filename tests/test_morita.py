@@ -136,22 +136,21 @@ def test_module_and_end_dimensions():
     # rest = <1>: module of dim 2 over the ground field, End is 2x2
     P = build_P(QuadraticForm.diagonal(QQ, [1]))
     assert P.dim == 2
-    alg, mats = endomorphism_algebra(P)
-    assert alg.dim == len(mats) == 4
+    assert len(endomorphism_algebra(P)) == 4
 
     # rest = xy: module dim 4, End dim 8
     P = build_P(QuadraticForm.hyperbolic(F5, 1))
     assert P.dim == 4
-    assert endomorphism_algebra(P)[0].dim == 8
+    assert len(endomorphism_algebra(P)) == 8
 
     # rest = diag(1,1): End dim 8 again
     P = build_P(QuadraticForm.diagonal(QQ, [1, 1]))
-    assert endomorphism_algebra(P)[0].dim == 8
+    assert len(endomorphism_algebra(P)) == 8
 
     # rest = diag(1,1,1): module dim 8 over the quaternion even part
     P = build_P(QuadraticForm.diagonal(F5, [1, 1, 1]))
     assert P.dim == 8
-    assert endomorphism_algebra(P)[0].dim == 16
+    assert len(endomorphism_algebra(P)) == 16
 
 
 def test_module_rank_cap():
@@ -258,7 +257,7 @@ def test_end_basis_is_the_echelon_kernel_of_the_full_system(qp):
     field = qp.field
     ident = tuple(tuple(field.one() if i == j else field.zero() for j in range(P.dim))
                   for i in range(P.dim))
-    assert endomorphism_algebra(P)[1] == _unit_first(field, ident, want)
+    assert endomorphism_algebra(P) == _unit_first(field, ident, want)
 
 
 def test_witness_on_non_integral_rational_rest():
@@ -304,6 +303,19 @@ def test_action_mixing_parities_breaks_the_grading(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         endomorphism_algebra(P)
     assert err.value.invariant == "module-grading"
+
+
+def test_commutant_without_the_identity_is_refused(monkeypatch):
+    real = morita._commutant
+
+    def zeroed(coding, parity, gens):
+        free, sols = real(coding, parity, gens)
+        return free, coding.reduce(0 * sols)
+
+    monkeypatch.setattr(morita, "_commutant", zeroed)
+    with pytest.raises(InvariantViolation) as err:
+        endomorphism_algebra(build_P(QuadraticForm.diagonal(F5, [1, 2])))
+    assert err.value.invariant == "endomorphism-unit"
 
 
 def test_dropped_generators_break_the_dimension_count():

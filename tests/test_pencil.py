@@ -378,7 +378,7 @@ def test_brauer_trivial_with_planted_vector():
 def test_brauer_unknown_over_q_when_nothing_in_reach():
     # sums of squares have no rational zero at all, so the bounded
     # search cannot settle the class over Q
-    budget = SearchBudget(height=3, degree=2, enum=3000)
+    budget = SearchBudget(height=3, enum=3000)
     verdict = brauer_triviality_rank4(diag(QQ, [1, 1, 1, 1]), diag(QQ, [1, 2, 3, 4]),
                                       budget=budget)
     assert verdict.kind == "unknown" and not bool(verdict)

@@ -1,4 +1,4 @@
-"""Quadratic form layer: restriction, radicals, quotients, discriminants."""
+"""Quadratic form layer: restriction, radicals, discriminants."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadclif.quadform import QuadraticForm
-from quadclif.rings import QQ, FunctionField, Matrix, PrimeField
+from quadclif.rings import QQ, PrimeField
+from quadclif.splitting import split_hyperbolic
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -97,46 +98,15 @@ def test_restrict_agrees_with_evaluation_char2(seed, n, m):
 
 
 def test_reduced_form_frozen_example():
-    # q = <1, -1, 1, 1>, N = (1, 1, 0, 0) isotropic; the quotient is <1, 1>
+    # q = <1, -1, 1, 1>, N = (1, 1, 0, 0) isotropic; the quotient
+    # N-perp / k N, carried by the complement of a hyperbolic pair
+    # through N, is <1, 1>
     q = QuadraticForm.diagonal(QQ, [1, -1, 1, 1])
     v = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
     assert not q.evaluate(v)
-    red = q.reduced_form(v)
+    red = split_hyperbolic(q, v)[2]
     assert red.n == 2
     assert red == QuadraticForm.diagonal(QQ, [1, 1])
-
-
-def test_reduced_form_well_defined_on_cosets():
-    rng = random.Random(7)
-    q = QuadraticForm.diagonal(F5, [1, 4, 2, 3])
-    # find an isotropic vector by search
-    vs = [
-        v
-        for v in (
-            tuple(F5.from_int(a) for a in (x, y, z, w))
-            for x in range(5)
-            for y in range(5)
-            for z in range(5)
-            for w in range(5)
-        )
-        if any(v) and not q.evaluate(v)
-    ]
-    v = vs[0]
-    red, reps = q.isotropic_quotient(v)
-    for _ in range(20):
-        coeffs = [F5.from_int(rng.randrange(5)) for _ in reps]
-        lam = F5.from_int(rng.randrange(5))
-        w = [sum((c * r[i] for c, r in zip(coeffs, reps)), F5.zero()) for i in range(4)]
-        w_shift = tuple(a + lam * b for a, b in zip(w, v))
-        assert red.evaluate(tuple(coeffs)) == q.evaluate(w_shift)
-
-
-def test_isotropic_quotient_rejects_bad_input():
-    q = QuadraticForm.diagonal(QQ, [1, 1])
-    with pytest.raises(ValueError):
-        q.isotropic_quotient((Fraction(0), Fraction(0)))
-    with pytest.raises(ValueError):
-        q.isotropic_quotient((Fraction(1), Fraction(0)))
 
 
 def test_split_radical_exact_decomposition():
@@ -167,7 +137,7 @@ def test_discriminant_frozen_examples():
     # diag(1, 2, 3): det B = 48, half-determinant 24, square class 6
     q = QuadraticForm.diagonal(QQ, [1, 2, 3])
     assert q.discriminant() == Fraction(24)
-    assert q.disc_square_class() == Fraction(6)
+    assert QQ.square_class(q.discriminant()) == Fraction(6)
     # H(2): det B = 1
     h2 = QuadraticForm.hyperbolic(QQ, 2)
     assert h2.polar_matrix().det() == Fraction(1)
@@ -195,21 +165,10 @@ def test_odd_rank_char2_discriminant_rejected():
         q.discriminant()
 
 
-def test_scale_and_direct_sum():
+def test_direct_sum():
     q = QuadraticForm.diagonal(QQ, [1, -1])
-    s = q.scale(Fraction(3))
-    assert s.evaluate((Fraction(1), Fraction(2))) == 3 * q.evaluate((Fraction(1), Fraction(2)))
     d = q.direct_sum(QuadraticForm.diagonal(QQ, [5]))
     assert d.n == 3 and d.coeff(2, 2) == 5
-
-
-def test_forms_over_function_field():
-    K = FunctionField(F3, "t")
-    t = K.gen()
-    q = QuadraticForm.diagonal(K, [K.one(), t, t * t - 1])
-    assert q.discriminant() == 4 * (t * t * t - t)
-    v = (K.one(), K.one(), K.zero())
-    assert q.evaluate(v) == 1 + t
 
 
 def test_radical_basis_deterministic():

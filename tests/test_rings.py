@@ -16,11 +16,9 @@ from quadclif.rings import (
     ArrayCoding,
     BinaryForm,
     ExtensionField,
-    FunctionField,
     Matrix,
     Poly,
     PrimeField,
-    RatFunc,
     factor_roots_prime_field,
     find_irreducible,
     poly_gcd,
@@ -278,74 +276,12 @@ def test_extension_square_classes():
 
 
 # ---------------------------------------------------------------------------
-# function fields
-
-
-def test_function_field_arith_against_sympy():
-    rng = random.Random(5)
-    K = FunctionField(F7, "t")
-    t = sympy.Symbol("t")
-    for _ in range(40):
-        n1, d1 = rand_poly(rng, F7, 3), rand_poly(rng, F7, 2)
-        n2, d2 = rand_poly(rng, F7, 3), rand_poly(rng, F7, 2)
-        if not d1 or not d2:
-            continue
-        a = RatFunc(K, n1, d1)
-        b = RatFunc(K, n2, d2)
-        s = a + b
-        lhs = sympy.Poly(to_sympy(s.num, t), t, modulus=7) * sympy.Poly(to_sympy(a.den, t) * to_sympy(b.den, t), t, modulus=7)
-        rhs = sympy.Poly(
-            (to_sympy(a.num, t) * to_sympy(b.den, t) + to_sympy(b.num, t) * to_sympy(a.den, t)) * to_sympy(s.den, t),
-            t,
-            modulus=7,
-        )
-        assert lhs == rhs
-
-
-def test_ratfunc_normalization():
-    K = FunctionField(F5, "t")
-    t = Poly.x(F5, "t")
-    a = RatFunc(K, (t + 1) * (t + 2) * 3, (t + 2) * 2)
-    assert a.den.degree() == 0  # common factor cancelled, denominator monic
-    assert a == RatFunc(K, (t + 1) * 4, None)
-    assert not RatFunc(K, Poly.zero_poly(F5, "t"), t)
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(K, t, Poly.zero_poly(F5, "t"))
-
-
-def test_function_field_square_class_examples():
-    Qt = FunctionField(QQ, "t")
-    t = Poly.x(QQ, "t")
-    f = Qt.from_poly(2 * t * (t + 1) * (t + 1))
-    assert Qt.square_class(f) == Qt.from_poly(2 * t)
-    assert Qt.is_square(Qt.from_poly(9 * (t + 4) * (t + 4)))
-    assert not Qt.is_square(Qt.from_poly(-(t + 4) * (t + 4)))
-    # squares have trivial class, and class is multiplicative up to squares
-    g = RatFunc(Qt, (t + 2), (t * t + 1))
-    assert Qt.square_class(g * g) == Qt.one()
-    prod_class = Qt.square_class(f * g)
-    assert Qt.is_square(prod_class / (Qt.square_class(f) * Qt.square_class(g)))
-
-
-def test_depth_limit_and_tower():
-    K1 = FunctionField(F3, "t")
-    K2 = FunctionField(K1, "s")
-    assert K2.label() == "Fp:3(t)(s)"
-    with pytest.raises(ValueError):
-        FunctionField(K2, "u")
-    with pytest.raises(ValueError):
-        FunctionField(K1, "t")
-
-
-# ---------------------------------------------------------------------------
 # binary forms
 
 
 def test_binary_form_evaluation_and_infinity_roots():
     # 16 (s+t)(s+2t)(s+3t)(s+4t) over Q
-    t = Poly.x(QQ, "t")
-    d = 16 * (t + 1) * (t + 2) * (t + 3) * (t + 4)
-    bf = BinaryForm.from_dehomogenized(QQ, d, 4)
+    bf = BinaryForm(QQ, 4, [Fraction(c) for c in (384, 800, 560, 160, 16)])
     assert bf.evaluate(Fraction(1), Fraction(-2)) == 0
     assert bf.evaluate(Fraction(1), Fraction(0)) == 16 * 24
     roots = bf.roots_projective()
@@ -366,8 +302,8 @@ def test_binary_form_root_at_infinity():
 
 def test_binary_form_frobenius_power_detected():
     # (t^2 + 1)^3 = t^6 + 1 modulo 3 has zero derivative but a clean decomposition
-    f = Poly.of_ints(F3, "t", [1, 0, 0, 0, 0, 0, 1])
-    bf = BinaryForm.from_dehomogenized(F3, f, 6)
+    bf = BinaryForm(F3, 6, [F3.from_int(c) for c in (1, 0, 0, 0, 0, 0, 1)])
+    f = bf.dehomogenize()
     assert not bf.is_squarefree()
     unit, decomp = squarefree_decomposition(f)
     assert [(g.degree(), m) for g, m in decomp] == [(2, 3)]
@@ -414,13 +350,13 @@ def test_solve_detects_inconsistency():
     assert m.solve((Fraction(1), Fraction(2))) is not None
 
 
-def test_matrix_over_function_field():
-    K = FunctionField(F5, "t")
-    tt = K.gen()
-    m = Matrix(K, [[tt, K.one()], [K.one(), tt]])
-    d = m.det()
-    assert d == tt * tt - 1
+def test_matrix_over_extension_field():
+    F25 = quadratic_extension(F5)
+    g = F25.gen()
+    m = Matrix(F25, [[g, F25.one()], [F25.one(), g]])
+    assert m.det() == g * g - 1
     assert m.rank() == 2
+    assert Matrix(F25, [[g, F25.one()], [g * g, g]]).rank() == 1
 
 
 def test_kernel_determinism():
@@ -483,9 +419,7 @@ def test_scalar_strings_are_exact():
     assert scalar_str(F5.from_int(3)) == "3"
     F9 = quadratic_extension(F3)
     assert scalar_str(F9.gen() + F9.one()) == "g+1"
-    K = FunctionField(QQ, "t")
     t = Poly.x(QQ, "t")
-    assert scalar_str(RatFunc(K, t + 1, t)) == "(t+1)/(t)"
     assert scalar_str(t * t - 1) == "t^2-1"
 
 
