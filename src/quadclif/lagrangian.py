@@ -8,30 +8,34 @@ square center discriminant must show two components over the ground
 field, a nonsquare one must show the two components only over the
 quadratic extension with the q-power map swapping them.
 
-Enumeration works on integer index vectors against cached field tables,
-so the hot loops never touch wrapped field elements.  A subspace of
-dimension d+1 is built from one of dimension d by adjoining a point of
-a complement of the subspace inside its own polar-perp; the value of q
-on such a point does not depend on the coset representative, and
-distinct complement points give distinct extensions, so the only
-deduplication needed is across different starting subspaces.
+Everything runs on the table coding of rings.TableCoding: field
+elements are ints 0..q-1 in numpy arrays, and sums and products are
+table lookups, so the hot loops never touch wrapped field elements.
+There is one table of isotropic points per leading column.  A subspace
+grows in RREF order: its next row is a point with its leading column
+past the last pivot, a column in which every earlier row is zero, and
+polar to every earlier row; the polar conditions are tested for a whole
+block of candidate points at once.  Every RREF basis arises from its
+first rows in exactly one way, so each subspace is produced once and
+nothing needs deduplication.  The rulings compare every pair through the
+rank of the stacked pair, in batched eliminations, and the q-power map
+acts on the codes as a permutation.  The wrapped-element check in
+_assert_totally_isotropic re-verifies every answer independently of the
+tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rings import (
-    QQ,
     ExtElem,
     FpElem,
     InvariantViolation,
-    Matrix,
     PrimeField,
     quadratic_extension,
     scalar_str,
+    table_coding,
 )
 
 
@@ -40,145 +44,60 @@ def _context_of(a):
         return PrimeField(a.p)
     if isinstance(a, ExtElem):
         return a.field
-    if isinstance(a, Fraction):
-        return QQ
     raise TypeError("cannot recover a field context from %r" % (a,))
 
 
-class _Tab:
-    """Integer arithmetic tables for one finite field."""
-
-    __slots__ = ("field", "elems", "index", "add", "mul", "neg", "inv",
-                 "zero", "one", "size")
-
-    def __init__(self, field):
-        elems, index, add, mul = field.small_tables()
-        self.field = field
-        self.elems = elems
-        self.index = index
-        self.add = add
-        self.mul = mul
-        self.size = len(elems)
-        self.zero = index[field.zero()]
-        self.one = index[field.one()]
-        self.neg = tuple(index[-e] for e in elems)
-        inv = [None] * self.size
-        one = field.one()
-        for i, e in enumerate(elems):
-            if e:
-                inv[i] = index[one / e]
-        self.inv = tuple(inv)
+# entries of the largest code array one batched step builds
+_BLOCK = 1 << 16
 
 
-def _int_rref(rows, tab):
-    """(rref rows, pivot columns) on integer index rows."""
-    m = [list(r) for r in rows]
-    add, mul, neg, inv = tab.add, tab.mul, tab.neg, tab.inv
-    zero, one = tab.zero, tab.one
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    piv = []
-    r = 0
-    for col in range(nc):
-        if r == nr:
-            break
-        pr = None
-        for i in range(r, nr):
-            if m[i][col] != zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        s = inv[m[r][col]]
-        if s != one:
-            ms = mul[s]
-            m[r] = [ms[a] for a in m[r]]
-        top = m[r]
-        for i in range(nr):
-            f = m[i][col]
-            if i != r and f != zero:
-                mf = mul[f]
-                m[i] = [add[a][neg[mf[b]]] for a, b in zip(m[i], top)]
-        piv.append(col)
-        r += 1
-    return tuple(tuple(row) for row in m), tuple(piv)
+def _point_table(tc, coef, n, lead):
+    """Codes of the isotropic vectors that are zero before lead and one
+    at lead: the isotropic projective points with that leading column."""
+    import numpy as np
+
+    count = tc.size ** (n - lead - 1)
+    pts = np.zeros((count, n), dtype=np.int16)
+    pts[:, lead] = tc.one
+    tails = np.arange(count)
+    for j in range(n - 1, lead, -1):
+        pts[:, j] = tails % tc.size
+        tails //= tc.size
+    return pts[tc.form_values(coef, pts) == 0]
 
 
-def _q_eval_int(ci, v, tab):
-    add, mul = tab.add, tab.mul
-    zero = tab.zero
-    acc = zero
-    n = len(v)
-    for i in range(n):
-        vi = v[i]
-        if vi == zero:
-            continue
-        row = ci[i]
-        s = mul[row[i]][vi]
-        for j in range(i + 1, n):
-            if row[j] != zero and v[j] != zero:
-                s = add[s][mul[row[j]][v[j]]]
-        acc = add[acc][mul[vi][s]]
-    return acc
+def _grow(tc, polar, points, level):
+    """The subspaces one dimension up, each exactly once.
 
-
-def _seed_points(ci, tab, n):
-    """Canonical isotropic projective points as integer vectors."""
-    zero, one = tab.zero, tab.one
-    codes = range(tab.size)
-    out = []
-    for lead in range(n):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(codes, repeat=n - lead - 1):
-            v = head + tail
-            if _q_eval_int(ci, v, tab) == zero:
-                out.append(v)
-    return out
-
-
-def _perp_complement(rows, bi, tab, n):
-    """Basis of a complement of span(rows) inside its polar-perp.
-
-    rows are totally isotropic, so the span sits inside the perp; the
-    returned vectors extend it to the full perp.
+    level maps a last pivot column to the stack of subspaces, in RREF,
+    whose last pivot it is.  The first d rows of a (d+1)-dimensional
+    RREF basis are the RREF basis of a d-dimensional subspace that is
+    zero in the last pivot column, and the last row is a point of the
+    point table of that column; the span is totally isotropic exactly
+    when that point is polar to every row of the parent.
     """
-    add, mul, neg = tab.add, tab.mul, tab.neg
-    zero = tab.zero
-    # the perp is the kernel of (rows . B)
-    sys_rows = []
-    for u in rows:
-        out = []
-        for j in range(n):
-            acc = zero
-            for i in range(n):
-                if u[i] != zero and bi[i][j] != zero:
-                    acc = add[acc][mul[u[i]][bi[i][j]]]
-            out.append(acc)
-        sys_rows.append(out)
-    red, piv = _int_rref(sys_rows, tab)
-    pivset = set(piv)
-    kernel = []
-    for free in range(n):
-        if free in pivset:
+    import numpy as np
+
+    grown = {}
+    for lead, cand in enumerate(points):
+        if not cand.size:
             continue
-        vec = [zero] * n
-        vec[free] = tab.one
-        for r, col in enumerate(piv):
-            vec[col] = neg[red[r][free]]
-        kernel.append(tuple(vec))
-    # keep the kernel vectors that grow the span beyond the subspace
-    comp = []
-    work = [list(r) for r in rows]
-    _, base_piv = _int_rref(work, tab)
-    rank = len(base_piv)
-    for w in kernel:
-        _, piv2 = _int_rref(work + [list(w)], tab)
-        if len(piv2) > rank:
-            comp.append(w)
-            work.append(list(w))
-            rank = len(piv2)
-    return comp
+        blocks = []
+        for piv, subs in level.items():
+            if piv >= lead:
+                continue
+            subs = subs[~subs[:, :, lead].any(axis=1)]
+            if not subs.size:
+                continue
+            lin = tc.dot(subs[:, :, None, :], polar)  # b(row, e_j)
+            step = max(1, _BLOCK // lin[0].size // len(cand))
+            for s in range(0, len(subs), step):
+                vals = tc.dot(lin[s:s + step, :, None, :], cand)
+                pi, wi = np.nonzero(~vals.any(axis=1))
+                blocks.append(np.concatenate([subs[s + pi], cand[wi, None, :]], axis=1))
+        if blocks:
+            grown[lead] = np.concatenate(blocks)
+    return grown
 
 
 def enumerate_isotropic(q, r):
@@ -200,54 +119,22 @@ def enumerate_isotropic(q, r):
             "or size <= 25 up to rank 4")
     if not 0 <= r < n:
         raise ValueError("subspace dimension %d out of range" % (r + 1))
-    k = r + 1
-    tab = _Tab(field)
-    idx = tab.index
-    ci = [[idx[q.c[i][j]] for j in range(n)] for i in range(n)]
-    b = q.polar_matrix()
-    bi = [[idx[b.rows[i][j]] for j in range(n)] for i in range(n)]
+    import numpy as np
 
-    level = {(pt,) for pt in _seed_points(ci, tab, n)}
-    for _ in range(k - 1):
-        grown = set()
-        for rows in level:
-            for w in _candidate_extensions(rows, ci, bi, tab, n):
-                red, piv = _int_rref(list(rows) + [w], tab)
-                grown.add(red[:len(piv)])
-        level = grown
-        if not level:
-            break
-
-    out = []
-    for rows in sorted(level):
-        sub = tuple(tuple(tab.elems[a] for a in row) for row in rows)
+    tc = table_coding(field)
+    coef = tc.code(q.c)
+    polar = tc.code(q.polar_matrix().rows)
+    points = [_point_table(tc, coef, n, lead) for lead in range(n)]
+    level = {lead: pts[:, None, :] for lead, pts in enumerate(points) if pts.size}
+    for _ in range(r):
+        level = _grow(tc, polar, points, level)
+    if not level:
+        return ()
+    flat = np.concatenate(list(level.values())).reshape(-1, (r + 1) * n)
+    found = flat[np.lexsort(flat.T[::-1])].reshape(-1, r + 1, n)
+    out = tc.decode(found)
+    for sub in out:
         _assert_totally_isotropic(q, sub)
-        out.append(sub)
-    return tuple(out)
-
-
-def _candidate_extensions(rows, ci, bi, tab, n):
-    """Isotropic points of a complement of span(rows) in its perp.
-
-    Adjoining any of them keeps the span totally isotropic; different
-    points give different extensions.
-    """
-    comp = _perp_complement(rows, bi, tab, n)
-    add, mul = tab.add, tab.mul
-    zero = tab.zero
-    d = len(comp)
-    out = []
-    for lead in range(d):
-        for tail in itertools.product(range(tab.size), repeat=d - lead - 1):
-            # leading coefficient pinned to one: one pass per extension
-            w = list(comp[lead])
-            for c, base in zip(tail, comp[lead + 1:]):
-                if c != zero:
-                    mc = mul[c]
-                    w = [add[a][mc[bv]] for a, bv in zip(w, base)]
-            w = tuple(w)
-            if _q_eval_int(ci, w, tab) == zero:
-                out.append(list(w))
     return out
 
 
@@ -290,26 +177,27 @@ def ruling_components(lagrangians, m):
     for sub in subs:
         if len(sub) != m:
             raise ValueError("input subspace of dimension != m")
-    field = _context_of(subs[0][0][0])
-    tab = _Tab(field)
-    ints = [tuple(tuple(tab.index[a] for a in row) for row in sub)
-            for sub in subs]
+    import numpy as np
 
-    def same(i, j):
-        stacked = [list(r) for r in ints[i]] + [list(r) for r in ints[j]]
-        _, piv = _int_rref(stacked, tab)
-        inter = 2 * m - len(piv)
-        return (inter - m) % 2 == 0
-
-    labels = [0]
-    for i in range(1, len(subs)):
-        labels.append(0 if same(0, i) else 1)
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if same(i, j) != (labels[i] == labels[j]):
-                raise InvariantViolation(
-                    "ruling-parity",
-                    "intersection parity is not an equivalence relation here")
+    tc = table_coding(_context_of(subs[0][0][0]))
+    codes = tc.code(subs)
+    count = len(subs)
+    # the pairs (i, j), i < j, of a block of rows i at a time, each
+    # compared through the rank of the stacked pair
+    rows = max(1, _BLOCK // codes[0].size // (2 * count))
+    for i0 in range(0, count - 1, rows):
+        block = np.triu(np.ones((min(rows, count - 1 - i0), count), dtype=bool), i0 + 1)
+        ii, jj = np.nonzero(block)
+        ii += i0
+        _, rank = tc.rref(np.concatenate([codes[ii], codes[jj]], axis=1))
+        same = (m - rank) % 2 == 0  # intersection dimension 2m - rank
+        if i0 == 0:
+            labels = np.concatenate([[0], np.where(same[:count - 1], 0, 1)])
+        if np.any(same != (labels[ii] == labels[jj])):
+            raise InvariantViolation(
+                "ruling-parity",
+                "intersection parity is not an equivalence relation here")
+    labels = labels.tolist()
     sizes = (labels.count(0), labels.count(1))
     if 0 in sizes:
         raise InvariantViolation(
@@ -414,20 +302,20 @@ def stein_vs_center(q):
             "stein-extension", "no maximal isotropic subspaces even over "
             "the quadratic extension")
     part = ruling_components(subs, m)
-    p = field.size()
-    pos = {sub: i for i, sub in enumerate(subs)}
-    perm = []
-    for sub in subs:
-        mapped = [[a ** p for a in row] for row in sub]
-        red, piv = Matrix(ext, mapped).rref()
-        if len(piv) != m:
-            raise InvariantViolation("stein-frobenius", "image dropped rank")
-        j = pos.get(red.rows)
-        if j is None:
-            raise InvariantViolation(
-                "stein-frobenius", "image subspace missing from the "
-                "enumerated set; the set should be Galois stable")
-        perm.append(j)
+    import numpy as np
+
+    tc = table_coding(ext)
+    frob = tc.code([ext.frobenius(a) for a in tc.elems])  # a permutation of codes
+    codes = tc.code(subs)
+    red, rank = tc.rref(frob[codes])
+    if np.any(rank != m):
+        raise InvariantViolation("stein-frobenius", "image dropped rank")
+    pos = {sub.tobytes(): i for i, sub in enumerate(codes)}
+    perm = [pos.get(sub.tobytes()) for sub in red]
+    if None in perm:
+        raise InvariantViolation(
+            "stein-frobenius", "image subspace missing from the "
+            "enumerated set; the set should be Galois stable")
     for i, j in enumerate(perm):
         if perm[j] != i:
             raise InvariantViolation(

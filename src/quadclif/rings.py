@@ -5,15 +5,21 @@ fields F_p, and finite extensions F_q[x]/(m).
 Rationals are stdlib Fractions; the other element types are immutable
 wrappers with operator overloading, so generic code over an arbitrary
 field reads as ordinary arithmetic.  A FieldContext owns construction,
-enumeration (finite kinds), square testing, and square-class
-normalization; contexts are interned, carry no mutable state, and are
-safe to share.
+enumeration (finite kinds) and square testing; contexts are interned,
+carry no mutable state beyond caches, and are safe to share.
 
 Polynomials store coefficients lowest degree first with trailing zeros
 stripped; the zero polynomial has degree -1, a sentinel rather than a
 valid exponent.  Matrices are immutable row tuples over a fixed field.
 Elimination always takes the first nonzero pivot candidate, so ranks,
 kernels, and every witness derived from them are deterministic.
+
+Two numpy codings serve the batched layers.  ArrayCoding puts field
+elements into arrays for exact fraction-free elimination (coded_rref,
+coded_kernel) over any field.  TableCoding codes the elements of a
+field with at most 25 elements, F_p or F_{p^2}, as ints 0..q-1 with
+add/mul/neg/inv tables built once per context, and evaluates forms and
+eliminates whole stacks of matrices by table lookups.
 """
 
 from __future__ import annotations
@@ -65,10 +71,6 @@ class FieldContext:
         raise TypeError("cannot enumerate an infinite field")
 
     def is_square(self, a):
-        raise NotImplementedError
-
-    def square_class(self, a):
-        """Canonical representative of a modulo nonzero squares."""
         raise NotImplementedError
 
     def sqrt(self, a):
@@ -129,27 +131,6 @@ class Rationals(FieldContext):
         if not self.is_square(a):
             return None
         return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
-
-    def square_class(self, a):
-        """Squarefree integer representing a mod squares (0 for 0)."""
-        if a == 0:
-            return Fraction(0)
-        n = a.numerator * a.denominator
-        sign = -1 if n < 0 else 1
-        n = abs(n)
-        rep = 1
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                if e % 2:
-                    rep *= d
-            d += 1 if d == 2 else 2
-        rep *= n
-        return Fraction(sign * rep)
 
     def label(self):
         return "Q"
@@ -283,13 +264,6 @@ class PrimeField(FieldContext):
             if pow(n, (self.p - 1) // 2, self.p) == self.p - 1:
                 return FpElem(n, self.p)
         raise AssertionError("no nonresidue found in F_%d" % self.p)
-
-    def square_class(self, a):
-        if a.v == 0:
-            return FpElem(0, self.p)
-        if self.is_square(a):
-            return FpElem(1, self.p)
-        return self.non_square()
 
     def sqrt(self, a):
         table = getattr(self, "_sqrt_table", None)
@@ -512,11 +486,6 @@ class ExtensionField(FieldContext):
             if e and not self.is_square(e):
                 return e
         raise AssertionError("no nonsquare in %s" % self.label())
-
-    def square_class(self, a):
-        if not a:
-            return self.zero()
-        return self.one() if self.is_square(a) else self.non_square()
 
     def sqrt(self, a):
         table = getattr(self, "_sqrt_table", None)
@@ -1531,6 +1500,127 @@ def coded_kernel(coding, a):
     if pivots:
         kernel[:, pivots] = coding.reduce(-red[:, free].T)
     return free, kernel
+
+
+class TableCoding:
+    """Elements of a field with at most 25 elements coded as ints 0..q-1.
+
+    The code of an element is its position in field.elements(), so the
+    code 0 is zero and codes sort in the order of elements().  The add,
+    mul, neg and inv tables are built from the field's own arithmetic
+    (inv of zero is coded as zero and never read); every operation is a
+    table lookup on whole int16 arrays of codes, with numpy broadcasting.
+    Covers F_p and F_{p^2}, so a table has at most 625 entries.  Build
+    one per field context with table_coding().
+    """
+
+    def __init__(self, field):
+        import numpy as np
+
+        if field.size() is None or field.size() > 25:
+            raise ValueError("table coding needs a field of at most 25 elements")
+        elems, index, add, mul = field.small_tables()
+        one = field.one()
+        self.elems = elems
+        self.index = index
+        self.size = len(elems)
+        self.one = index[one]
+        self._add = np.array(add, dtype=np.int16).ravel()
+        self._mul = np.array(mul, dtype=np.int16).ravel()
+        self.neg = np.array([index[-e] for e in elems], dtype=np.int16)
+        self.inv = np.array([index[one / e] if e else 0 for e in elems], dtype=np.int16)
+
+    def code(self, rows):
+        """int16 array of codes of a (nested) sequence of field elements."""
+        import numpy as np
+
+        index = self.index
+
+        def walk(x):
+            return [walk(e) for e in x] if isinstance(x, (list, tuple)) else index[x]
+
+        return np.array(walk(rows), dtype=np.int16)
+
+    def decode(self, a):
+        """Nested tuples of field elements of a code array of rank >= 1."""
+        elems = self.elems
+
+        def walk(x):
+            return tuple(walk(e) for e in x) if isinstance(x, list) else elems[x]
+
+        return walk(a.tolist())
+
+    def add(self, a, b):
+        import numpy as np
+
+        return np.take(self._add, a * self.size + b)
+
+    def mul(self, a, b):
+        import numpy as np
+
+        return np.take(self._mul, a * self.size + b)
+
+    def dot(self, x, y):
+        """Sum over the last axis of x * y, broadcast over the others.
+
+        The polar value b(u, v) of a stack of vectors is dot(u, dot(B, v))
+        with v stacked as (..., 1, n) against the coded polar matrix B.
+        """
+        prod = self.mul(x, y)
+        acc = prod[..., 0]
+        for t in range(1, prod.shape[-1]):
+            acc = self.add(acc, prod[..., t])
+        return acc
+
+    def form_values(self, coef, v):
+        """q(v) on a stack v (..., n), with q given by its coded upper
+        triangular coefficient matrix: sum over i of v_i (sum over j >= i
+        of c_ij v_j)."""
+        import numpy as np
+
+        acc = np.zeros(v.shape[:-1], dtype=np.int16)
+        for i in range(coef.shape[0]):
+            acc = self.add(acc, self.mul(v[..., i], self.dot(coef[i, i:], v[..., i:])))
+        return acc
+
+    def rref(self, a):
+        """(reduced row echelon forms, ranks) of a stack a (count, r, c).
+
+        One elimination for the whole stack: each column step swaps the
+        first usable row of every matrix that has one into place,
+        normalizes it and clears the column in its other rows.  Rows of
+        a matrix past its rank come out zero.
+        """
+        import numpy as np
+
+        a = np.array(a, dtype=np.int16)
+        count, nr, nc = a.shape
+        rank = np.zeros(count, dtype=np.intp)
+        rows = np.arange(nr)
+        for col in range(nc):
+            usable = (a[:, :, col] != 0) & (rows >= rank[:, None])
+            hit = np.flatnonzero(usable.any(axis=1))
+            if not hit.size:
+                continue
+            src = usable[hit].argmax(axis=1)
+            dst = rank[hit]
+            top = a[hit, src]
+            a[hit, src] = a[hit, dst]
+            top = self.mul(np.take(self.inv, top[:, col])[:, None], top)
+            a[hit, dst] = top
+            factor = np.take(self.neg, a[hit, :, col])
+            factor[np.arange(hit.size), dst] = 0
+            a[hit] = self.add(a[hit], self.mul(factor[:, :, None], top[:, None, :]))
+            rank[hit] += 1
+        return a, rank
+
+
+def table_coding(field):
+    """The TableCoding of a finite field, built once per field context."""
+    tc = getattr(field, "_table_coding", None)
+    if tc is None:
+        tc = field._table_coding = TableCoding(field)
+    return tc
 
 
 # ---------------------------------------------------------------------------

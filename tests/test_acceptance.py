@@ -22,7 +22,7 @@ TIME_BUDGETS = {
     "c06-isotropy-correspondence": 60.0,
     "c07-function-field-witness": 120.0,
     "c08-cover-genus": 10.0,
-    "c09-components-vs-center": 120.0,
+    "c09-components-vs-center": 30.0,
     "c10-rank4-triviality": 5.0,
     "c11-rank6-plane": 120.0,
 }

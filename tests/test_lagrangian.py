@@ -1,9 +1,13 @@
 """Isotropic subspace enumeration, rulings, and the center comparison."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadclif.rings import PrimeField, quadratic_extension
+from quadclif import lagrangian
+from quadclif.rings import InvariantViolation, PrimeField, quadratic_extension
 from quadclif.quadform import QuadraticForm
 from quadclif.lagrangian import (
     enumerate_isotropic,
@@ -12,6 +16,45 @@ from quadclif.lagrangian import (
 )
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+F9 = quadratic_extension(F3)
+
+
+def _rref_bases(field, k, n):
+    """Every k x n matrix in reduced row echelon form of rank k."""
+    elems = field.elements()
+    zero, one = field.zero(), field.one()
+    for pivots in itertools.combinations(range(n), k):
+        slots = [(i, j) for i, p in enumerate(pivots)
+                 for j in range(p + 1, n) if j not in pivots]
+        for values in itertools.product(elems, repeat=len(slots)):
+            rows = [[zero] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = one
+            for (i, j), v in zip(slots, values):
+                rows[i][j] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+def _brute_isotropic(q, k):
+    return {sub for sub in _rref_bases(q.field, k, q.n)
+            if not any(q.evaluate(u) for u in sub)
+            and not any(q.polar(u, v) for u, v in itertools.combinations(sub, 2))}
+
+
+def _seeded_forms(field, n, count, seed):
+    """Random upper triangular forms; every other one gets a zero last
+    row and column, so the corpus holds degenerate forms too."""
+    rng = random.Random(seed)
+    elems = field.elements()
+    zero = field.zero()
+    out = []
+    for t in range(count):
+        rows = [[rng.choice(elems) if j >= i else zero for j in range(n)] for i in range(n)]
+        if t % 2:
+            for i in range(n):
+                rows[i][n - 1] = zero
+        out.append(QuadraticForm(field, rows))
+    return out
 
 
 # ------------------------------------------------------- enumeration
@@ -59,6 +102,46 @@ def test_enumeration_is_deterministic_and_rref():
     for sub in first:
         red, piv = Matrix(F3, [list(r) for r in sub]).rref()
         assert red.rows == sub and len(piv) == 2
+
+
+@pytest.mark.parametrize("field, ranks", [(F2, (2, 3, 4, 5)), (F3, (2, 3, 4, 5)),
+                                          (F5, (2, 3, 4)), (F9, (2, 3, 4))],
+                         ids=["F2", "F3", "F5", "F9"])
+def test_enumeration_matches_brute_force(field, ranks):
+    # every RREF basis filtered by q and b on wrapped elements, for each
+    # dimension until none is left (the Witt index plus the radical)
+    index = field.small_tables()[1]
+    for n in ranks:
+        for q in _seeded_forms(field, n, 3, seed=n):
+            for k in range(1, n + 1):
+                got = enumerate_isotropic(q, k - 1)
+                want = _brute_isotropic(q, k)
+                assert len(got) == len(want) and set(got) == want
+                codes = [tuple(index[a] for row in sub for a in row) for sub in got]
+                assert codes == sorted(codes)
+                if not want:
+                    break
+
+
+@pytest.mark.parametrize("field, ranks", [(F3, (2, 4, 6)), (F5, (2, 4, 6)), (F9, (2, 4))],
+                         ids=["F3", "F5", "F9"])
+def test_point_counts_of_regular_even_forms(field, ranks):
+    # (q^m - e)(q^(m-1) + e)/(q - 1) isotropic points, e = +1 exactly when
+    # (-1)^m disc is a square
+    size = field.size()
+    rng = random.Random(1)
+    for n in ranks:
+        seen = set()
+        while len(seen) < 2:
+            q = _seeded_forms(field, n, 1, seed=rng.random())[0]
+            disc = q.discriminant()
+            if not disc:
+                continue
+            m = n // 2
+            e = 1 if field.is_square(field.from_int((-1) ** m) * disc) else -1
+            seen.add(e)
+            want = (size ** m - e) * (size ** (m - 1) + e) // (size - 1)
+            assert len(enumerate_isotropic(q, 0)) == want
 
 
 def test_enumeration_budget_errors():
@@ -132,6 +215,36 @@ def test_wrong_dimension_is_rejected():
         ruling_components(subs, 3)
 
 
+def test_parity_that_is_no_equivalence_is_refuted(monkeypatch):
+    # three planes of F3^3 pairwise meet in a line, an odd dimension
+    # against m = 2: all three would be pairwise in different classes.
+    # One pair per elimination block still finds it, in the last block.
+    z, o = F3.zero(), F3.one()
+    planes = [((o, z, z), (z, o, z)), ((o, z, z), (z, z, o)), ((z, o, z), (z, z, o))]
+    with pytest.raises(InvariantViolation) as err:
+        ruling_components(planes, 2)
+    assert err.value.invariant == "ruling-parity"
+    monkeypatch.setattr(lagrangian, "_BLOCK", 1)
+    with pytest.raises(InvariantViolation) as err:
+        ruling_components(planes, 2)
+    assert err.value.invariant == "ruling-parity"
+
+
+def test_one_ruling_alone_is_refuted():
+    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 2), 1)
+    one = ruling_components(subs, 2).components[0]
+    with pytest.raises(InvariantViolation) as err:
+        ruling_components(one, 2)
+    assert err.value.invariant == "ruling-two-classes"
+
+
+def test_rulings_do_not_depend_on_the_block_size(monkeypatch):
+    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 3), 2)
+    labels = ruling_components(subs, 3).labels
+    monkeypatch.setattr(lagrangian, "_BLOCK", 1)
+    assert ruling_components(subs, 3).labels == labels
+
+
 def test_intersection_parity_within_components():
     # planes in one ruling of H(2) meet in dimension 0 or 2; across
     # rulings they meet in dimension 1
@@ -183,6 +296,18 @@ def test_stein_rank6_split_over_f3():
     r = stein_vs_center(QuadraticForm.hyperbolic(F3, 3))
     assert r.delta_is_square and not r.extension_used
     assert r.count == 80 and r.component_sizes == (40, 40)
+
+
+def test_stein_rank6_nonsplit_over_f3_goes_to_f9():
+    # (-1)^3 disc = 2 is a nonsquare mod 3: no planes over F3, and over F9
+    # the 2(9+1)(81+1) = 1640 planes split evenly, swapped by Frobenius
+    r = stein_vs_center(QuadraticForm.diagonal(F3, [1] * 6))
+    assert not r.delta_is_square and r.extension_used
+    assert r.count == 1640 and r.component_sizes == (820, 820)
+    assert r.frobenius_swaps is True
+    perm = r.lagrangians.frobenius
+    labels = r.lagrangians.labels
+    assert all(perm[perm[i]] == i and labels[perm[i]] != labels[i] for i in range(1640))
 
 
 def test_stein_rejections():

@@ -29,6 +29,7 @@ from quadclif.rings import (
     rational_roots,
     scalar_str,
     squarefree_decomposition,
+    table_coding,
 )
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -73,10 +74,13 @@ def test_fp_arithmetic_matches_int_model():
 def test_fp_square_class_partition():
     for p in (3, 5, 7, 13):
         F = PrimeField(p)
-        classes = {F.square_class(e) for e in F.elements()}
-        assert len(classes) == 3  # zero, squares, nonsquares
-        nonzero = [F.square_class(e) for e in F.elements() if e]
-        assert sum(1 for c in nonzero if c == F.one()) == (p - 1) // 2
+        nonzero = [e for e in F.elements() if e]
+        squares = [e for e in nonzero if F.is_square(e)]
+        assert len(squares) == (p - 1) // 2
+        # two classes mod squares: the quotient of two nonsquares is a square
+        nonsquares = [e for e in nonzero if not F.is_square(e)]
+        assert all(F.is_square(a / b) for a in nonsquares for b in nonsquares)
+        assert not any(F.is_square(a / b) for a in squares for b in nonsquares)
     # characteristic 2: everything is a square
     assert all(F2.is_square(e) for e in F2.elements())
 
@@ -408,6 +412,45 @@ def test_coded_elimination_matches_matrix(field):
             [list(r) for r in want_red.rows[:len(pivots)]]
         assert [tuple(coding.decode(x) for x in v) for v in kernel] == m.kernel_basis()
         assert all(type(coding.decode(x)) is type(field.one()) for v in kernel for x in v)
+
+
+@pytest.mark.parametrize("field", [F2, F5, quadratic_extension(F3), quadratic_extension(F5)],
+                         ids=lambda f: f.label())
+def test_table_coding_matches_wrapped_arithmetic(field):
+    # one batched elimination over a stack gives Matrix.rref on each
+    # member, and form values agree with QuadraticForm.evaluate
+    from quadclif.quadform import QuadraticForm
+
+    rng = random.Random(5)
+    tc = table_coding(field)
+    assert table_coding(field) is tc
+    elems = tc.elems
+    assert tc.decode(tc.code([elems])) == (tuple(elems),)
+    for a in elems:
+        for b in elems:
+            ca, cb = tc.code(a), tc.code(b)
+            assert elems[tc.add(ca, cb)] == a + b
+            assert elems[tc.mul(ca, cb)] == a * b
+        assert elems[tc.neg[tc.code(a)]] == -a
+        if a:
+            assert elems[tc.inv[tc.code(a)]] * a == field.one()
+    for nrows, ncols in ((1, 4), (3, 3), (4, 6), (6, 4)):
+        stack = [_random_rows(rng, field, nrows, ncols) for _ in range(20)]
+        red, rank = tc.rref(tc.code(stack))
+        for rows, got, r in zip(stack, tc.decode(red), rank):
+            want, pivots = Matrix(field, rows).rref()
+            assert r == len(pivots) and got == want.rows
+    n = 4
+    rows = [[rng.choice(elems) if j >= i else field.zero() for j in range(n)] for i in range(n)]
+    q = QuadraticForm(field, rows)
+    vecs = [[rng.choice(elems) for _ in range(n)] for _ in range(30)]
+    values = tc.form_values(tc.code(rows), tc.code(vecs))
+    assert [elems[v] for v in values] == [q.evaluate(v) for v in vecs]
+    polar = tc.code(q.polar_matrix().rows)
+    pairs = tc.dot(tc.code(vecs[:15]), tc.dot(polar, tc.code(vecs[15:])[:, None, :]))
+    assert [elems[v] for v in pairs] == [q.polar(u, v) for u, v in zip(vecs[:15], vecs[15:])]
+    with pytest.raises(ValueError):
+        table_coding(PrimeField(29))
 
 
 # ---------------------------------------------------------------------------
