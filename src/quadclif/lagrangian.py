@@ -47,7 +47,9 @@ def _context_of(a):
     raise TypeError("cannot recover a field context from %r" % (a,))
 
 
-# entries of the largest code array one batched step builds
+# codes one chunk of the candidate test in _grow, or of the pair ranks in
+# ruling_components, holds at most, unless a single parent subspace or a
+# single row of pairs is already larger
 _BLOCK = 1 << 16
 
 
@@ -89,10 +91,10 @@ def _grow(tc, polar, points, level):
             subs = subs[~subs[:, :, lead].any(axis=1)]
             if not subs.size:
                 continue
-            lin = tc.dot(subs[:, :, None, :], polar)  # b(row, e_j)
-            step = max(1, _BLOCK // lin[0].size // len(cand))
+            step = max(1, _BLOCK // (subs[0].size * max(len(polar), len(cand))))
             for s in range(0, len(subs), step):
-                vals = tc.dot(lin[s:s + step, :, None, :], cand)
+                lin = tc.dot(subs[s:s + step, :, None, :], polar)  # b(row, e_j)
+                vals = tc.dot(lin[:, :, None, :], cand)
                 pi, wi = np.nonzero(~vals.any(axis=1))
                 blocks.append(np.concatenate([subs[s + pi], cand[wi, None, :]], axis=1))
         if blocks:

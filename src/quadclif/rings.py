@@ -1573,15 +1573,12 @@ class TableCoding:
         return acc
 
     def form_values(self, coef, v):
-        """q(v) on a stack v (..., n), with q given by its coded upper
-        triangular coefficient matrix: sum over i of v_i (sum over j >= i
-        of c_ij v_j)."""
+        """q(v) = v . (C v) on a stack v (..., n), with C the coded upper
+        triangular coefficient matrix of q.  C v is built one row of C at
+        a time, so no (..., n, n) product is held in memory."""
         import numpy as np
 
-        acc = np.zeros(v.shape[:-1], dtype=np.int16)
-        for i in range(coef.shape[0]):
-            acc = self.add(acc, self.mul(v[..., i], self.dot(coef[i, i:], v[..., i:])))
-        return acc
+        return self.dot(v, np.stack([self.dot(row, v) for row in coef], axis=-1))
 
     def rref(self, a):
         """(reduced row echelon forms, ranks) of a stack a (count, r, c).

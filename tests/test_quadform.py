@@ -157,7 +157,7 @@ def test_adding_hyperbolic_plane_negates_discriminant_class():
             continue
         qq = q.direct_sum(QuadraticForm.hyperbolic(QQ, 1))
         if d:
-            assert QQ.is_square(qq.discriminant() / -d)
+            assert qq.discriminant() and QQ.is_square(qq.discriminant() / -d)
         else:
             assert not qq.discriminant()
 
