@@ -483,6 +483,14 @@ def cmd_pencil(spec):
             "candidates": rep.candidates,
             "beta_trivial": rep.beta_trivial,
         }
+        # a simple pencil cuts out a smooth threefold whose Fano variety
+        # of lines is a torsor under Jac(C); over F_q, q odd, Lang's
+        # theorem gives it a rational point, i.e. a common plane
+        if rep.plane is None and ana.simple and field.characteristic % 2:
+            raise InvariantViolation(
+                "fano-lines", "simple rank-6 pencil over %s without a common "
+                "isotropic plane, but its threefold must carry a line"
+                % field.label())
     return body, code
 
 

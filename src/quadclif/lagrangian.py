@@ -11,13 +11,17 @@ quadratic extension with the q-power map swapping them.
 Everything runs on the table coding of rings.TableCoding: field
 elements are ints 0..q-1 in numpy arrays, and sums and products are
 table lookups, so the hot loops never touch wrapped field elements.
-There is one table of isotropic points per leading column.  A subspace
-grows in RREF order: its next row is a point with its leading column
-past the last pivot, a column in which every earlier row is zero, and
-polar to every earlier row; the polar conditions are tested for a whole
-block of candidate points at once.  Every RREF basis arises from its
-first rows in exactly one way, so each subspace is produced once and
-nothing needs deduplication.  The rulings compare every pair through the
+The growth takes a list of forms and finds the subspaces totally
+isotropic for all of them at once (common_isotropic_subspaces): one
+form for the enumeration here, the two forms of a rank-6 pencil for
+pencil.common_isotropic_plane_rank6.  There is one table of common
+isotropic points per leading column, cut out of TableCoding.points.  A
+subspace grows in RREF order: its next row is a point with its leading
+column past the last pivot, a column in which every earlier row is
+zero, and polar to every earlier row under every form; the polar
+conditions are tested for a whole block of candidate points at once.
+Every RREF basis arises from its first rows in exactly one way, so each
+subspace is produced once and nothing needs deduplication.  The rulings compare every pair through the
 rank of the stacked pair, in batched eliminations, and the q-power map
 acts on the codes as a permutation.  The wrapped-element check in
 _assert_totally_isotropic re-verifies every answer independently of the
@@ -53,30 +57,17 @@ def _context_of(a):
 _BLOCK = 1 << 16
 
 
-def _point_table(tc, coef, n, lead):
-    """Codes of the isotropic vectors that are zero before lead and one
-    at lead: the isotropic projective points with that leading column."""
-    import numpy as np
-
-    count = tc.size ** (n - lead - 1)
-    pts = np.zeros((count, n), dtype=np.int16)
-    pts[:, lead] = tc.one
-    tails = np.arange(count)
-    for j in range(n - 1, lead, -1):
-        pts[:, j] = tails % tc.size
-        tails //= tc.size
-    return pts[tc.form_values(coef, pts) == 0]
-
-
-def _grow(tc, polar, points, level):
+def _grow(tc, polars, points, level):
     """The subspaces one dimension up, each exactly once.
 
     level maps a last pivot column to the stack of subspaces, in RREF,
     whose last pivot it is.  The first d rows of a (d+1)-dimensional
     RREF basis are the RREF basis of a d-dimensional subspace that is
     zero in the last pivot column, and the last row is a point of the
-    point table of that column; the span is totally isotropic exactly
-    when that point is polar to every row of the parent.
+    point table of that column; the span is totally isotropic for every
+    form exactly when that point is polar to every row of the parent
+    under each of the polar matrices.  A grown stack is ordered by the
+    parent's last pivot, then the parent, then the point.
     """
     import numpy as np
 
@@ -91,15 +82,41 @@ def _grow(tc, polar, points, level):
             subs = subs[~subs[:, :, lead].any(axis=1)]
             if not subs.size:
                 continue
-            step = max(1, _BLOCK // (subs[0].size * max(len(polar), len(cand))))
+            step = max(1, _BLOCK // (subs[0].size * max(len(polars[0]), len(cand))))
             for s in range(0, len(subs), step):
-                lin = tc.dot(subs[s:s + step, :, None, :], polar)  # b(row, e_j)
-                vals = tc.dot(lin[:, :, None, :], cand)
-                pi, wi = np.nonzero(~vals.any(axis=1))
-                blocks.append(np.concatenate([subs[s + pi], cand[wi, None, :]], axis=1))
+                chunk = subs[s:s + step, :, None, :]
+                ok = True
+                for polar in polars:
+                    lin = tc.dot(chunk, polar)  # b(row, e_j)
+                    ok = ok & ~tc.dot(lin[:, :, None, :], cand).any(axis=1)
+                pi, wi = np.nonzero(ok)
+                if pi.size:
+                    blocks.append(np.concatenate([subs[s + pi], cand[wi, None, :]], axis=1))
         if blocks:
             grown[lead] = np.concatenate(blocks)
     return grown
+
+
+def common_isotropic_subspaces(forms, r):
+    """The (r+1)-dimensional subspaces totally isotropic for every form
+    in forms (same finite field of at most 25 elements, same rank), each
+    once, as table codes: a dict from last pivot column to the stack of
+    RREF bases with that last pivot, in the order of _grow; a column
+    with none has no entry."""
+    tc = table_coding(forms[0].field)
+    n = forms[0].n
+    coefs = [tc.code(q.c) for q in forms]
+    polars = [tc.code(q.polar_matrix().rows) for q in forms]
+    points = []  # per leading column, the common zeros among the points
+    for lead in range(n):
+        pts = tc.points(n, lead)
+        for coef in coefs:
+            pts = pts[tc.form_values(coef, pts) == 0]
+        points.append(pts)
+    level = {lead: pts[:, None, :] for lead, pts in enumerate(points) if pts.size}
+    for _ in range(r):
+        level = _grow(tc, polars, points, level)
+    return level
 
 
 def enumerate_isotropic(q, r):
@@ -123,18 +140,12 @@ def enumerate_isotropic(q, r):
         raise ValueError("subspace dimension %d out of range" % (r + 1))
     import numpy as np
 
-    tc = table_coding(field)
-    coef = tc.code(q.c)
-    polar = tc.code(q.polar_matrix().rows)
-    points = [_point_table(tc, coef, n, lead) for lead in range(n)]
-    level = {lead: pts[:, None, :] for lead, pts in enumerate(points) if pts.size}
-    for _ in range(r):
-        level = _grow(tc, polar, points, level)
+    level = common_isotropic_subspaces([q], r)
     if not level:
         return ()
     flat = np.concatenate(list(level.values())).reshape(-1, (r + 1) * n)
     found = flat[np.lexsort(flat.T[::-1])].reshape(-1, r + 1, n)
-    out = tc.decode(found)
+    out = table_coding(field).decode(found)
     for sub in out:
         _assert_totally_isotropic(q, sub)
     return out

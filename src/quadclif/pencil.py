@@ -15,6 +15,13 @@ On top of the analysis sit the double cover y^2 = delta(x), the
 center/cover comparison, the common-zero against function-field-witness
 correspondence for two forms, and the rank-4 and rank-6 triviality
 checks that the correspondence powers.
+
+The finite-field searches share one point walk.  The common-zero search
+runs splitting.canonical_points lazily on wrapped elements, so it
+covers every finite field.  The witness search and the Amer-Brumer
+check take their points from rings.TableCoding.points, whose codes over
+F_p are the residues, cast to int64.  The rank-6 plane search is one
+step of lagrangian.common_isotropic_subspaces over both forms.
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from .rings import (
     PrimeField,
     irreducible_factors,
     scalar_str,
+    table_coding,
 )
+from .lagrangian import common_isotropic_subspaces
 from .quadform import QuadraticForm
-from .splitting import DEFAULT_BUDGET
+from .splitting import DEFAULT_BUDGET, canonical_points
 
 
 @dataclass(frozen=True)
@@ -333,19 +342,6 @@ def center_matches_cover(pencil, samples=None):
 # -- common zeros and function-field witnesses -------------------------
 
 
-def _canonical_vectors(field, n):
-    """Nonzero vectors with first nonzero coordinate 1, one per
-    projective point, in a fixed enumeration order."""
-    elems = list(field.elements())
-    zero, one = field.zero(), field.one()
-    out = []
-    for lead in range(n):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=n - lead - 1):
-            out.append(head + tail)
-    return out
-
-
 def common_isotropic_vector(q1, q2, budget=DEFAULT_BUDGET):
     """First common nonzero zero of both forms, or None.
 
@@ -357,10 +353,8 @@ def common_isotropic_vector(q1, q2, budget=DEFAULT_BUDGET):
         raise ValueError("forms must share a field and a rank")
     field, n = q1.field, q1.n
     if field.size() is not None:
-        for v in _canonical_vectors(field, n):
-            if not q1.evaluate(v) and not q2.evaluate(v):
-                return v
-        return None
+        return next((v for v in canonical_points(field, n)
+                     if not q1.evaluate(v) and not q2.evaluate(v)), None)
     if field.kind != "rationals":
         raise ValueError("common-zero search supports finite fields and Q")
     from fractions import Fraction
@@ -401,23 +395,6 @@ def _int_polar(q):
              for j in range(n)] for i in range(n)]
 
 
-def _q_val(c, v, p):
-    acc = 0
-    for i, vi in enumerate(v):
-        if vi:
-            row = c[i]
-            acc += vi * (row[i] * vi + sum(row[j] * v[j] for j in range(i + 1, len(v))))
-    return acc % p
-
-
-def _b_val(b, u, v, p):
-    acc = 0
-    for i, ui in enumerate(u):
-        if ui:
-            acc += ui * sum(b[i][j] * v[j] for j in range(len(v)))
-    return acc % p
-
-
 def _int_forms(q1, q2):
     """(coefficient matrix, polar matrix, shift) of q1 and q2 as int64
     arrays, the shift being the power of x that multiplies the form in
@@ -426,17 +403,6 @@ def _int_forms(q1, q2):
     return tuple((np.array(_int_form(q), dtype=np.int64),
                   np.array(_int_polar(q), dtype=np.int64), shift)
                  for q, shift in ((q1, 1), (q2, 0)))
-
-
-def _point_table(p, n):
-    """Every vector of F_p^n whose first nonzero coordinate is 1, one per
-    projective point, as the rows of an int64 array in lexicographic
-    order."""
-    import numpy as np
-    pts = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
-    nonzero = pts != 0
-    lead = nonzero.argmax(axis=1)
-    return pts[nonzero.any(axis=1) & (pts[np.arange(len(pts)), lead] == 1)]
 
 
 def _bilinear(u, m, v):
@@ -586,7 +552,8 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
         raise ValueError("witness search kept to rank <= 5")
     p = field.p
     forms = _int_forms(q1, q2)
-    pts = _point_table(p, n)
+    tc = table_coding(field)
+    pts = np.concatenate([tc.points(n, lead) for lead in reversed(range(n))]).astype(np.int64)
     heads = pts[_bilinear(pts, forms[1][0], pts) % p == 0]
 
     common = np.flatnonzero(_bilinear(heads, forms[0][0], heads) % p == 0)
@@ -635,11 +602,10 @@ def amer_brumer_check(q1, q2, max_degree=3):
         raise ValueError("rank capped at 5")
     p = field.p
     (c1, _, _), (c2, b2, _) = _int_forms(q1, q2)
-    pts = _point_table(p, n)
+    tc = table_coding(field)
+    pts = np.concatenate([tc.points(n, lead) for lead in range(n)]).astype(np.int64)
     on_q2 = _bilinear(pts, c2, pts) % p == 0
     zeros = pts[on_q2 & (_bilinear(pts, c1, pts) % p == 0)]
-    # the order of _canonical_vectors: by lead index, then lexicographic
-    zeros = zeros[np.argsort((zeros != 0).argmax(axis=1), kind="stable")]
     witness, leaves = pencil_isotropy_witness(q1, q2, max_degree)
 
     if len(zeros) and witness is None:
@@ -747,52 +713,35 @@ def common_isotropic_plane_rank6(q1, q2):
     forms, over a small prime field.
 
     Planes are enumerated once each through their reduced row echelon
-    basis; the count is checked against the Gaussian binomial.  A found
-    plane is a line in every member quadric, which trivializes the even
-    Clifford class of the pencil.
+    basis (u, v), u with pivot pa and zero in the pivot pb > pa of v; the
+    number of such bases is checked against the Gaussian binomial.  The
+    common isotropic planes are one growth step of
+    lagrangian.common_isotropic_subspaces over both forms, and the one
+    returned is the first by (pa, pb), then u, then v, each in
+    lexicographic order.  A found plane is a line in every member
+    quadric, which trivializes the even Clifford class of the pencil.
     """
     if q1.field is not q2.field or q1.n != 6 or q2.n != 6:
         raise ValueError("plane search needs two rank-6 forms over one field")
     field = q1.field
     if not isinstance(field, PrimeField) or field.p > 5:
         raise ValueError("plane search runs over prime fields with p <= 5")
-    p = field.p
-    c1, c2 = _int_form(q1), _int_form(q2)
-    b1, b2 = _int_polar(q1), _int_polar(q2)
-    elems = list(range(p))
-    count = 0
-    hit = None
-    for pa in range(6):
-        for pb in range(pa + 1, 6):
-            free_a = [j for j in range(pa + 1, 6) if j != pb]
-            free_b = [j for j in range(pb + 1, 6)]
-            for ta in itertools.product(elems, repeat=len(free_a)):
-                u = [0] * 6
-                u[pa] = 1
-                for j, val in zip(free_a, ta):
-                    u[j] = val
-                u = tuple(u)
-                qu1 = _q_val(c1, u, p)
-                qu2 = _q_val(c2, u, p)
-                for tb in itertools.product(elems, repeat=len(free_b)):
-                    v = [0] * 6
-                    v[pb] = 1
-                    for j, val in zip(free_b, tb):
-                        v[j] = val
-                    v = tuple(v)
-                    count += 1
-                    if hit is None and qu1 == 0 and qu2 == 0 \
-                            and _q_val(c1, v, p) == 0 and _q_val(c2, v, p) == 0 \
-                            and _b_val(b1, u, v, p) == 0 and _b_val(b2, u, v, p) == 0:
-                        hit = (u, v)
-    expected = gaussian_binomial(6, 2, p)
+    tc = table_coding(field)
+    tables = [tc.points(6, lead) for lead in range(6)]
+    count = sum(int((tables[pa][:, pb] == 0).sum()) * len(tables[pb])
+                for pa in range(6) for pb in range(pa + 1, 6))
+    expected = gaussian_binomial(6, 2, field.p)
     if count != expected:
         raise InvariantViolation(
             "plane-enumeration",
             "visited %d planes, Gaussian binomial says %d" % (count, expected))
-    if hit is not None:
-        fu = tuple(field.from_int(a) for a in hit[0])
-        fv = tuple(field.from_int(a) for a in hit[1])
+    level = common_isotropic_subspaces([q1, q2], 1)
+    hit = None
+    if level:
+        # a stack's first row has its least pa, so the first plane is the
+        # first row of the stack with the least (pa, pb)
+        pb = min(level, key=lambda pb: (int((level[pb][0, 0] != 0).argmax()), pb))
+        fu, fv = tc.decode(level[pb][0])
         for q in (q1, q2):
             if q.evaluate(fu) or q.evaluate(fv) or q.polar(fu, fv):
                 raise InvariantViolation("plane-witness", "claimed plane fails")

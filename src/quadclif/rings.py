@@ -18,8 +18,10 @@ Two numpy codings serve the batched layers.  ArrayCoding puts field
 elements into arrays for exact fraction-free elimination (coded_rref,
 coded_kernel) over any field.  TableCoding codes the elements of a
 field with at most 25 elements, F_p or F_{p^2}, as ints 0..q-1 with
-add/mul/neg/inv tables built once per context, and evaluates forms and
-eliminates whole stacks of matrices by table lookups.
+add/mul/neg/inv tables built once per context from the field's own
+arithmetic.  It evaluates forms and eliminates whole stacks of matrices
+by table lookups, and its points() is the one batched table of
+projective points that the finite-field searches walk.
 """
 
 from __future__ import annotations
@@ -82,25 +84,6 @@ class FieldContext:
 
     def __repr__(self):
         return self.label()
-
-    def small_tables(self):
-        """(elements, index map, add table, mul table) for finite fields.
-
-        Tables are nested tuples indexed by element position in
-        elements(); hot enumeration loops run on these int indices
-        instead of wrapped elements.  Cached per context.
-        """
-        if self.size() is None:
-            raise TypeError("tables need a finite field")
-        cached = getattr(self, "_tables", None)
-        if cached is None:
-            elems = list(self.elements())
-            index = {e: i for i, e in enumerate(elems)}
-            add = tuple(tuple(index[a + b] for b in elems) for a in elems)
-            mul = tuple(tuple(index[a * b] for b in elems) for a in elems)
-            cached = (elems, index, add, mul)
-            self._tables = cached
-        return cached
 
 
 class Rationals(FieldContext):
@@ -1519,16 +1502,37 @@ class TableCoding:
 
         if field.size() is None or field.size() > 25:
             raise ValueError("table coding needs a field of at most 25 elements")
-        elems, index, add, mul = field.small_tables()
+        elems = list(field.elements())
+        index = {e: i for i, e in enumerate(elems)}
         one = field.one()
         self.elems = elems
         self.index = index
         self.size = len(elems)
         self.one = index[one]
-        self._add = np.array(add, dtype=np.int16).ravel()
-        self._mul = np.array(mul, dtype=np.int16).ravel()
+        self._add = np.array([[index[a + b] for b in elems] for a in elems],
+                             dtype=np.int16).ravel()
+        self._mul = np.array([[index[a * b] for b in elems] for a in elems],
+                             dtype=np.int16).ravel()
         self.neg = np.array([index[-e] for e in elems], dtype=np.int16)
         self.inv = np.array([index[one / e] if e else 0 for e in elems], dtype=np.int16)
+
+    def points(self, n, lead):
+        """Codes of the vectors of length n that are zero before lead and
+        one at lead, tails in lexicographic code order: one row per
+        projective point with that leading column.  The tables by
+        ascending lead give the canonical order (first nonzero
+        coordinate 1, then lexicographic), by descending lead the plain
+        lexicographic order; over F_p the codes are the residues."""
+        import numpy as np
+
+        count = self.size ** (n - lead - 1)
+        pts = np.zeros((count, n), dtype=np.int16)
+        pts[:, lead] = self.one
+        tails = np.arange(count)
+        for j in range(n - 1, lead, -1):
+            pts[:, j] = tails % self.size
+            tails //= self.size
+        return pts
 
     def code(self, rows):
         """int16 array of codes of a (nested) sequence of field elements."""

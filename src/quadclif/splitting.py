@@ -4,7 +4,10 @@ The search for isotropic vectors is exact and deterministic:
 
 * finite fields: exhaustive projective enumeration (first nonzero
   coordinate normalized to 1, lexicographic in the field's element
-  order), so returning None is a proof of anisotropy;
+  order), so returning None is a proof of anisotropy.  canonical_points
+  walks the points lazily on wrapped elements, so it runs over any
+  finite field, and pencil.common_isotropic_vector walks the same
+  order;
 * the rationals: integer vectors swept by increasing height (maximum
   absolute coordinate), primitive and sign-normalized, up to a height
   budget, so None is merely inconclusive.
@@ -54,12 +57,7 @@ def search_is_exhaustive(field):
 
 
 # ---------------------------------------------------------------------------
-# fast evaluation models
-
-
-def _prime_int_rows(q):
-    p = q.field.p
-    return [[q.c[i][j].v if j >= i else 0 for j in range(q.n)] for i in range(q.n)], p
+# integer evaluation over Q
 
 
 def _rational_int_rows(q):
@@ -89,6 +87,20 @@ def _eval_int_rows(rows, v, n):
 # isotropic vector search
 
 
+def canonical_points(field, n):
+    """The nonzero vectors of F_q^n with first nonzero coordinate 1, one
+    per projective point, lazily, in the canonical order: by the index
+    of that coordinate, then lexicographic in the order of
+    field.elements().  A search that stops early builds only the points
+    it visited."""
+    elems = field.elements()
+    zero, one = field.zero(), field.one()
+    for lead in range(n):
+        head = (zero,) * lead + (one,)
+        for tail in itertools.product(elems, repeat=n - lead - 1):
+            yield head + tail
+
+
 def find_isotropic(q, budget=DEFAULT_BUDGET):
     """First nonzero vector with q(v) = 0 in the canonical order, or None.
 
@@ -96,45 +108,10 @@ def find_isotropic(q, budget=DEFAULT_BUDGET):
     """
     kind = q.field.kind
     if kind in ("prime", "extension"):
-        return _find_isotropic_finite(q)
+        return next((v for v in canonical_points(q.field, q.n) if not q.evaluate(v)), None)
     if kind == "rationals":
         return _find_isotropic_rational(q, budget)
     raise ValueError("no isotropy search over %s" % q.field.label())
-
-
-def _find_isotropic_finite(q):
-    field = q.field
-    n = q.n
-    if field.kind == "prime":
-        rows, p = _prime_int_rows(q)
-        for lead in range(n):
-            tail_len = n - lead - 1
-            for tail in itertools.product(range(p), repeat=tail_len):
-                v = (0,) * lead + (1,) + tail
-                if _eval_int_rows(rows, v, n) % p == 0:
-                    return tuple(field.from_int(c) for c in v)
-        return None
-    elems, index, add, mul = field.small_tables()
-    zero_i = index[field.zero()]
-    one_i = index[field.one()]
-    size = len(elems)
-    rows = [[index[q.c[i][j]] for j in range(n)] for i in range(n)]
-    for lead in range(n):
-        tail_len = n - lead - 1
-        for tail in itertools.product(range(size), repeat=tail_len):
-            v = (zero_i,) * lead + (one_i,) + tail
-            acc = zero_i
-            for i in range(n):
-                vi = v[i]
-                if vi != zero_i:
-                    row = rows[i]
-                    for j in range(i, n):
-                        c = row[j]
-                        if c != zero_i and v[j] != zero_i:
-                            acc = add[acc][mul[vi][mul[c][v[j]]]]
-            if acc == zero_i:
-                return tuple(elems[c] for c in v)
-    return None
 
 
 def _find_isotropic_rational(q, budget):

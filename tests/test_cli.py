@@ -256,3 +256,15 @@ def test_selftest_human_output_has_timings():
     code, out, err = run_cli(["selftest", "--check", "c03-hyperbolic-fibers"])
     assert code == 0
     assert "timings:" in out and "1 passed, 0 failed" in out
+
+
+def test_simple_fourfold_without_a_line_is_refused(monkeypatch):
+    # the default fourfold pencil is simple over F3, so a plane search
+    # that finds nothing falsifies Lang's theorem on its Fano lines
+    import quadclif.cli as cli_mod
+    from quadclif.pencil import PlaneSearchReport
+    monkeypatch.setattr(cli_mod, "common_isotropic_plane_rank6",
+                        lambda q1, q2: PlaneSearchReport(None, 11011, False))
+    code, out, err = run_cli(["pencil", "--scenario", "fourfold", "--format", "machine"])
+    assert code == 3 and not out
+    assert "fano-lines" in err

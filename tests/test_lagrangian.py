@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadclif import lagrangian
-from quadclif.rings import InvariantViolation, PrimeField, quadratic_extension
+from quadclif.rings import InvariantViolation, PrimeField, quadratic_extension, table_coding
 from quadclif.quadform import QuadraticForm
 from quadclif.lagrangian import (
     enumerate_isotropic,
@@ -110,7 +110,7 @@ def test_enumeration_is_deterministic_and_rref():
 def test_enumeration_matches_brute_force(field, ranks):
     # every RREF basis filtered by q and b on wrapped elements, for each
     # dimension until none is left (the Witt index plus the radical)
-    index = field.small_tables()[1]
+    index = table_coding(field).index
     for n in ranks:
         for q in _seeded_forms(field, n, 3, seed=n):
             for k in range(1, n + 1):

@@ -337,7 +337,9 @@ def _loop_head_search(forms, p, head, d):
 def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
     import random
     import quadclif.pencil as pencil_mod
-    from quadclif.pencil import _bilinear, _point_table
+    import numpy as np
+    from quadclif.pencil import _bilinear
+    from quadclif.rings import table_coding
     # small leaf blocks, so that rows straddle block boundaries
     monkeypatch.setattr(pencil_mod, "_LEAF_BLOCK", 7)
     field = PrimeField(p)
@@ -345,7 +347,9 @@ def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
     for _ in range(6):
         q1, q2 = _random_form(rng, field, n), _random_form(rng, field, n)
         forms = _int_forms(q1, q2)
-        pts = _point_table(p, n)
+        # lexicographic order: the per-lead tables by descending lead
+        tc = table_coding(field)
+        pts = np.concatenate([tc.points(n, lead) for lead in reversed(range(n))]).astype(np.int64)
         for head in pts[_bilinear(pts, forms[1][0], pts) % p == 0][:3]:
             vs, leaves = _head_search(forms, p, head, d)
             want, want_leaves = _loop_head_search(forms, p, head, d)
@@ -440,6 +444,11 @@ NO_PLANE_ROWS_1 = [[0, 2, 0, 0, 0, 2], [0, 2, 0, 0, 1, 2], [0, 0, 0, 1, 0, 0],
 NO_PLANE_ROWS_2 = [[0, 2, 1, 2, 2, 0], [0, 1, 1, 1, 0, 2], [0, 0, 2, 2, 0, 2],
                    [0, 0, 0, 0, 2, 2], [0, 0, 0, 0, 2, 2], [0, 0, 0, 0, 0, 2]]
 
+NO_PLANE_F2_ROWS_1 = [[1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1],
+                      [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
+NO_PLANE_F2_ROWS_2 = [[1, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0],
+                      [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1]]
+
 
 def test_plane_search_counts_the_grassmannian():
     rep = common_isotropic_plane_rank6(diag(F3, [1] * 6), diag(F3, [1, 2, 1, 2, 1, 2]))
@@ -464,6 +473,80 @@ def test_plane_search_reports_absence():
                                        QuadraticForm.of_ints(F3, NO_PLANE_ROWS_2))
     assert rep.plane is None and not rep.beta_trivial
     assert rep.candidates == 11011
+
+
+def _loop_plane_search(q1, q2):
+    """The nested loop the plane search replaced: every RREF basis (u, v)
+    by (pa, pb), then u, then v, lexicographic; the first common
+    isotropic plane and the number of bases visited."""
+    p = q1.field.p
+    c1, c2 = [[[e.v for e in row] for row in q.c] for q in (q1, q2)]
+
+    def q_val(c, v):
+        return sum(c[i][j] * v[i] * v[j] for i in range(6) for j in range(i, 6)) % p
+
+    def b_val(c, u, v):
+        return (q_val(c, [a + b for a, b in zip(u, v)]) - q_val(c, u) - q_val(c, v)) % p
+
+    count, hit = 0, None
+    for pa in range(6):
+        for pb in range(pa + 1, 6):
+            free_a = [j for j in range(pa + 1, 6) if j != pb]
+            for ta in itertools.product(range(p), repeat=len(free_a)):
+                u = [0] * 6
+                u[pa] = 1
+                for j, a in zip(free_a, ta):
+                    u[j] = a
+                u_zero = not q_val(c1, u) and not q_val(c2, u)
+                for tb in itertools.product(range(p), repeat=5 - pb):
+                    v = [0] * pb + [1] + list(tb)
+                    count += 1
+                    if hit is None and u_zero and not any(
+                            q_val(c, v) or b_val(c, u, v) for c in (c1, c2)):
+                        hit = (tuple(u), tuple(v))
+    return hit, count
+
+
+@pytest.mark.parametrize("p, pairs", [(2, 12), (3, 8), (5, 2)], ids=["F2", "F3", "F5"])
+def test_plane_search_matches_the_loop_version(p, pairs):
+    # random pairs, and random diagonal pairs, which often lack a plane
+    import random
+    field = PrimeField(p)
+    rng = random.Random(60 + p)
+    cases = [(_random_form(rng, field, 6), _random_form(rng, field, 6))
+             for _ in range(pairs)]
+    cases += [(diag(field, [rng.randrange(p) for _ in range(6)]),
+               diag(field, [rng.randrange(p) for _ in range(6)])) for _ in range(pairs)]
+    if p == 3:
+        cases.append((QuadraticForm.of_ints(F3, NO_PLANE_ROWS_1),
+                      QuadraticForm.of_ints(F3, NO_PLANE_ROWS_2)))
+    if p == 2:
+        cases.append((QuadraticForm.of_ints(F2, NO_PLANE_F2_ROWS_1),
+                      QuadraticForm.of_ints(F2, NO_PLANE_F2_ROWS_2)))
+    absent = 0
+    for q1, q2 in cases:
+        rep = common_isotropic_plane_rank6(q1, q2)
+        want, count = _loop_plane_search(q1, q2)
+        got = None if rep.plane is None else tuple(tuple(a.v for a in w) for w in rep.plane)
+        assert (got, rep.candidates) == (want, count)
+        absent += want is None
+    assert absent  # the corpus holds pairs without a plane
+
+
+def test_simple_rank6_pencils_have_a_line():
+    # Lang: the Fano variety of lines of the smooth threefold is a torsor
+    # under Jac(C), so it has an F_q-point, i.e. a common isotropic plane
+    import random
+    for p, want in ((3, 20), (5, 10)):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        found = 0
+        while found < want:
+            q1, q2 = _random_form(rng, field, 6), _random_form(rng, field, 6)
+            if not analyze(Pencil(q1, q2)).simple:
+                continue
+            found += 1
+            assert common_isotropic_plane_rank6(q1, q2).plane is not None
 
 
 def test_plane_search_gaussian_binomial_values():

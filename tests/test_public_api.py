@@ -1,10 +1,11 @@
-"""Every public function and method has a caller outside the test suite.
+"""Every function and method has a caller outside the test suite.
 
 The library surface is what the CLI, the acceptance battery, the
 scripts and the benchmark reach.  A public name that only tests call is
-dead weight: this guard walks `src/quadclif/*.py` with `ast` and asserts
-that each public top-level function and each public method (dunders
-excepted) is referenced somewhere in `src/quadclif`, `scripts/` or
+dead weight, and so is a private helper that nothing calls any more:
+this guard walks `src/quadclif/*.py` with `ast` and asserts that each
+top-level function and each method (dunders excepted), public or
+private, is referenced somewhere in `src/quadclif`, `scripts/` or
 `perfbench/` outside its own definition.
 
 Only real references count: a name read in code, an attribute read, an
@@ -29,7 +30,7 @@ ALLOWED = {"cli.jobspec_from_input"}
 DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 
 
-def _public_defs():
+def _defs():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
@@ -86,16 +87,30 @@ def _references():
     return out
 
 
-def test_every_public_name_has_a_non_test_caller():
+def _uncalled(private):
+    """Defs, public or private as asked, with no reference outside their
+    own body, dunders and ALLOWED excepted."""
     refs = _references()
     missing = []
-    for path, qualname, name in _public_defs():
-        if name.startswith("_") or "%s.%s" % (path.stem, qualname) in ALLOWED:
+    for path, qualname, name in _defs():
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if name.startswith("_") != private or "%s.%s" % (path.stem, qualname) in ALLOWED:
             continue
         if not any(n == name and not (p == path and owner == qualname)
                    for p, owner, n in refs):
             missing.append("%s.%s" % (path.stem, qualname))
+    return missing
+
+
+def test_every_public_name_has_a_non_test_caller():
+    missing = _uncalled(private=False)
     assert not missing, "public names with no caller outside tests: %s" % missing
+
+
+def test_every_private_helper_has_a_caller():
+    missing = _uncalled(private=True)
+    assert not missing, "private helpers with no caller outside tests: %s" % missing
 
 
 def test_a_field_or_a_twin_def_is_not_a_reference():

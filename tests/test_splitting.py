@@ -1,11 +1,14 @@
 """Isotropic vector search and hyperbolic reduction."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadclif.rings import QQ, PrimeField, quadratic_extension
+from quadclif.pencil import common_isotropic_vector
 from quadclif.quadform import QuadraticForm
 from quadclif.splitting import (
     DEFAULT_BUDGET,
@@ -217,3 +220,75 @@ def test_reduce_fully_rank1_leftover_is_conclusive():
     assert rep.witt_index == 1
     assert rep.anisotropic_form.n == 1
     assert rep.conclusive
+
+
+# --------------------------------------------- canonical point searches
+
+
+def _brute_first(field, n, *forms):
+    """The first common zero of forms among all of F^n, by sorting every
+    normalized zero on (leading column, element positions)."""
+    elems = field.elements()
+    pos = {e: i for i, e in enumerate(elems)}
+    zeros = []
+    for v in itertools.product(elems, repeat=n):
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None or v[lead] != field.one():
+            continue
+        if not any(q.evaluate(v) for q in forms):
+            zeros.append((lead, [pos[a] for a in v], v))
+    return min(zeros, key=lambda z: z[:2])[2] if zeros else None
+
+
+def _random_upper(rng, field, n):
+    elems = field.elements()
+    return QuadraticForm(field, [[rng.choice(elems) if j >= i and rng.random() < 0.7
+                                  else field.zero() for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("field, ranks", [
+    (F2, (1, 2, 3, 4)), (F3, (1, 2, 3, 4)), (F5, (1, 2, 3)),
+    (quadratic_extension(F3), (1, 2, 3)), (quadratic_extension(F5), (1, 2)),
+    (PrimeField(31), (2, 3)), (quadratic_extension(PrimeField(7)), (1, 2)),
+], ids=["F2", "F3", "F5", "F9", "F25", "F31", "F49"])
+def test_point_searches_match_brute_force(field, ranks):
+    rng = random.Random(field.size())
+    for n in ranks:
+        for _ in range(4 if n < 3 else 2):
+            q1, q2 = _random_upper(rng, field, n), _random_upper(rng, field, n)
+            assert find_isotropic(q1) == _brute_first(field, n, q1)
+            assert common_isotropic_vector(q1, q2) == _brute_first(field, n, q1, q2)
+    # anisotropic over every finite field: x^2 - a y^2, a a nonsquare
+    if field.characteristic != 2:
+        a = next(e for e in field.elements() if not field.is_square(e))
+        q = QuadraticForm.diagonal(field, [field.one(), -a])
+        assert find_isotropic(q) is None and _brute_first(field, 2, q) is None
+
+
+def test_point_search_past_the_prime_table_bound():
+    p = 65521
+    F = PrimeField(p)
+    q = QuadraticForm.diagonal(F, [1, 1, 1])
+    # (1, 0, c) come first, so the answer is the least root of c^2 = -1
+    assert min(c for c in range(p) if (1 + c * c) % p == 0) == 24297
+    assert find_isotropic(q) == ints(F, [1, 0, 24297])
+    assert common_isotropic_vector(q, QuadraticForm.diagonal(F, [0, 1, 0])) \
+        == ints(F, [1, 0, 24297])
+
+
+# ---------------------------------------------------------- base change
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(min_value=1, max_value=5), st.data())
+def test_base_change_to_the_quadratic_extension(p, n, data):
+    # the Witt index cannot drop along F_p -> F_{p^2}, and every element
+    # of F_p, the discriminant included, becomes a square there
+    F = PrimeField(p)
+    rows = [[data.draw(st.integers(0, p - 1)) if j >= i else 0 for j in range(n)]
+            for i in range(n)]
+    q = QuadraticForm.of_ints(F, rows)
+    E = quadratic_extension(F)
+    qe = q.map_field(E, E.embed)
+    assert reduce_fully(qe).witt_index >= reduce_fully(q).witt_index
+    assert E.is_square(E.embed(q.discriminant()))
