@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .rings import InvariantViolation, Matrix, scalar_str
+from .rings import ArrayCoding, InvariantViolation, Matrix, coded_rref, scalar_str
 
 # fault injection hook for the self-test machinery: when set to
 # "clifford-mul", freshly built even Clifford algebras get one corrupted
@@ -151,28 +151,14 @@ class StructuredAlgebra:
             rng = random.Random(seed)
             triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
                        for _ in range(samples))
-        # structure constants recoded as Python ints where the field allows
-        # (residues over F_p, integral rationals over Q): an injective ring
-        # map, so a triple fails here exactly when it fails in the field
-        field = self.field
-        if field.kind == "prime":
-            p = field.p
+        # structure constants recoded by ArrayCoding (residues over F_p,
+        # integral rationals over Q as Python ints): an injective ring map,
+        # so a triple fails here exactly when it fails in the field
+        coding = ArrayCoding(self.field)
+        code, reduce = coding.code, coding.reduce
 
-            def code(c):
-                return c.v
-
-            def clean(acc):
-                return {w: c % p for w, c in acc.items() if c % p}
-        else:
-            if field.kind == "rationals":
-                def code(c):
-                    return c.numerator if c.denominator == 1 else c
-            else:
-                def code(c):
-                    return c
-
-            def clean(acc):
-                return {w: c for w, c in acc.items() if c}
+        def clean(acc):
+            return {w: r for w, c in acc.items() if (r := reduce(c))}
         coded = {}
 
         def row(i, j):
@@ -192,7 +178,8 @@ class StructuredAlgebra:
                 for w, cw in row(i, v):
                     s = right.get(w)
                     right[w] = cw * cv if s is None else s + cw * cv
-            if clean(left) != clean(right):
+            # codes equal before reduction are equal after it
+            if left != right and clean(left) != clean(right):
                 raise InvariantViolation(
                     "algebra-associativity",
                     "(%s %s) %s != %s (%s %s)"
@@ -655,35 +642,29 @@ def algebra_on_subspace(parent, basis_elems):
 
     basis_elems are dense tuples over parent.field, independent, with
     the unit of the new algebra first.  Products are computed upstairs,
-    then re-expanded in the given basis; failure to close raises.
+    then re-expanded in the given basis; failure to close raises.  The
+    basis B is eliminated once: [B | I] reduces to [R | T] with R = T B,
+    so a vector v in the span has R-coordinates y = v at R's pivot
+    columns, v = y R, and B-coordinates y T.
     """
-    m = len(basis_elems)
-    cols = Matrix(parent.field, [[be[i] for be in basis_elems] for i in range(parent.dim)])
+    m, dim = len(basis_elems), parent.dim
+    field = parent.field
+    z, o = field.zero(), field.one()
+    coding = ArrayCoding(field)
+    red, pivots = coded_rref(coding, coding.array(
+        [list(be) + [o if k == i else z for k in range(m)] for i, be in enumerate(basis_elems)]))
+    span, to_basis = red[:, :dim], red[:, dim:]
 
     def mul_fn(i, j):
-        prod = parent.mul_dense(basis_elems[i], basis_elems[j])
-        coords = cols.solve(prod)
-        if coords is None:
+        prod = coding.array(parent.mul_dense(basis_elems[i], basis_elems[j]))
+        y = prod[pivots]
+        if not coding.equal(prod, y @ span):
             raise InvariantViolation("subalgebra-closure",
                                      "product of basis elements %d, %d escapes the span" % (i, j))
-        return {k: c for k, c in enumerate(coords) if c}
+        coords = coding.reduce(y @ to_basis)
+        return {k: coding.decode(c) for k, c in enumerate(coords) if c}
 
-    return StructuredAlgebra(parent.field, m, mul_fn)
-
-
-def _greedy_independent(field, candidates):
-    """Greedy basis extraction, deterministic in candidate order."""
-    chosen = []
-    rows = []
-    rank = 0
-    for v in candidates:
-        trial = rows + [list(v)]
-        r = Matrix(field, trial).rank()
-        if r > rank:
-            chosen.append(v)
-            rows = trial
-            rank = r
-    return chosen
+    return StructuredAlgebra(field, m, mul_fn)
 
 
 def split_fibers(algebra, report):
@@ -699,10 +680,12 @@ def split_fibers(algebra, report):
     fibers = []
     for e in report.idempotents:
         ed = algebra.dense(e)
-        cands = [algebra.mul_dense(algebra.mul_dense(ed, algebra.dense({k: one})), ed)
-                 for k in range(algebra.dim)]
-        basis = _greedy_independent(algebra.field, [ed] + cands)
-        fibers.append(algebra_on_subspace(algebra, basis))
+        cands = [ed] + [algebra.mul_dense(algebra.mul_dense(ed, algebra.dense({k: one})), ed)
+                        for k in range(algebra.dim)]
+        # the basis is the candidates at the pivot columns of the matrix
+        # whose columns they are: each is independent of those before it
+        _, pivots = Matrix(algebra.field, list(zip(*cands))).rref()
+        fibers.append(algebra_on_subspace(algebra, [cands[c] for c in pivots]))
     return fibers
 
 

@@ -36,7 +36,8 @@ algebra.  Each of them preserves the Z/2 grading of P (checked at run
 time, InvariantViolation "module-grading"), so the commuting condition
 splits into one independent linear system per parity block of X, each
 with a quarter of the unknowns, stacked from Kronecker products and
-solved by the one exact elimination of rings.coded_rref.  Merged by
+solved by rings.coded_kernel on the package's one single-matrix
+elimination, rings.coded_rref.  Merged by
 free position, the block kernels give exactly the reduced echelon
 kernel basis of the full system, so the End basis does not depend on
 the splitting.

@@ -15,7 +15,7 @@ entries are b(w_i, w_j).
 
 from __future__ import annotations
 
-from .rings import Matrix
+from .rings import Matrix, _dot
 
 
 class QuadraticForm:
@@ -117,7 +117,7 @@ class QuadraticForm:
         B = self.polar_matrix()
         for i in range(self.n):
             if u[i]:
-                acc = acc + u[i] * _row_dot(B.rows[i], v, self.field)
+                acc = acc + u[i] * _dot(B.rows[i], v, self.field)
         return acc
 
     # -- restriction and radical ---------------------------------------
@@ -201,10 +201,3 @@ def _std_vector(field, n, j):
 def _std_basis(field, n):
     return [_std_vector(field, n, j) for j in range(n)]
 
-
-def _row_dot(row, v, field):
-    acc = field.zero()
-    for a, b in zip(row, v):
-        if a and b:
-            acc = acc + a * b
-    return acc

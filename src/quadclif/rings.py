@@ -11,17 +11,19 @@ carry no mutable state beyond caches, and are safe to share.
 Polynomials store coefficients lowest degree first with trailing zeros
 stripped; the zero polynomial has degree -1, a sentinel rather than a
 valid exponent.  Matrices are immutable row tuples over a fixed field.
-Elimination always takes the first nonzero pivot candidate, so ranks,
-kernels, and every witness derived from them are deterministic.
 
-Two numpy codings serve the batched layers.  ArrayCoding puts field
-elements into arrays for exact fraction-free elimination (coded_rref,
-coded_kernel) over any field.  TableCoding codes the elements of a
-field with at most 25 elements, F_p or F_{p^2}, as ints 0..q-1 with
-add/mul/neg/inv tables built once per context from the field's own
-arithmetic.  It evaluates forms and eliminates whole stacks of matrices
-by table lookups, and its points() is the one batched table of
-projective points that the finite-field searches walk.
+Two numpy codings carry the linear algebra.  ArrayCoding puts field
+elements into arrays for exact fraction-free elimination over any
+field.  coded_rref is the one single-matrix elimination: it always
+takes the first nonzero pivot candidate, so ranks, kernels, and every
+witness derived from them are deterministic, and Matrix's rref, rank,
+kernel_basis and solve decode its result (Matrix.det keeps its own
+elimination).  TableCoding codes the elements of a field with at most
+25 elements, F_p or F_{p^2}, as ints 0..q-1 with add/mul/neg/inv tables
+built once per context from the field's own arithmetic.  It evaluates
+forms and eliminates whole stacks of matrices by table lookups, and its
+points() is the one batched table of projective points that the
+finite-field searches walk.
 """
 
 from __future__ import annotations
@@ -1241,64 +1243,38 @@ class Matrix:
                         m[r][c] = m[r][c] - f * m[col][c]
         return det
 
+    def _coded(self):
+        """(ArrayCoding of the field, the coded matrix)."""
+        coding = ArrayCoding(self.field)
+        return coding, coding.array(self.rows) if self.rows else coding.zeros((0, 0))
+
     def rref(self):
-        """(reduced row echelon matrix, pivot column tuple)."""
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for col in range(nc):
-            if r == nr:
-                break
-            pr = None
-            for i in range(r, nr):
-                if m[i][col]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = self.field.one() / m[r][col]
-            m[r] = [inv * a for a in m[r]]
-            for i in range(nr):
-                if i != r and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-        return Matrix(self.field, m), tuple(pivots)
+        """(reduced row echelon matrix, pivot column tuple), decoded from
+        coded_rref; the rows past the rank are zero."""
+        coding, a = self._coded()
+        red, pivots = coded_rref(coding, a)
+        rows = [[coding.decode(x) for x in row] for row in red]
+        rows += [[self.field.zero()] * self.ncols] * (self.nrows - len(rows))
+        return Matrix(self.field, rows), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(coded_rref(*self._coded())[1])
 
     def kernel_basis(self):
         """Deterministic kernel basis: one vector per free column, ascending."""
-        red, pivots = self.rref()
-        nc = self.ncols
-        pivot_set = set(pivots)
-        basis = []
-        z, o = self.field.zero(), self.field.one()
-        for free in range(nc):
-            if free in pivot_set:
-                continue
-            v = [z] * nc
-            v[free] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][free]
-            basis.append(tuple(v))
-        return basis
+        coding, a = self._coded()
+        return [tuple(coding.decode(x) for x in v) for v in coded_kernel(coding, a)[1]]
 
     def solve(self, b):
         """A solution of self @ x = b, or None; free variables set to zero."""
-        aug = Matrix(self.field, [list(r) + [bv] for r, bv in zip(self.rows, b)])
-        red, pivots = aug.rref()
+        coding, a = Matrix(self.field, [r + (bv,) for r, bv in zip(self.rows, b)])._coded()
+        red, pivots = coded_rref(coding, a)
         nc = self.ncols
         if nc in pivots:
             return None
-        z = self.field.zero()
-        x = [z] * nc
+        x = [self.field.zero()] * nc
         for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][nc]
+            x[pc] = coding.decode(red[r, nc])
         return tuple(x)
 
     def __repr__(self):
@@ -1433,14 +1409,14 @@ class ArrayCoding:
 def coded_rref(coding, a):
     """(reduced row echelon rows, pivot columns) of a coded matrix.
 
-    The one exact elimination for every field.  Each pivot step updates
+    The one exact single-matrix elimination for every field; Matrix.rref,
+    rank, kernel_basis and solve decode its result.  Each pivot step updates
     every other row with a nonzero entry in the pivot column at once, as
     pivot * row - entry * pivot_row (fraction free), and the pivot rows
     are divided by their pivots at the end.  Over F_p rows are reduced
     mod p after each step; over Q they are first scaled to integers and
     then kept primitive, so entries stay small Python ints until the
-    final division.  The reduced echelon form of a matrix is unique, so
-    the result is the one Matrix.rref gives on the decoded matrix.
+    final division.
     """
     import numpy as np
 
@@ -1470,7 +1446,7 @@ def coded_kernel(coding, a):
     """(free columns, kernel basis) of a coded matrix with n columns.
 
     One basis vector per free column, in ascending order, with a 1 there
-    and 0 at the other free columns: the basis Matrix.kernel_basis gives.
+    and 0 at the other free columns: the reduced echelon kernel basis.
     """
     import numpy as np
 

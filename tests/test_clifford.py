@@ -8,6 +8,7 @@ import pytest
 from quadclif.clifford import (
     CenterReport,
     StructuredAlgebra,
+    algebra_on_subspace,
     center_basis,
     center_report,
     even_center_report,
@@ -20,7 +21,7 @@ from quadclif.clifford import (
     verify_orthogonal_sum,
 )
 from quadclif.quadform import QuadraticForm
-from quadclif.rings import QQ, InvariantViolation, PrimeField
+from quadclif.rings import QQ, InvariantViolation, PrimeField, quadratic_extension
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -263,6 +264,26 @@ def test_peirce_fibers_have_half_dimension():
     assert all(f.dim == 4 and is_central_simple(f) for f in fibers)
     with pytest.raises(ValueError):
         split_fibers(a, center_report(even_clifford(QuadraticForm.diagonal(F3, [1, 1]))))
+
+
+@pytest.mark.parametrize("field", [F3, QQ, quadratic_extension(F3)], ids=lambda f: f.label())
+def test_subspace_algebra_reads_coordinates_off_one_elimination(field):
+    # span{1, e12} is closed, since e12^2 is a scalar; in the basis
+    # (1, 2 e12 + 1) every product re-expands to itself upstairs, and
+    # adding e13 escapes the span (e12 e13 = -q(e1) e23)
+    a = even_clifford(QuadraticForm.diagonal(field, [1, 2, 1]))
+    one, two = field.one(), field.from_int(2)
+    e12, e13 = a.mask_index[0b011], a.mask_index[0b101]
+    basis = [a.dense({0: one}), a.dense({0: one, e12: two})]
+    sub = algebra_on_subspace(a, basis)
+    for i in range(2):
+        for j in range(2):
+            got = a.dense({})
+            for k, c in sub.mul_basis(i, j).items():
+                got = tuple(x + c * y for x, y in zip(got, basis[k]))
+            assert got == a.mul_dense(basis[i], basis[j])
+    with pytest.raises(InvariantViolation, match="subalgebra-closure"):
+        algebra_on_subspace(a, [a.dense({0: one}), a.dense({e12: one}), a.dense({e13: one})])
 
 
 def test_lazy_table_only_fills_what_is_used():

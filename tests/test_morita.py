@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gauss_jordan
 from quadclif import morita
-from quadclif.rings import QQ, InvariantViolation, Matrix, PrimeField, quadratic_extension
+from quadclif.rings import QQ, InvariantViolation, PrimeField, quadratic_extension
 from quadclif.quadform import QuadraticForm
 from quadclif.clifford import even_clifford, center_report
 from quadclif.morita import build_P, endomorphism_algebra, morita_witness
@@ -203,8 +204,8 @@ def test_witness_center_square_classes_match():
 
 
 def _full_kernel_basis(P):
-    """Matrix.kernel_basis of X M - M X = 0 for the action of every even
-    basis element, stacked via Kronecker products, X flattened row-major."""
+    """The reference Gauss-Jordan kernel of X M - M X = 0 for the action
+    of every even basis element, X flattened row-major."""
     field, dim = P.qp.field, P.dim
     z = field.zero()
     rows = []
@@ -218,7 +219,7 @@ def _full_kernel_basis(P):
                     row[k * dim + j] = row[k * dim + j] - m[i][k]
                 rows.append(row)
     return [tuple(tuple(v[i * dim:(i + 1) * dim]) for i in range(dim))
-            for v in Matrix(field, rows).kernel_basis()]
+            for v in gauss_jordan.kernel_basis(field, rows)]
 
 
 def _unit_first(field, ident, sols):
@@ -226,7 +227,7 @@ def _unit_first(field, ident, sols):
     flat = lambda m: [e for row in m for e in row]  # noqa: E731
     basis = [ident]
     for s in sols:
-        if Matrix(field, [flat(b) for b in basis + [s]]).rank() == len(basis) + 1:
+        if len(gauss_jordan.rref(field, [flat(b) for b in basis + [s]])[1]) == len(basis) + 1:
             basis.append(s)
     return basis
 

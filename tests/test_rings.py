@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import gauss_jordan
 from quadclif.rings import (
     QQ,
     ArrayCoding,
@@ -352,6 +353,11 @@ def test_solve_detects_inconsistency():
     m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     assert m.solve((Fraction(1), Fraction(3))) is None
     assert m.solve((Fraction(1), Fraction(2))) is not None
+    F9 = quadratic_extension(F3)
+    g, o = F9.gen(), F9.one()
+    m = Matrix(F9, [[o, g], [g, g * g]])  # the second row is g times the first
+    assert m.solve((o, o)) is None
+    assert m.solve((o, g)) == (o, F9.zero())
 
 
 def test_matrix_over_extension_field():
@@ -389,36 +395,67 @@ def _random_entry(rng, field):
     return rng.choice(list(field.elements()))
 
 
-@pytest.mark.parametrize("field", [F2, F3, F7, QQ, quadratic_extension(F3)],
+F49 = quadratic_extension(F7)  # beyond TableCoding: Matrix runs on object arrays
+
+
+@pytest.mark.parametrize("field", [F2, F3, F7, QQ, quadratic_extension(F3), F49],
                          ids=lambda f: f.label())
 def test_coded_elimination_matches_matrix(field):
-    # the coded elimination gives Matrix.rref's reduced echelon form and
-    # Matrix.kernel_basis's kernel, in the same order, on every field
+    # coded_rref, coded_kernel and the Matrix methods that decode them
+    # give the reference Gauss-Jordan echelon form and kernel, in the
+    # same order, on every field
     rng = random.Random(7)
     coding = ArrayCoding(field)
     for _ in range(12):
         nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
         rows = _random_rows(rng, field, nrows, ncols) if nrows else []
-        m = Matrix(field, rows) if rows else None
+        want_red, want_pivots = gauss_jordan.rref(field, rows, ncols)
+        want_kernel = gauss_jordan.kernel_basis(field, rows, ncols)
         coded = coding.array(rows) if rows else coding.zeros((0, ncols))
         red, pivots = coded_rref(coding, coded)
         free, kernel = coded_kernel(coding, coded)
-        if m is None:
-            assert pivots == [] and free == list(range(ncols))
-            continue
-        want_red, want_pivots = m.rref()
         assert tuple(pivots) == want_pivots
-        assert [[coding.decode(x) for x in row] for row in red] == \
-            [list(r) for r in want_red.rows[:len(pivots)]]
-        assert [tuple(coding.decode(x) for x in v) for v in kernel] == m.kernel_basis()
+        assert free == [c for c in range(ncols) if c not in want_pivots]
+        assert [tuple(coding.decode(x) for x in row) for row in red] == want_red[:len(pivots)]
+        assert [tuple(coding.decode(x) for x in v) for v in kernel] == want_kernel
         assert all(type(coding.decode(x)) is type(field.one()) for v in kernel for x in v)
+        if not rows:
+            continue
+        m = Matrix(field, rows)
+        assert m.rref() == (Matrix(field, want_red), want_pivots)
+        assert m.rank() == len(want_pivots)
+        assert m.kernel_basis() == want_kernel
+        assert all(type(x) is type(field.one()) for row in m.rref()[0].rows for x in row)
+
+
+@pytest.mark.parametrize("field", [F3, QQ, F49], ids=lambda f: f.label())
+def test_matrix_rref_edge_shapes(field):
+    # no rows, no columns, all zero, and zero rows padded below the rank
+    z, o = field.zero(), field.one()
+    empty = Matrix(field, [])
+    assert empty.rref() == (empty, ())
+    assert empty.rank() == 0 and empty.kernel_basis() == [] and empty.solve(()) == ()
+    thin = Matrix(field, [[], [], []])
+    assert thin.rref() == (thin, ()) and thin.rank() == 0
+    assert thin.kernel_basis() == [] and thin.solve((z, z, z)) == ()
+    assert thin.solve((z, o, z)) is None
+    zero = Matrix(field, [[z] * 3] * 2)
+    assert zero.rref() == (zero, ())
+    assert zero.kernel_basis() == [(o, z, z), (z, o, z), (z, z, o)]
+    assert zero.solve((z, z)) == (z, z, z) and zero.solve((z, o)) is None
+    two = field.from_int(2)
+    m = Matrix(field, [[z, two, two], [z, o, o], [z, z, z], [z, o, two]])
+    red, pivots = m.rref()
+    assert pivots == (1, 2) and red.nrows == 4
+    assert red.rows == ((z, o, z), (z, z, o), (z, z, z), (z, z, z))
 
 
 @pytest.mark.parametrize("field", [F2, F5, quadratic_extension(F3), quadratic_extension(F5)],
                          ids=lambda f: f.label())
 def test_table_coding_matches_wrapped_arithmetic(field):
-    # one batched elimination over a stack gives Matrix.rref on each
-    # member, and form values agree with QuadraticForm.evaluate
+    # one batched elimination over a stack gives the reference
+    # Gauss-Jordan form of each member, and form values agree with
+    # QuadraticForm.evaluate
     from quadclif.quadform import QuadraticForm
 
     rng = random.Random(5)
@@ -438,8 +475,8 @@ def test_table_coding_matches_wrapped_arithmetic(field):
         stack = [_random_rows(rng, field, nrows, ncols) for _ in range(20)]
         red, rank = tc.rref(tc.code(stack))
         for rows, got, r in zip(stack, tc.decode(red), rank):
-            want, pivots = Matrix(field, rows).rref()
-            assert r == len(pivots) and got == want.rows
+            want, pivots = gauss_jordan.rref(field, rows)
+            assert r == len(pivots) and list(got) == want
     n = 4
     rows = [[rng.choice(elems) if j >= i else field.zero() for j in range(n)] for i in range(n)]
     q = QuadraticForm(field, rows)
