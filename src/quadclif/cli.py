@@ -172,16 +172,15 @@ def _parse_shape(val, pos):
     """One form shape: ('diag', list) | ('H', m) | ('zero', k) | ('rows', rows)."""
     if val.startswith("diag(") and val.endswith(")"):
         return ("diag", _parse_int_list(val[5:-1], pos))
-    if val.startswith("H(") and val.endswith(")"):
-        (m,) = _parse_int_list(val[2:-1], pos) or [0]
-        if m < 1:
-            raise CliInputError("H(m) needs m >= 1", pos)
-        return ("H", m)
-    if val.startswith("zero(") and val.endswith(")"):
-        (k,) = _parse_int_list(val[5:-1], pos)
-        if k < 1:
-            raise CliInputError("zero(k) needs k >= 1", pos)
-        return ("zero", k)
+    for kind, arg in (("H", "m"), ("zero", "k")):
+        if val.startswith(kind + "(") and val.endswith(")"):
+            vals = _parse_int_list(val[len(kind) + 1:-1], pos)
+            if len(vals) != 1:
+                raise CliInputError("%s(%s) takes one integer, got %d"
+                                    % (kind, arg, len(vals)), pos)
+            if vals[0] < 1:
+                raise CliInputError("%s(%s) needs %s >= 1" % (kind, arg, arg), pos)
+            return (kind, vals[0])
     if val.startswith("["):
         try:
             rows = ast.literal_eval(val)

@@ -4,6 +4,11 @@ An algebra here is a basis plus a multiplication rule on basis indices
 returning sparse dictionaries; the full table is filled lazily and
 memoized, so a 64-dimensional algebra only pays for the products a
 computation actually touches.  Basis element 0 is always the unit.
+The memoized table holds rings.ArrayCoding codes: residues over F_p,
+over Q a Python int when the value is integral and a Fraction
+otherwise, the element itself over other fields.  The construction,
+the associativity check, the center and the Morita certificate read the
+codes (mul_coded); mul_basis decodes them into field elements.
 
 The even Clifford algebra of a quadratic form q on k^n has one basis
 element per even-cardinality subset S of {1, ..., n}, encoded as a
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import random
 
-from .rings import ArrayCoding, InvariantViolation, Matrix, coded_rref, scalar_str
+from .rings import ArrayCoding, InvariantViolation, Matrix, coded_kernel, coded_rref, scalar_str
 
 # fault injection hook for the self-test machinery: when set to
 # "clifford-mul", freshly built even Clifford algebras get one corrupted
@@ -46,14 +51,18 @@ class StructuredAlgebra:
     """Finite-dimensional unital associative algebra over an exact field.
 
     Elements are sparse dicts {basis index: coefficient}.  The unit is
-    basis element 0 (checked at construction).
+    basis element 0 (checked at construction).  mul_fn(i, j) gives e_i e_j
+    as {k: x} with each x a sum of products of rings.ArrayCoding codes of
+    the field; mul_coded reduces it once and memoizes it, and mul_basis
+    decodes the memoized codes into field elements.
     """
 
-    def __init__(self, field, dim, mul_fn, labels=None, gen_indices=None,
+    def __init__(self, field, dim, mul_fn=None, labels=None, gen_indices=None,
                  check="auto", seed=0):
         if dim < 1:
             raise ValueError("an algebra needs at least the unit")
         self.field = field
+        self.coding = ArrayCoding(field)
         self.dim = dim
         self._mul_fn = mul_fn
         self._table = [[None] * dim for _ in range(dim)]
@@ -70,12 +79,25 @@ class StructuredAlgebra:
 
     # -- basic operations ----------------------------------------------
 
-    def mul_basis(self, i, j):
+    def _product(self, i, j):
+        """e_i e_j as {k: unreduced code}; subclasses compute it here."""
+        return self._mul_fn(i, j)
+
+    def mul_coded(self, i, j):
+        """e_i e_j as the memoized {k: code} of its nonzero coefficients."""
         out = self._table[i][j]
         if out is None:
-            out = self._mul_fn(i, j)
-            self._table[i][j] = out
+            # a sum of products of codes to its code: mod p over F_p, an
+            # int when integral over Q
+            coding = self.coding
+            canonical = coding.reduce if coding.p else coding.code
+            out = self._table[i][j] = {k: r for k, c in self._product(i, j).items()
+                                       if (r := canonical(c))}
         return out
+
+    def mul_basis(self, i, j):
+        decode = self.coding.decode
+        return {k: decode(c) for k, c in self.mul_coded(i, j).items()}
 
     def unit(self):
         return {0: self.field.one()}
@@ -118,9 +140,6 @@ class StructuredAlgebra:
             out[k] = c
         return tuple(out)
 
-    def sparse(self, v):
-        return {i: c for i, c in enumerate(v) if c}
-
     def mul_dense(self, xv, yv):
         x = {i: c for i, c in enumerate(xv) if c}
         y = {i: c for i, c in enumerate(yv) if c}
@@ -129,16 +148,20 @@ class StructuredAlgebra:
     # -- construction-time checks ---------------------------------------
 
     def _verify_unit(self):
-        one = self.field.one()
+        # 1 is the code of one in every coding, up to ==
         for j in range(self.dim):
-            if self.mul_basis(0, j) != {j: one} or self.mul_basis(j, 0) != {j: one}:
+            if self.mul_coded(0, j) != {j: 1} or self.mul_coded(j, 0) != {j: 1}:
                 raise InvariantViolation(
                     "algebra-unit",
                     "basis element 0 does not act as the unit on index %d" % j,
                 )
 
     def verify_associativity(self, seed=0, force_full=False, samples=256):
-        """(e_i e_j) e_k = e_i (e_j e_k), exhaustive or sampled by dimension."""
+        """(e_i e_j) e_k = e_i (e_j e_k), exhaustive or sampled by dimension.
+
+        Runs on the coded table: coding is an injective ring map, so a
+        triple fails here exactly when it fails in the field.
+        """
         d = self.dim
         if d <= 16 or force_full:
             triples = (
@@ -151,31 +174,20 @@ class StructuredAlgebra:
             rng = random.Random(seed)
             triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
                        for _ in range(samples))
-        # structure constants recoded by ArrayCoding (residues over F_p,
-        # integral rationals over Q as Python ints): an injective ring map,
-        # so a triple fails here exactly when it fails in the field
-        coding = ArrayCoding(self.field)
-        code, reduce = coding.code, coding.reduce
+        reduce, row = self.coding.reduce, self.mul_coded
 
         def clean(acc):
             return {w: r for w, c in acc.items() if (r := reduce(c))}
-        coded = {}
-
-        def row(i, j):
-            out = coded.get((i, j))
-            if out is None:
-                out = coded[i, j] = [(w, code(c)) for w, c in self.mul_basis(i, j).items()]
-            return out
 
         for i, j, k in triples:
             left = {}
-            for u, cu in row(i, j):
-                for w, cw in row(u, k):
+            for u, cu in row(i, j).items():
+                for w, cw in row(u, k).items():
                     s = left.get(w)
                     left[w] = cu * cw if s is None else s + cu * cw
             right = {}
-            for v, cv in row(j, k):
-                for w, cw in row(i, v):
+            for v, cv in row(j, k).items():
+                for w, cw in row(i, v).items():
                     s = right.get(w)
                     right[w] = cw * cv if s is None else s + cw * cv
             # codes equal before reduction are equal after it
@@ -225,25 +237,27 @@ class StructuredAlgebra:
 # Clifford construction by word rewriting
 
 
-def _generator_times(form, a, mask):
-    """Normal form of e_a * e_mask as a mask-keyed dict.
+def _generator_times(c, one, a, mask):
+    """Normal form of e_a * e_mask as a mask-keyed dict of codes.
 
-    With t the lowest index in the mask and rest the other indices,
-    e_a e_t = b(e_t, e_a) - e_t e_a for a > t, and every index in
-    e_a e_rest exceeds t, so prefixing e_t there needs no reordering.
+    c holds the codes of the form's coefficients (c[t][a] with t <= a),
+    one the code of 1.  With t the lowest index in the mask and rest the
+    other indices, e_a e_t = b(e_t, e_a) - e_t e_a for a > t, and every
+    index in e_a e_rest exceeds t, so prefixing e_t there needs no
+    reordering.
     """
     low = mask & -mask
     t = low.bit_length() - 1
     if not mask or a < t:
-        return {mask | 1 << a: form.field.one()}
+        return {mask | 1 << a: one}
     if a == t:
-        cc = form.coeff(a, a)
+        cc = c[a][a]
         return {mask ^ low: cc} if cc else {}
     rest = mask ^ low
-    cab = form.coeff(t, a)  # the polar value b(e_t, e_a)
+    cab = c[t][a]  # the polar value b(e_t, e_a)
     out = {rest: cab} if cab else {}
-    for m, c in _generator_times(form, a, rest).items():
-        out[m | low] = -c
+    for m, x in _generator_times(c, one, a, rest).items():
+        out[m | low] = -x
     return out
 
 
@@ -271,50 +285,52 @@ class CliffordAlgebra(StructuredAlgebra):
         self.form = form
         self.masks = list(masks)
         self.mask_index = {m: i for i, m in enumerate(self.masks)}
-        fault = _fault_target
-        field = form.field
-
-        def mul_fn(i, j):
-            # e_S e_T = e_s1 (... (e_sr (e_S' e_T))) where s1 < ... < sr are
-            # the fewest lowest indices of S leaving a basis mask S', so
-            # e_S' e_T is an earlier entry of the memoized table
-            s = self.masks[i]
-            if not s:
-                return {j: field.one()}
-            peeled = []
-            while not peeled or s not in self.mask_index:
-                low = s & -s
-                peeled.append(low.bit_length() - 1)
-                s ^= low
-            rest = self.mul_basis(self.mask_index[s], j)
-            out = {self.masks[k]: c for k, c in rest.items()}
-            for a in reversed(peeled):
-                nxt = {}
-                for m, c in out.items():
-                    for m2, c2 in _generator_times(form, a, m).items():
-                        prev = nxt.get(m2)
-                        nxt[m2] = c * c2 if prev is None else prev + c * c2
-                out = nxt
-            result = {}
-            for mask, c in out.items():
-                if not c:
-                    continue
-                k = self.mask_index.get(mask)
-                if k is None:
-                    raise InvariantViolation(
-                        "clifford-grading",
-                        "product of basis masks escaped the span",
-                    )
-                result[k] = c
-            if fault == "clifford-mul" and i == 1 and j == 1:
-                result[0] = result.get(0, field.zero()) + field.one()
-            return result
-
+        code = ArrayCoding(form.field).code
+        self._coeffs = [[code(x) for x in row] for row in form.c]
+        self._one = code(form.field.one())
+        self._fault = _fault_target == "clifford-mul"
         gen_indices = [i for i, m in enumerate(self.masks)
                        if bin(m).count("1") == gen_popcount]
-        super().__init__(field, len(self.masks), mul_fn,
+        super().__init__(form.field, len(self.masks),
                          labels=[_mask_label(m) for m in self.masks],
                          gen_indices=gen_indices, check=check, seed=seed)
+
+    def _product(self, i, j):
+        # e_S e_T = e_s1 (... (e_sr (e_S' e_T))) where s1 < ... < sr are
+        # the fewest lowest indices of S leaving a basis mask S', so
+        # e_S' e_T is an earlier entry of the memoized table
+        one = self._one
+        s = self.masks[i]
+        if not s:
+            return {j: one}
+        peeled = []
+        while not peeled or s not in self.mask_index:
+            low = s & -s
+            peeled.append(low.bit_length() - 1)
+            s ^= low
+        rest = self.mul_coded(self.mask_index[s], j)
+        out = {self.masks[k]: c for k, c in rest.items()}
+        for a in reversed(peeled):
+            nxt = {}
+            for m, c in out.items():
+                for m2, c2 in _generator_times(self._coeffs, one, a, m).items():
+                    prev = nxt.get(m2)
+                    nxt[m2] = c * c2 if prev is None else prev + c * c2
+            out = nxt
+        result = {}
+        for mask, c in out.items():
+            k = self.mask_index.get(mask)
+            if k is None:
+                if not self.coding.reduce(c):
+                    continue
+                raise InvariantViolation(
+                    "clifford-grading",
+                    "product of basis masks escaped the span",
+                )
+            result[k] = c
+        if self._fault and i == 1 and j == 1:
+            result[0] = result[0] + one if 0 in result else one
+        return result
 
     def mask_mul(self, mask_s, mask_t):
         """Product by masks instead of indices, as a mask-keyed dict."""
@@ -386,35 +402,39 @@ def center_basis(algebra):
 
     Works by intersecting the kernels of the commutator maps with the
     algebra's generators (the generating set is enough: commuting with
-    generators means commuting with everything they generate).
+    generators means commuting with everything they generate).  The
+    columns are sparse dicts of codes, each commutator map is solved by
+    rings.coded_kernel, and only the final basis is decoded.
     """
     d = algebra.dim
-    field = algebra.field
+    coding = algebra.coding
+    reduce, mul = coding.reduce, algebra.mul_coded
     gens = algebra.gen_indices if algebra.gen_indices is not None else list(range(d))
-    one = field.one()
-    cols = [algebra.dense({i: one}) for i in range(d)]
+    cols = [{i: 1} for i in range(d)]
     for g in gens:
         if len(cols) <= 1:
             break
-        comm_cols = []
-        for v in cols:
-            x = algebra.sparse(v)
-            gx = algebra.mul_elem({g: one}, x)
-            xg = algebra.mul_elem(x, {g: one})
-            comm_cols.append(algebra.dense(algebra.sub_elem(gx, xg)))
-        m = Matrix(field, [[col[i] for col in comm_cols] for i in range(d)])
-        kernel = m.kernel_basis()
+        comm = coding.zeros((d, len(cols)))
+        for c, col in enumerate(cols):
+            acc = {}
+            for u, x in col.items():
+                for w, y in mul(g, u).items():
+                    acc[w] = acc.get(w, 0) + x * y
+                for w, y in mul(u, g).items():
+                    acc[w] = acc.get(w, 0) - x * y
+            for w, v in acc.items():
+                comm[w, c] = reduce(v)
         new_cols = []
-        for alpha in kernel:
-            vec = [field.zero()] * d
-            for c, col in zip(alpha, cols):
-                if c:
-                    for i in range(d):
-                        if col[i]:
-                            vec[i] = vec[i] + c * col[i]
-            new_cols.append(tuple(vec))
+        for alpha in coded_kernel(coding, comm)[1].tolist():
+            acc = {}
+            for a, col in zip(alpha, cols):
+                if a:
+                    for i, x in col.items():
+                        acc[i] = acc.get(i, 0) + a * x
+            new_cols.append({i: r for i, v in acc.items() if (r := reduce(v))})
         cols = new_cols
-    return [algebra.sparse(v) for v in cols]
+    decode = coding.decode
+    return [{i: decode(x) for i, x in sorted(col.items())} for col in cols]
 
 
 class CenterReport:
@@ -566,12 +586,12 @@ def is_central_simple(algebra):
     """Exact test: trivial center plus semisimplicity.
 
     A nondegenerate trace form certifies semisimplicity in every
-    characteristic (nilpotents sit inside the trace radical), so it is
-    tried first.  A degenerate trace form is conclusive only in
-    characteristic zero or above the dimension; in small characteristic
-    the test falls back to solving for a separability idempotent, exact
-    in every characteristic but costing dim^2 unknowns (so capped at
-    dimension 16, which covers the fibers this package produces).
+    characteristic (nilpotents sit inside the trace radical).  A
+    degenerate trace form is conclusive only in characteristic zero or
+    above the dimension; otherwise the test raises NotImplementedError.
+    In characteristic not 2 the Peirce fibers of a split even Clifford
+    algebra are matrix algebras M_k with k a power of 2, whose trace form
+    k tr(xy) is nondegenerate, so the trace test decides them.
     """
     if len(center_basis(algebra)) != 1:
         return False
@@ -580,61 +600,10 @@ def is_central_simple(algebra):
     p = algebra.field.characteristic
     if p == 0 or p > algebra.dim:
         return False
-    if algebra.dim <= 16:
-        return _has_separability_idempotent(algebra)
     raise NotImplementedError(
         "trace form degenerate in characteristic %d at dimension %d; "
-        "no exact fallback at this size" % (p, algebra.dim)
+        "no exact test without it" % (p, algebra.dim)
     )
-
-
-def _has_separability_idempotent(algebra):
-    """Solvability of (a x 1) e = (1 x a) e, mu(e) = 1 in A tensor A^op."""
-    d = algebra.dim
-    field = algebra.field
-    z = field.zero()
-    gens = algebra.gen_indices if algebra.gen_indices is not None else list(range(d))
-    ncols = d * d
-    rows = []
-    rhs = []
-    for g in gens:
-        block = {}
-        for u in range(d):
-            gu = algebra.mul_basis(g, u)
-            for v in range(d):
-                col = u * d + v
-                for a, c in gu.items():
-                    key = (a, v)
-                    block.setdefault(key, {})[col] = block.get(key, {}).get(col, z) + c
-        for v in range(d):
-            vg = algebra.mul_basis(v, g)
-            for u in range(d):
-                col = u * d + v
-                for b, c in vg.items():
-                    key = (u, b)
-                    block.setdefault(key, {})[col] = block.get(key, {}).get(col, z) - c
-        for key in sorted(block):
-            entries = block[key]
-            row = [z] * ncols
-            live = False
-            for col, c in entries.items():
-                if c:
-                    row[col] = c
-                    live = True
-            if live:
-                rows.append(row)
-                rhs.append(z)
-    one = field.one()
-    for k in range(d):
-        row = [z] * ncols
-        for u in range(d):
-            for v in range(d):
-                c = algebra.mul_basis(u, v).get(k)
-                if c:
-                    row[u * d + v] = c
-        rows.append(row)
-        rhs.append(one if k == 0 else z)
-    return Matrix(field, rows).solve(tuple(rhs)) is not None
 
 
 def algebra_on_subspace(parent, basis_elems):
@@ -647,24 +616,28 @@ def algebra_on_subspace(parent, basis_elems):
     so a vector v in the span has R-coordinates y = v at R's pivot
     columns, v = y R, and B-coordinates y T.
     """
+    import numpy as np
+
     m, dim = len(basis_elems), parent.dim
-    field = parent.field
-    z, o = field.zero(), field.one()
-    coding = ArrayCoding(field)
-    red, pivots = coded_rref(coding, coding.array(
-        [list(be) + [o if k == i else z for k in range(m)] for i, be in enumerate(basis_elems)]))
+    coding = parent.coding
+    basis = coding.array(basis_elems)
+    red, pivots = coded_rref(coding, np.concatenate([basis, coding.eye(m)], axis=1))
     span, to_basis = red[:, :dim], red[:, dim:]
+    terms = [[(u, x) for u, x in enumerate(row) if x] for row in basis.tolist()]
 
     def mul_fn(i, j):
-        prod = coding.array(parent.mul_dense(basis_elems[i], basis_elems[j]))
+        prod = coding.zeros(dim)
+        for u, x in terms[i]:
+            for v, y in terms[j]:
+                for w, z in parent.mul_coded(u, v).items():
+                    prod[w] += x * y * z
         y = prod[pivots]
         if not coding.equal(prod, y @ span):
             raise InvariantViolation("subalgebra-closure",
                                      "product of basis elements %d, %d escapes the span" % (i, j))
-        coords = coding.reduce(y @ to_basis)
-        return {k: coding.decode(c) for k, c in enumerate(coords) if c}
+        return dict(enumerate((y @ to_basis).tolist()))
 
-    return StructuredAlgebra(field, m, mul_fn)
+    return StructuredAlgebra(parent.field, m, mul_fn)
 
 
 def split_fibers(algebra, report):
@@ -698,6 +671,8 @@ def hyperbolic_split_structure(m, field, check="auto"):
     """
     if not 1 <= m <= 3:
         raise ValueError("split structure kept to m <= 3 hyperbolic planes")
+    if field.characteristic == 2:
+        raise ValueError("split structure needs characteristic not 2")
     from .quadform import QuadraticForm
     q = QuadraticForm.hyperbolic(field, m)
     alg = even_clifford(q, check=check)

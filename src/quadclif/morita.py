@@ -44,7 +44,9 @@ the splitting.
 
 All matrix work runs on coded numpy arrays (rings.ArrayCoding): int64
 residues over F_p, and object arrays over other fields, where rationals
-are Python ints when integral and Fractions otherwise.  Where products
+are Python ints when integral and Fractions otherwise.  The structure
+constants arrive already coded, read from the algebras' memoized tables
+(StructuredAlgebra.mul_coded), so nothing is re-coded here.  Where products
 would mix in Fractions, the checks first scale a whole stack of matrices
 by one common denominator, so they run on Python ints.  Field elements
 are decoded only for the returned End basis and the witness matrix.
@@ -81,8 +83,8 @@ class RightModule:
 def _product_defects(coding, mats, prods, pos, right=False):
     """Multiplicativity defects, one matrix per pair (a, b) in row-major
     order: mats[a] mats[b] (mats[b] mats[a] for a right action) minus
-    sum_u c_u mats[pos[u]], where prods[a * len(mats) + b] = {u: c_u} is
-    the product of the two basis elements behind them.  The map is
+    sum_u c_u mats[pos[u]], where prods[a * len(mats) + b] = {u: c_u}, in
+    codes, is the product of the two basis elements behind them.  The map is
     multiplicative on a pair exactly when its defect is zero.  Over Q the
     matrices are first scaled by one common denominator d, so that the
     products run on Python ints; every defect is then d^2 times its value.
@@ -92,8 +94,7 @@ def _product_defects(coding, mats, prods, pos, right=False):
     ints, den = coding.integral(mats)
     left, other = ints[:, None], ints[None, :]
     got = (other @ left if right else left @ other).reshape((len(prods),) + mats.shape[1:])
-    terms = [(k, pos[u], coding.code(c))
-             for k, prod in enumerate(prods) for u, c in prod.items()]
+    terms = [(k, pos[u], c) for k, prod in enumerate(prods) for u, c in prod.items()]
     if terms:
         at, src, coefs = zip(*terms)
         coefs = np.array(coefs, dtype=coding.dtype)
@@ -109,15 +110,15 @@ def build_P(qp, check="auto"):
     import numpy as np
 
     cp = full_clifford(qp, check=check)
-    coding = ArrayCoding(qp.field)
+    coding = cp.coding
     even_idx = [i for i, m in enumerate(cp.masks) if _even(m)]
     parity = [0 if _even(m) else 1 for m in cp.masks]
     dim = cp.dim
     action = coding.zeros((len(even_idx), dim, dim))
     for k, a in enumerate(even_idx):
         for b in range(dim):
-            for i, c in cp.mul_basis(b, a).items():
-                action[k, i, b] = coding.code(c)
+            for i, c in cp.mul_coded(b, a).items():
+                action[k, i, b] = c
     unit_pos = even_idx.index(cp.mask_index[0])
     if not coding.equal(action[unit_pos], coding.eye(dim)):
         raise InvariantViolation("module-unital", "unit does not act as identity")
@@ -125,7 +126,7 @@ def build_P(qp, check="auto"):
     # for all x at once: the action of ab is R_b R_a
     pos = {a: k for k, a in enumerate(even_idx)}
     n_even = len(even_idx)
-    defects = _product_defects(coding, action, [cp.mul_basis(a, b) for a in even_idx
+    defects = _product_defects(coding, action, [cp.mul_coded(a, b) for a in even_idx
                                                 for b in even_idx], pos, right=True)
     bad = np.count_nonzero(defects, axis=1)
     if np.count_nonzero(bad):
@@ -273,9 +274,9 @@ def _pair_images(P, n):
         m = coding.zeros((dim, dim))
         s = cp.mask_index[mask]
         for b in range(dim):
-            for i, c in cp.mul_basis(s, b).items():
-                m[i, b] = coding.code(c if sign == 1 else -c)
-        return m
+            for i, c in cp.mul_coded(s, b).items():
+                m[i, b] = c
+        return m if sign == 1 else coding.reduce(-m)
 
     pairs = {}
     for i in range(n):
@@ -337,7 +338,7 @@ def morita_witness(qp, check="auto"):
     # multiplicativity on every pair of basis elements, all pairs at once
     n_even = len(even_idx)
     pos_in_even = {p: k for k, p in enumerate(even_idx)}
-    defects = _product_defects(coding, images, [C.mul_basis(a, b) for a in even_idx
+    defects = _product_defects(coding, images, [C.mul_coded(a, b) for a in even_idx
                                                 for b in even_idx], pos_in_even)
     bad = np.flatnonzero(np.count_nonzero(defects.reshape(len(defects), -1), axis=1))
     if bad.size:

@@ -65,6 +65,12 @@ def test_literal_errors_carry_positions():
         parse_form_literal("field=Q")  # no shape
     with pytest.raises(CliInputError):
         parse_form_literal("field=Q; q=diag(1); coeffs=[[1]]")
+    with pytest.raises(CliInputError) as e:
+        parse_form_literal("field=Q; q=H(1,2)")
+    assert e.value.pos == 11
+    with pytest.raises(CliInputError) as e:
+        parse_form_literal("field=Fp:3; q=zero(2,3)")
+    assert e.value.pos == 14
 
 
 def test_pencil_literal():

@@ -1,6 +1,8 @@
 """Even Clifford construction, centers, central simplicity, Peirce fibers."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,47 @@ def test_full_associativity_at_dim_32():
         q = QuadraticForm.diagonal(field, entries)
         a = even_clifford(q, check=False)
         assert a.verify_associativity(force_full=True)
+
+
+F9 = quadratic_extension(F3)
+
+
+@pytest.mark.parametrize("field, rows", [
+    (F2, [[1, 1, 0], [0, 1, 1], [0, 0, 0]]),
+    (F3, [[1, 2, 1], [0, 2, 0], [0, 0, 1]]),
+    (QQ, [[Fraction(1, 2), 3, 0], [0, -1, Fraction(2, 3)], [0, 0, Fraction(5, 4)]]),
+    (F9, [[F9.gen(), 1, 0], [0, 2, F9.gen() + 1], [0, 0, 1]]),
+], ids=["F2", "F3", "Q", "F9"])
+def test_generator_relations_for_every_code_shape(field, rows):
+    # residues over F_p, Fractions over Q, field elements over F9: the
+    # decoded table satisfies e_i^2 = q(e_i), e_i e_j + e_j e_i = b(e_i, e_j)
+    q = QuadraticForm(field, [[field.from_int(x) if isinstance(x, int) else x for x in row]
+                              for row in rows])
+    c = full_clifford(q)
+    for i in range(q.n):
+        ei = c.mask_index[1 << i]
+        want = q.coeff(i, i)
+        assert c.mul_basis(ei, ei) == ({0: want} if want else {})
+        for j in range(i + 1, q.n):
+            ej = c.mask_index[1 << j]
+            sym = c.add_elem(c.mul_basis(ei, ej), c.mul_basis(ej, ei))
+            want = q.coeff(i, j)
+            assert sym == ({0: want} if want else {})
+
+
+@pytest.mark.parametrize("build", [even_clifford, full_clifford])
+@pytest.mark.parametrize("field", [QQ, F3], ids=lambda f: f.label())
+def test_algebra_freed_by_reference_counting(build, field):
+    # no reference cycle through the algebra: without the cyclic
+    # collector, dropping the last reference frees it
+    gc.disable()
+    try:
+        a = build(QuadraticForm.diagonal(field, [1, 2, 1]))
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_unit_check_catches_bad_table():
@@ -232,8 +275,11 @@ def test_degenerate_form_not_semisimple():
 
 
 def test_separability_fallback_char2():
+    # M_2(F_2) is simple, but its trace form vanishes and nothing else
+    # decides it, so the test refuses rather than guesses
     c = full_clifford(QuadraticForm.hyperbolic(F2, 1))
-    assert is_central_simple(c)  # M_2(F_2): trace form degenerate, still simple
+    with pytest.raises(NotImplementedError):
+        is_central_simple(c)
     a = even_clifford(QuadraticForm.diagonal(F2, [1, 1, 1]))
     assert not is_central_simple(a)  # inseparable center in char 2
 
@@ -302,3 +348,5 @@ def test_hyperbolic_split_structure():
         assert r["total_dim"] == 2 ** (2 * m - 1)
     with pytest.raises(ValueError):
         hyperbolic_split_structure(4, F3)
+    with pytest.raises(ValueError):
+        hyperbolic_split_structure(2, F2)  # fibers M_2(F_2): the trace test cannot decide
