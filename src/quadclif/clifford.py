@@ -1,14 +1,15 @@
 """Even Clifford algebras and the structure analysis built on them.
 
-An algebra here is a basis plus a multiplication rule on basis indices
-returning sparse dictionaries; the full table is filled lazily and
-memoized, so a 64-dimensional algebra only pays for the products a
-computation actually touches.  Basis element 0 is always the unit.
-The memoized table holds rings.ArrayCoding codes: residues over F_p,
-over Q a Python int when the value is integral and a Fraction
-otherwise, the element itself over other fields.  The construction,
-the associativity check, the center and the Morita certificate read the
-codes (mul_coded); mul_basis decodes them into field elements.
+An algebra here is a basis plus one dense structure tensor T of shape
+(d, d, d): T[i, j, k] is the coefficient of e_k in e_i e_j, in
+rings.ArrayCoding codes.  It is built eagerly and every consumer reads
+it with numpy; mul_basis and mul_elem decode.  Basis element 0 is the
+unit.  T holds residues over F_p, and integers over Q when the form's
+coefficients bound its entries below 2^62, in the narrowest numpy
+integer dtype; otherwise object codes (Fractions, huge integers,
+elements of F_{p^2}).  Contractions run in float64 only where a bound
+proves every partial sum exact, and on the object codes otherwise
+(ArrayCoding.matmul).
 
 The even Clifford algebra of a quadratic form q on k^n has one basis
 element per even-cardinality subset S of {1, ..., n}, encoded as a
@@ -17,12 +18,14 @@ rules
 
     e_i e_i -> q(e_i)           e_i e_j -> b(e_i, e_j) - e_j e_i   (i > j)
 
-applied one generator at a time: e_S e_T is a memoized earlier product
-e_S' e_T, with S' the basis mask left after dropping the lowest indices
-of S, multiplied on the left by those generators, each moved into
-strictly increasing position by the rules.  The same engine produces the
-full Clifford algebra (all 2^n subsets), used by the orthogonal-sum and
-hyperbolic-splitting verifications.
+so left multiplication by a generator e_a moves it past the lower
+indices t of a mask m: e_a e_m is the sum over t in m, t < a, of
+(-1)^(bits of m below t) b(e_t, e_a) e_(m - t), plus (-1)^(bits of m
+below a) times e_(m + a) when a is not in m and q(e_a) e_(m - a) when it
+is: at most n + 1 signed index maps on the 2^n masks.  Row S of T is an
+earlier row S' stepped by the generators peeled off S.  The same engine
+produces the full Clifford algebra (all 2^n subsets), used by the
+orthogonal-sum and hyperbolic-splitting verifications.
 
 Every constructed algebra re-verifies unitality and associativity:
 exhaustively through dimension 16, and on a seeded 256-triple sample
@@ -32,7 +35,11 @@ want the exhaustive check at dimension 32 can force it.
 
 from __future__ import annotations
 
+import functools
 import random
+from dataclasses import dataclass
+
+import numpy as np
 
 from .rings import ArrayCoding, InvariantViolation, Matrix, coded_kernel, coded_rref, scalar_str
 
@@ -47,74 +54,64 @@ def inject_fault(target):
     _fault_target = target
 
 
+@functools.lru_cache(maxsize=None)
+def _sample_triples(seed, d, samples):
+    """The seeded sample of basis triples checked above dimension 16."""
+    rng = random.Random(seed)
+    triples = np.array([(rng.randrange(d), rng.randrange(d), rng.randrange(d))
+                        for _ in range(samples)], dtype=np.int64).reshape(-1, 3)
+    triples.flags.writeable = False  # shared by every algebra of dimension d
+    return triples
+
+
 class StructuredAlgebra:
     """Finite-dimensional unital associative algebra over an exact field.
 
     Elements are sparse dicts {basis index: coefficient}.  The unit is
-    basis element 0 (checked at construction).  mul_fn(i, j) gives e_i e_j
-    as {k: x} with each x a sum of products of rings.ArrayCoding codes of
-    the field; mul_coded reduces it once and memoizes it, and mul_basis
-    decodes the memoized codes into field elements.
+    basis element 0 (checked at construction).  table[i, j, k] codes the
+    coefficient of e_k in e_i e_j, stored as ArrayCoding.numeric returns
+    it: narrow integers with bound their largest |entry|, or object codes
+    with bound None.
     """
 
-    def __init__(self, field, dim, mul_fn=None, labels=None, gen_indices=None,
-                 check="auto", seed=0):
-        if dim < 1:
+    def __init__(self, field, table, labels=None, gen_indices=None, check="auto", seed=0):
+        if len(table) < 1:
             raise ValueError("an algebra needs at least the unit")
-        self.field = field
-        self.coding = ArrayCoding(field)
-        self.dim = dim
-        self._mul_fn = mul_fn
-        self._table = [[None] * dim for _ in range(dim)]
-        self.labels = list(labels) if labels else ["b%d" % i for i in range(dim)]
+        self.field, self.coding, self.dim = field, ArrayCoding(field), len(table)
+        self.table, self.bound = self.coding.numeric(table)
+        self.labels = list(labels) if labels else ["b%d" % i for i in range(self.dim)]
         self.gen_indices = list(gen_indices) if gen_indices is not None else None
-        self._trace_vec = None
-        self._verify_unit()
-        if check == "auto":
-            self.verify_associativity(seed=seed)
-        elif check == "full":
-            self.verify_associativity(seed=seed, force_full=True)
-        elif check is not False:
+        if check not in ("auto", "full", False):
             raise ValueError("check must be 'auto', 'full', or False")
+        self._verify_unit()
+        if check:
+            self.verify_associativity(seed=seed, force_full=check == "full")
 
     # -- basic operations ----------------------------------------------
 
-    def _product(self, i, j):
-        """e_i e_j as {k: unreduced code}; subclasses compute it here."""
-        return self._mul_fn(i, j)
-
-    def mul_coded(self, i, j):
-        """e_i e_j as the memoized {k: code} of its nonzero coefficients."""
-        out = self._table[i][j]
-        if out is None:
-            # a sum of products of codes to its code: mod p over F_p, an
-            # int when integral over Q
-            coding = self.coding
-            canonical = coding.reduce if coding.p else coding.code
-            out = self._table[i][j] = {k: r for k, c in self._product(i, j).items()
-                                       if (r := canonical(c))}
-        return out
-
     def mul_basis(self, i, j):
-        decode = self.coding.decode
-        return {k: decode(c) for k, c in self.mul_coded(i, j).items()}
+        return {k: self.coding.decode(c) for k, c in enumerate(self.table[i, j].tolist()) if c}
 
     def unit(self):
         return {0: self.field.one()}
 
     def mul_elem(self, x, y):
-        acc = {}
-        for u, cu in x.items():
-            if not cu:
-                continue
-            for v, cv in y.items():
-                if not cv:
-                    continue
-                c = cu * cv
-                for w, cw in self.mul_basis(u, v).items():
-                    s = acc.get(w)
-                    acc[w] = c * cw if s is None else s + c * cw
-        return {w: c for w, c in acc.items() if c}
+        xs = [u for u, c in x.items() if c]
+        ys = [v for v, c in y.items() if c]
+        if not xs or not ys:
+            return {}
+        coding = self.coding
+        coefs = coding.reduce(np.outer(coding.array([x[u] for u in xs]),
+                                       coding.array([y[v] for v in ys]))).reshape(1, -1)
+        den, top = 1, None
+        if self.bound is not None and not coding.p:
+            # integer tensor over Q: one common denominator, then integers
+            coefs, den = coding.integral(coefs)
+            top = int(np.abs(coefs).max())
+        block = self.table[np.ix_(xs, ys)].reshape(-1, self.dim)
+        prod = coding.matmul(coefs, block, top, self.bound)[0]
+        decode = coding.decode
+        return {w: decode(c, den) for w, c in enumerate(prod.tolist()) if c}
 
     def add_elem(self, x, y):
         out = dict(x)
@@ -134,203 +131,192 @@ class StructuredAlgebra:
         return {k: c * v for k, v in x.items()} if c else {}
 
     def dense(self, x):
-        z = self.field.zero()
-        out = [z] * self.dim
-        for k, c in x.items():
-            out[k] = c
-        return tuple(out)
+        return tuple(x.get(k, self.field.zero()) for k in range(self.dim))
 
     def mul_dense(self, xv, yv):
-        x = {i: c for i, c in enumerate(xv) if c}
-        y = {i: c for i, c in enumerate(yv) if c}
-        return self.dense(self.mul_elem(x, y))
+        return self.dense(self.mul_elem(dict(enumerate(xv)), dict(enumerate(yv))))
 
     # -- construction-time checks ---------------------------------------
 
     def _verify_unit(self):
-        # 1 is the code of one in every coding, up to ==
-        for j in range(self.dim):
-            if self.mul_coded(0, j) != {j: 1} or self.mul_coded(j, 0) != {j: 1}:
-                raise InvariantViolation(
-                    "algebra-unit",
-                    "basis element 0 does not act as the unit on index %d" % j,
-                )
+        t, eye = self.table, self.coding.eye(self.dim)
+        bad = np.flatnonzero(((t[0] != eye) | (t[:, 0] != eye)).any(axis=1))
+        if bad.size:
+            raise InvariantViolation(
+                "algebra-unit",
+                "basis element 0 does not act as the unit on index %d" % bad[0],
+            )
 
     def verify_associativity(self, seed=0, force_full=False, samples=256):
         """(e_i e_j) e_k = e_i (e_j e_k), exhaustive or sampled by dimension.
 
-        Runs on the coded table: coding is an injective ring map, so a
-        triple fails here exactly when it fails in the field.
+        Runs on the coded tensor: coding is an injective ring map, so a
+        triple fails here exactly when it fails in the field.  Both sides
+        are products of slices of the tensor, over blocks of triples that
+        keep every array near 2^16 entries; the first failing triple in
+        the order checked is reported.
         """
-        d = self.dim
+        d, t = self.dim, self.table
+
+        def mul(a, b):
+            return self.coding.matmul(a, b, self.bound, self.bound)
+
+        def refuse(bad):
+            if len(bad):
+                i, j, k = (self.labels[int(v)] for v in bad[0])
+                raise InvariantViolation("algebra-associativity",
+                                         "(%s %s) %s != %s (%s %s)" % (i, j, k, i, j, k))
+
         if d <= 16 or force_full:
-            triples = (
-                (i, j, k)
-                for i in range(d)
-                for j in range(d)
-                for k in range(d)
-            )
+            # all triples with i in a block: left[i, j, k, w] from
+            # (e_i e_j) against the rows u, right from e_i against e_j e_k
+            step = max(1, (1 << 16) // d ** 3)
+            for lo in range(0, d, step):
+                part = t[lo:lo + step]
+                left = mul(part, t.reshape(d, d * d)).reshape(-1, d, d, d)
+                right = mul(t.reshape(d * d, d), part).reshape(-1, d, d, d)
+                bad = np.argwhere((left != right).any(axis=3))
+                bad[:, 0] += lo
+                refuse(bad)
         else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                       for _ in range(samples))
-        reduce, row = self.coding.reduce, self.mul_coded
-
-        def clean(acc):
-            return {w: r for w, c in acc.items() if (r := reduce(c))}
-
-        for i, j, k in triples:
-            left = {}
-            for u, cu in row(i, j).items():
-                for w, cw in row(u, k).items():
-                    s = left.get(w)
-                    left[w] = cu * cw if s is None else s + cu * cw
-            right = {}
-            for v, cv in row(j, k).items():
-                for w, cw in row(i, v).items():
-                    s = right.get(w)
-                    right[w] = cw * cv if s is None else s + cw * cv
-            # codes equal before reduction are equal after it
-            if left != right and clean(left) != clean(right):
-                raise InvariantViolation(
-                    "algebra-associativity",
-                    "(%s %s) %s != %s (%s %s)"
-                    % (self.labels[i], self.labels[j], self.labels[k],
-                       self.labels[i], self.labels[j], self.labels[k]),
-                )
+            triples = _sample_triples(seed, d, samples)
+            step = max(1, (1 << 16) // d ** 2)
+            for lo in range(0, len(triples), step):
+                i, j, k = triples[lo:lo + step].T
+                left = mul(t[i, j][:, None], t[:, k].transpose(1, 0, 2))
+                right = mul(t[j, k][:, None], t[i])
+                refuse(triples[lo + np.flatnonzero((left != right).any(axis=(1, 2)))])
         return True
 
-    # -- invariant machinery ---------------------------------------------
-
-    def trace_vec(self):
-        """Traces of left multiplication by each basis element."""
-        if self._trace_vec is None:
-            z = self.field.zero()
-            out = []
-            for m in range(self.dim):
-                acc = z
-                for k in range(self.dim):
-                    c = self.mul_basis(m, k).get(k)
-                    if c:
-                        acc = acc + c
-                out.append(acc)
-            self._trace_vec = out
-        return self._trace_vec
-
-    def trace_form_matrix(self):
-        """T[i][j] = trace of left multiplication by e_i e_j."""
-        tv = self.trace_vec()
-        z = self.field.zero()
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                acc = z
-                for m, c in self.mul_basis(i, j).items():
-                    if tv[m]:
-                        acc = acc + c * tv[m]
-                row.append(acc)
-            rows.append(row)
-        return Matrix(self.field, rows)
-
 # ---------------------------------------------------------------------------
-# Clifford construction by word rewriting
+# Clifford construction by generator steps
 
 
-def _generator_times(c, one, a, mask):
-    """Normal form of e_a * e_mask as a mask-keyed dict of codes.
+def _generator_maps(c, n, dtype):
+    """Left multiplication by each generator e_a as signed index maps.
 
-    c holds the codes of the form's coefficients (c[t][a] with t <= a),
-    one the code of 1.  With t the lowest index in the mask and rest the
-    other indices, e_a e_t = b(e_t, e_a) - e_t e_a for a > t, and every
-    index in e_a e_rest exceeds t, so prefixing e_t there needs no
-    reordering.
+    maps[a] lists (parity, dst, src, coef): e_a e_m has coefficient coef
+    at the mask dst for each mask m in src, all of that parity.  dst is a
+    permutation of src, so a map applies by fancy indexing.
     """
-    low = mask & -mask
-    t = low.bit_length() - 1
-    if not mask or a < t:
-        return {mask | 1 << a: one}
-    if a == t:
-        cc = c[a][a]
-        return {mask ^ low: cc} if cc else {}
-    rest = mask ^ low
-    cab = c[t][a]  # the polar value b(e_t, e_a)
-    out = {rest: cab} if cab else {}
-    for m, x in _generator_times(c, one, a, rest).items():
-        out[m | low] = -x
-    return out
+    m = np.arange(1 << n)
+    parity = np.array([bin(x).count("1") & 1 for x in range(1 << n)])
+    below = np.zeros(1 << n, dtype=np.int64)  # parity of the bits of m below t
+    maps = [[] for _ in range(n)]
+    for t in range(n):
+        for a in range(t, n):
+            if t == a:  # insert a, or square it to q(e_a)
+                src = m if c[a][a] else m[m >> a & 1 == 0]
+                coef = np.ones(len(src), dtype=dtype)
+                coef[src >> a & 1 == 1] = c[a][a]
+            elif c[t][a]:  # drop t: the polar value b(e_t, e_a)
+                src = m[m >> t & 1 == 1]
+                coef = np.full(len(src), c[t][a], dtype=dtype)
+            else:
+                continue
+            coef = (1 - 2 * below[src]).astype(dtype) * coef
+            for p in (0, 1):
+                part = parity[src] == p
+                maps[a].append((p, src[part] ^ 1 << t, src[part], coef[part]))
+        below ^= (m >> t) & 1
+    return maps
 
 
-def _mask_word(mask):
-    word = []
-    i = 0
-    while mask:
-        if mask & 1:
-            word.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(word)
+def _clifford_table(coding, form, masks):
+    """Structure tensor of the Clifford algebra of form on the basis masks.
+
+    Row S peels its fewest lowest indices s1 < ... < sr that leave a basis
+    mask S', and e_S e_j = e_s1 (... (e_sr (e_S' e_j))): rows peeling the
+    same indices are stepped together, a few at a time, on the full 2^n
+    masks.  Over F_p every step is reduced; over Q the steps run in int64
+    when the integral coefficients c satisfy ((n + 1) max(|c|, 1))^n <
+    2^62, which bounds every entry, and on object codes otherwise.
+    """
+    n, d = form.n, len(masks)
+    c = [[coding.code(x) for x in row] for row in form.c]
+    flat = [x for row in c for x in row]
+    work = coding.dtype
+    if coding.field.kind == "rationals" and all(type(x) is int for x in flat):
+        big = max(1, max(abs(x) for x in flat))
+        if ((n + 1) * big) ** n < 1 << 62:
+            work = np.int64
+    maps = _generator_maps(c, n, work)
+    index = {mask: i for i, mask in enumerate(masks)}
+    groups = {}
+    for i, s in enumerate(masks[1:], 1):
+        peeled = []
+        while not peeled or s not in index:
+            low = s & -s
+            peeled.append(low.bit_length() - 1)
+            s ^= low
+        groups.setdefault(tuple(peeled), []).append((i, index[s]))
+    cols = np.array(masks)
+    outside = np.ones(1 << n, dtype=bool)
+    outside[cols] = False
+    # a generator step flips the parity of every mask
+    parities = {bin(mask).count("1") & 1 for mask in masks}
+    table = np.zeros((d, d, d), dtype=np.int8 if work is np.int64 else object)
+    table[0] = np.eye(d, dtype=table.dtype)
+    step = max(1, (1 << 15) // (d << n))
+    # a row's S' keeps only indices above its peeled ones, so descending
+    # order of the peeled tuples builds every S' before it is read
+    for peeled in sorted(groups, reverse=True):
+        pairs = groups[peeled]
+        for lo in range(0, len(pairs), step):
+            rows, prev = (list(v) for v in zip(*pairs[lo:lo + step]))
+            # x[m, r, j]: coefficient of e_m in row r's e_S e_j, masks first
+            # so that every map moves whole contiguous slices
+            x = np.zeros((1 << n, len(rows), d), dtype=work)
+            x[cols] = table[prev].transpose(2, 0, 1)
+            present = parities
+            for a in reversed(peeled):
+                out = np.zeros_like(x)
+                for parity, dst, src, coef in maps[a]:
+                    if parity not in present:
+                        continue
+                    vals = x[src]
+                    if work is object:
+                        # only the nonzero entries: zeros stay the int 0
+                        m, r, j = np.nonzero(vals)
+                        out[dst[m], r, j] += vals[m, r, j] * coef[m]
+                    else:
+                        out[dst] += vals * coef[:, None, None]
+                x = coding.reduce(out)
+                present = {1 - p for p in present}
+            if np.count_nonzero(x[outside]):
+                raise InvariantViolation("clifford-grading",
+                                         "product of basis masks escaped the span")
+            x = x[cols].transpose(1, 2, 0)
+            if work is np.int64:
+                need = np.min_scalar_type(-int(np.abs(x).max()) - 1)
+                table = table.astype(np.promote_types(table.dtype, need), copy=False)
+            table[rows] = x
+    return table
 
 
 def _mask_label(mask):
     if not mask:
         return "1"
-    return "e" + "".join(str(i + 1) for i in _mask_word(mask))
+    return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class CliffordAlgebra(StructuredAlgebra):
-    """Structure-constant algebra whose basis is a set of index masks."""
+    """Structure-tensor algebra whose basis is a set of index masks."""
 
     def __init__(self, form, masks, gen_popcount, check="auto", seed=0):
+        if not 1 <= form.n <= 7:
+            raise ValueError("Clifford construction supports rank 1 through 7, got %d" % form.n)
         self.form = form
         self.masks = list(masks)
         self.mask_index = {m: i for i, m in enumerate(self.masks)}
-        code = ArrayCoding(form.field).code
-        self._coeffs = [[code(x) for x in row] for row in form.c]
-        self._one = code(form.field.one())
-        self._fault = _fault_target == "clifford-mul"
+        table = _clifford_table(ArrayCoding(form.field), form, self.masks)
+        if _fault_target == "clifford-mul" and len(self.masks) > 1:
+            table[1, 1, 0] += 1
         gen_indices = [i for i, m in enumerate(self.masks)
                        if bin(m).count("1") == gen_popcount]
-        super().__init__(form.field, len(self.masks),
+        super().__init__(form.field, table,
                          labels=[_mask_label(m) for m in self.masks],
                          gen_indices=gen_indices, check=check, seed=seed)
-
-    def _product(self, i, j):
-        # e_S e_T = e_s1 (... (e_sr (e_S' e_T))) where s1 < ... < sr are
-        # the fewest lowest indices of S leaving a basis mask S', so
-        # e_S' e_T is an earlier entry of the memoized table
-        one = self._one
-        s = self.masks[i]
-        if not s:
-            return {j: one}
-        peeled = []
-        while not peeled or s not in self.mask_index:
-            low = s & -s
-            peeled.append(low.bit_length() - 1)
-            s ^= low
-        rest = self.mul_coded(self.mask_index[s], j)
-        out = {self.masks[k]: c for k, c in rest.items()}
-        for a in reversed(peeled):
-            nxt = {}
-            for m, c in out.items():
-                for m2, c2 in _generator_times(self._coeffs, one, a, m).items():
-                    prev = nxt.get(m2)
-                    nxt[m2] = c * c2 if prev is None else prev + c * c2
-            out = nxt
-        result = {}
-        for mask, c in out.items():
-            k = self.mask_index.get(mask)
-            if k is None:
-                if not self.coding.reduce(c):
-                    continue
-                raise InvariantViolation(
-                    "clifford-grading",
-                    "product of basis masks escaped the span",
-                )
-            result[k] = c
-        if self._fault and i == 1 and j == 1:
-            result[0] = result[0] + one if 0 in result else one
-        return result
 
     def mask_mul(self, mask_s, mask_t):
         """Product by masks instead of indices, as a mask-keyed dict."""
@@ -340,19 +326,13 @@ class CliffordAlgebra(StructuredAlgebra):
 
 def even_clifford(form, check="auto", seed=0):
     """The even Clifford algebra, dimension 2^(n-1), n up to 7."""
-    n = form.n
-    if not 1 <= n <= 7:
-        raise ValueError("even Clifford construction supports rank 1 through 7, got %d" % n)
-    masks = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
+    masks = [m for m in range(1 << form.n) if bin(m).count("1") % 2 == 0]
     return CliffordAlgebra(form, masks, 2, check=check, seed=seed)
 
 
 def full_clifford(form, check="auto", seed=0):
     """The full Clifford algebra, dimension 2^n, n up to 7."""
-    n = form.n
-    if not 1 <= n <= 7:
-        raise ValueError("full Clifford construction supports rank 1 through 7, got %d" % n)
-    return CliffordAlgebra(form, list(range(1 << n)), 1, check=check, seed=seed)
+    return CliffordAlgebra(form, list(range(1 << form.n)), 1, check=check, seed=seed)
 
 # ---------------------------------------------------------------------------
 # graded tensor decomposition
@@ -364,33 +344,28 @@ def verify_orthogonal_sum(q1, q2, check="auto"):
     The identification sends the pair of masks (S1, S2) to the mask
     S1 | (S2 << n1); it is a bijection with unit coefficients by
     construction, so the content of the check is multiplicativity with
-    the sign (-1)^(|S2| |T1|), verified on every pair of basis vectors.
+    the sign (-1)^(|S2| |T1|), verified on every pair of basis vectors
+    at once: the tensor of the sum, indexed by the interleaved masks,
+    equals the signed tensor product of the two summands' tensors.
     """
-    big = full_clifford(q1.direct_sum(q2), check=check)
-    a1 = full_clifford(q1, check=check)
-    a2 = full_clifford(q2, check=check)
-    n1 = q1.n
-    field = big.field
-    minus = -field.one()
-    for s1 in a1.masks:
-        for s2 in a2.masks:
-            left_mask = s1 | (s2 << n1)
-            for t1 in a1.masks:
-                sign = minus ** (bin(s2).count("1") * bin(t1).count("1"))
-                for t2 in a2.masks:
-                    got = big.mask_mul(left_mask, t1 | (t2 << n1))
-                    p1 = a1.mask_mul(s1, t1)
-                    p2 = a2.mask_mul(s2, t2)
-                    expected = {}
-                    for u1, c1 in p1.items():
-                        for u2, c2 in p2.items():
-                            expected[u1 | (u2 << n1)] = sign * c1 * c2
-                    expected = {k: c for k, c in expected.items() if c}
-                    if got != expected:
-                        raise InvariantViolation(
-                            "orthogonal-sum-product",
-                            "masks (%d|%d)*(%d|%d)" % (s1, s2, t1, t2),
-                        )
+    big, a1, a2 = (full_clifford(q, check=check) for q in (q1.direct_sum(q2), q1, q2))
+    # a full algebra's basis index is its mask, so index s1 + 2^n1 s2 is (S1, S2)
+    odd1, odd2 = (np.array([bin(m).count("1") & 1 for m in a.masks]) for a in (a1, a2))
+    sign = 1 - 2 * np.outer(odd2, odd1)  # [s2, t1]
+    numeric = None not in (a1.bound, a2.bound, big.bound) and a1.bound * a2.bound < 1 << 62
+    t1, t2, got = (a.table.astype(np.int64 if numeric else object) for a in (a1, a2, big))
+    expected = (t2[:, None, :, None, :, None] * t1[None, :, None, :, None, :]
+                * sign[:, None, None, :, None, None])
+    bad = big.coding.reduce(got.reshape(expected.shape) - expected)
+    found = np.argwhere(np.count_nonzero(bad, axis=(4, 5)).transpose(1, 0, 3, 2))
+    if len(found):
+        s1, s2, u1, u2 = (int(v) for v in found[0])
+        prod = big.mask_mul(s1 | s2 << q1.n, u1 | u2 << q1.n)
+        raise InvariantViolation(
+            "orthogonal-sum-product",
+            "masks (%d|%d)*(%d|%d) give %s" % (s1, s2, u1, u2, " + ".join(
+                "%s*%s" % (scalar_str(c), _mask_label(m)) for m, c in prod.items()) or "0"),
+        )
     return True
 
 # ---------------------------------------------------------------------------
@@ -403,40 +378,35 @@ def center_basis(algebra):
     Works by intersecting the kernels of the commutator maps with the
     algebra's generators (the generating set is enough: commuting with
     generators means commuting with everything they generate).  The
-    columns are sparse dicts of codes, each commutator map is solved by
-    rings.coded_kernel, and only the final basis is decoded.
+    candidates are coded rows, their commutators with generator g are
+    rows @ (T[g] - T[:, g]), solved by rings.coded_kernel, and only the
+    final basis is decoded.  Over Q the rows are integers with one
+    denominator each: scaling a column of a commutator matrix only
+    rescales its reduced echelon kernel basis, so the basis is unchanged.
     """
-    d = algebra.dim
-    coding = algebra.coding
-    reduce, mul = coding.reduce, algebra.mul_coded
+    d, coding, t = algebra.dim, algebra.coding, algebra.table
     gens = algebra.gen_indices if algebra.gen_indices is not None else list(range(d))
-    cols = [{i: 1} for i in range(d)]
+    integral = algebra.bound is not None and not coding.p
+
+    def top(a):  # bound on the integer entries of a, for exact numeric products
+        return int(np.abs(a).max(initial=0)) if integral else None
+
+    rows, dens = coding.eye(d), np.ones(d, dtype=object)
     for g in gens:
-        if len(cols) <= 1:
+        if len(rows) <= 1:
             break
-        comm = coding.zeros((d, len(cols)))
-        for c, col in enumerate(cols):
-            acc = {}
-            for u, x in col.items():
-                for w, y in mul(g, u).items():
-                    acc[w] = acc.get(w, 0) + x * y
-                for w, y in mul(u, g).items():
-                    acc[w] = acc.get(w, 0) - x * y
-            for w, v in acc.items():
-                comm[w, c] = reduce(v)
-        new_cols = []
-        for alpha in coded_kernel(coding, comm)[1].tolist():
-            acc = {}
-            for a, col in zip(alpha, cols):
-                if a:
-                    for i, x in col.items():
-                        acc[i] = acc.get(i, 0) + a * x
-            new_cols.append({i: r for i, v in acc.items() if (r := reduce(v))})
-        cols = new_cols
+        diff = t[g].astype(object if algebra.bound is None else np.int64) - t[:, g]
+        comm = coding.matmul(rows, diff, top(rows), top(diff))
+        free, kernel = coded_kernel(coding, coding.codes(comm).T)
+        ints, lcm = coding.integral(kernel, per_row=True)
+        rows = coding.codes(coding.matmul(ints, rows, top(ints), top(rows)))
+        dens = lcm * dens[free]
     decode = coding.decode
-    return [{i: decode(x) for i, x in sorted(col.items())} for col in cols]
+    return [{i: decode(x, den) for i, x in enumerate(row) if x}
+            for row, den in zip(rows.tolist(), dens.tolist())]
 
 
+@dataclass(slots=True, eq=False)
 class CenterReport:
     """Structure of the center of an even Clifford algebra.
 
@@ -451,16 +421,13 @@ class CenterReport:
     (characteristic not 2; None otherwise), z the chosen generator.
     """
 
-    __slots__ = ("dim", "basis", "kind", "delta", "z", "idempotents", "separable")
-
-    def __init__(self, dim, basis, kind, delta, z, idempotents, separable):
-        self.dim = dim
-        self.basis = basis
-        self.kind = kind
-        self.delta = delta
-        self.z = z
-        self.idempotents = idempotents
-        self.separable = separable
+    dim: int
+    basis: list
+    kind: str
+    delta: object
+    z: object
+    idempotents: object
+    separable: bool
 
     def __repr__(self):
         d = "" if self.delta is None else ", delta=%s" % scalar_str(self.delta)
@@ -477,20 +444,13 @@ def center_report(algebra):
         return CenterReport(dim, basis, "big", None, None, None, False)
 
     # pick a generator w of the center not proportional to the unit
-    w = None
-    for cand in basis:
-        if set(cand) != {0}:
-            w = cand
-            break
+    w = next((cand for cand in basis if set(cand) != {0}), None)
     if w is None:
         raise InvariantViolation("center-rank", "rank-2 center spanned by scalars")
     w2 = algebra.mul_elem(w, w)
     # solve w^2 = alpha 1 + beta w inside span{1, w}
-    wd = algebra.dense(w)
-    m = Matrix(field, [
-        [field.one() if i == 0 else field.zero(), wd[i]]
-        for i in range(algebra.dim)
-    ])
+    m = Matrix(field, [[field.one() if i == 0 else field.zero(), c]
+                       for i, c in enumerate(algebra.dense(w))])
     sol = m.solve(algebra.dense(w2))
     if sol is None:
         raise InvariantViolation("center-rank", "w^2 escapes span{1, w}")
@@ -532,7 +492,8 @@ def center_report(algebra):
     # (signs are immaterial in characteristic 2)
     for r in field.elements():
         if not (r * r + beta * r + alpha):
-            e1 = _char2_idempotent(algebra, w, r, beta)
+            # e = (w - r) / beta satisfies e^2 = e
+            e1 = algebra.scale_elem(field.one() / beta, algebra.sub_elem(w, {0: r}))
             e2 = algebra.sub_elem(algebra.unit(), e1)
             _check_idempotents(algebra, e1, e2)
             return CenterReport(2, basis, "split", None, w, (e1, e2), True)
@@ -562,13 +523,6 @@ def even_center_report(form):
     return alg, rep
 
 
-def _char2_idempotent(algebra, w, root, beta):
-    # with w^2 = alpha + beta w and root r of x^2 + beta x + alpha,
-    # e = (w - r) / beta satisfies e^2 = e
-    inv = algebra.field.one() / beta
-    return algebra.scale_elem(inv, algebra.sub_elem(w, {0: root}))
-
-
 def _check_idempotents(algebra, e1, e2):
     if algebra.mul_elem(e1, e1) != e1 or algebra.mul_elem(e2, e2) != e2:
         raise InvariantViolation("center-idempotent", "claimed idempotent fails e^2 = e")
@@ -595,7 +549,11 @@ def is_central_simple(algebra):
     """
     if len(center_basis(algebra)) != 1:
         return False
-    if algebra.trace_form_matrix().det():
+    # the trace form: T[i][j] = trace of left multiplication by e_i e_j
+    d, coding, t = algebra.dim, algebra.coding, algebra.table
+    traces = coding.reduce(coding.codes(t.diagonal(axis1=1, axis2=2)).sum(axis=1))
+    form = coding.codes(coding.matmul(t.reshape(d * d, d), traces[:, None]).reshape(d, d))
+    if len(coded_rref(coding, form)[1]) == d:
         return True
     p = algebra.field.characteristic
     if p == 0 or p > algebra.dim:
@@ -616,28 +574,24 @@ def algebra_on_subspace(parent, basis_elems):
     so a vector v in the span has R-coordinates y = v at R's pivot
     columns, v = y R, and B-coordinates y T.
     """
-    import numpy as np
-
     m, dim = len(basis_elems), parent.dim
     coding = parent.coding
     basis = coding.array(basis_elems)
     red, pivots = coded_rref(coding, np.concatenate([basis, coding.eye(m)], axis=1))
     span, to_basis = red[:, :dim], red[:, dim:]
-    terms = [[(u, x) for u, x in enumerate(row) if x] for row in basis.tolist()]
-
-    def mul_fn(i, j):
-        prod = coding.zeros(dim)
-        for u, x in terms[i]:
-            for v, y in terms[j]:
-                for w, z in parent.mul_coded(u, v).items():
-                    prod[w] += x * y * z
-        y = prod[pivots]
-        if not coding.equal(prod, y @ span):
-            raise InvariantViolation("subalgebra-closure",
-                                     "product of basis elements %d, %d escapes the span" % (i, j))
-        return dict(enumerate((y @ to_basis).tolist()))
-
-    return StructuredAlgebra(parent.field, m, mul_fn)
+    # the products of all pairs, on the columns the basis touches:
+    # prod[i, j] = sum_uv part[i, u] part[j, v] T[u, v]
+    used = np.flatnonzero(np.count_nonzero(basis, axis=0))
+    part = basis[:, used]
+    left = coding.matmul(part, parent.table[np.ix_(used, used)].reshape(len(used), -1))
+    prod = coding.matmul(part, left.reshape(m, len(used), dim))
+    y = prod[..., pivots]
+    bad = np.argwhere(np.count_nonzero(coding.reduce(prod - coding.matmul(y, span)), axis=2))
+    if len(bad):
+        raise InvariantViolation("subalgebra-closure",
+                                 "product of basis elements %d, %d escapes the span"
+                                 % tuple(int(v) for v in bad[0]))
+    return StructuredAlgebra(parent.field, coding.matmul(y, to_basis))
 
 
 def split_fibers(algebra, report):
@@ -693,10 +647,5 @@ def hyperbolic_split_structure(m, field, check="auto"):
     if alg.dim != 2 ** (2 * m - 1):
         raise InvariantViolation("hyperbolic-total-dim",
                                  "dim C0(H(%d)) = %d" % (m, alg.dim))
-    return {
-        "planes": m,
-        "center": "split",
-        "fiber_dims": tuple(f.dim for f in fibers),
-        "fibers_central_simple": True,
-        "total_dim": alg.dim,
-    }
+    return {"planes": m, "center": "split", "fiber_dims": tuple(f.dim for f in fibers),
+            "fibers_central_simple": True, "total_dim": alg.dim}

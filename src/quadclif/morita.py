@@ -45,8 +45,8 @@ the splitting.
 All matrix work runs on coded numpy arrays (rings.ArrayCoding): int64
 residues over F_p, and object arrays over other fields, where rationals
 are Python ints when integral and Fractions otherwise.  The structure
-constants arrive already coded, read from the algebras' memoized tables
-(StructuredAlgebra.mul_coded), so nothing is re-coded here.  Where products
+constants are read as slices of the algebras' dense structure tensors
+(StructuredAlgebra.table), so nothing is re-coded here.  Where products
 would mix in Fractions, the checks first scale a whole stack of matrices
 by one common denominator, so they run on Python ints.  Field elements
 are decoded only for the returned End basis and the witness matrix.
@@ -80,25 +80,25 @@ class RightModule:
     action: object
 
 
-def _product_defects(coding, mats, prods, pos, right=False):
+def _product_defects(coding, mats, coefs, right=False):
     """Multiplicativity defects, one matrix per pair (a, b) in row-major
     order: mats[a] mats[b] (mats[b] mats[a] for a right action) minus
-    sum_u c_u mats[pos[u]], where prods[a * len(mats) + b] = {u: c_u}, in
-    codes, is the product of the two basis elements behind them.  The map is
-    multiplicative on a pair exactly when its defect is zero.  Over Q the
-    matrices are first scaled by one common denominator d, so that the
-    products run on Python ints; every defect is then d^2 times its value.
+    sum_u coefs[a, b, u] mats[u], where coefs[a, b] codes the product of
+    the two basis elements behind mats[a] and mats[b] in the basis behind
+    mats.  The map is multiplicative on a pair exactly when its defect is
+    zero.  Over Q the matrices are first scaled by one common denominator
+    d, so that the products run on Python ints; every defect is then d^2
+    times its value.
     """
     import numpy as np
 
     ints, den = coding.integral(mats)
     left, other = ints[:, None], ints[None, :]
-    got = (other @ left if right else left @ other).reshape((len(prods),) + mats.shape[1:])
-    terms = [(k, pos[u], c) for k, prod in enumerate(prods) for u, c in prod.items()]
-    if terms:
-        at, src, coefs = zip(*terms)
-        coefs = np.array(coefs, dtype=coding.dtype)
-        np.subtract.at(got, np.array(at), den * coefs[:, None, None] * ints[np.array(src)])
+    got = (other @ left if right else left @ other).reshape((-1,) + mats.shape[1:])
+    coefs = coefs.reshape(len(got), -1)
+    at, src = np.nonzero(coefs)
+    if at.size:
+        np.subtract.at(got, at, den * coefs[at, src][:, None, None] * ints[src])
     return coding.reduce(got)
 
 
@@ -114,20 +114,17 @@ def build_P(qp, check="auto"):
     even_idx = [i for i, m in enumerate(cp.masks) if _even(m)]
     parity = [0 if _even(m) else 1 for m in cp.masks]
     dim = cp.dim
-    action = coding.zeros((len(even_idx), dim, dim))
-    for k, a in enumerate(even_idx):
-        for b in range(dim):
-            for i, c in cp.mul_coded(b, a).items():
-                action[k, i, b] = c
+    table = coding.codes(cp.table)
+    # action[k, i, b] = T[b, even_idx[k], i]
+    action = np.ascontiguousarray(table[:, even_idx].transpose(1, 2, 0))
     unit_pos = even_idx.index(cp.mask_index[0])
     if not coding.equal(action[unit_pos], coding.eye(dim)):
         raise InvariantViolation("module-unital", "unit does not act as identity")
     # associativity of the action on basis triples, x.(ab) == (x.a).b,
     # for all x at once: the action of ab is R_b R_a
-    pos = {a: k for k, a in enumerate(even_idx)}
     n_even = len(even_idx)
-    defects = _product_defects(coding, action, [cp.mul_coded(a, b) for a in even_idx
-                                                for b in even_idx], pos, right=True)
+    defects = _product_defects(coding, action, table[np.ix_(even_idx, even_idx, even_idx)],
+                               right=True)
     bad = np.count_nonzero(defects, axis=1)
     if np.count_nonzero(bad):
         k, x = (int(v) for v in np.argwhere(bad)[0])
@@ -270,12 +267,8 @@ def _pair_images(P, n):
     odd = np.array(P.parity) == 1
 
     def left_mult(mask, sign=1):
-        # matrix of x -> sign e_mask . x on C(q')
-        m = coding.zeros((dim, dim))
-        s = cp.mask_index[mask]
-        for b in range(dim):
-            for i, c in cp.mul_coded(s, b).items():
-                m[i, b] = c
+        # matrix of x -> sign e_mask . x on C(q'): m[i, b] = T[mask, b, i]
+        m = coding.codes(cp.table[cp.mask_index[mask]]).T.copy()
         return m if sign == 1 else coding.reduce(-m)
 
     pairs = {}
@@ -337,9 +330,8 @@ def morita_witness(qp, check="auto"):
 
     # multiplicativity on every pair of basis elements, all pairs at once
     n_even = len(even_idx)
-    pos_in_even = {p: k for k, p in enumerate(even_idx)}
-    defects = _product_defects(coding, images, [C.mul_coded(a, b) for a in even_idx
-                                                for b in even_idx], pos_in_even)
+    defects = _product_defects(coding, images,
+                               coding.codes(C.table[np.ix_(even_idx, even_idx, even_idx)]))
     bad = np.flatnonzero(np.count_nonzero(defects.reshape(len(defects), -1), axis=1))
     if bad.size:
         ka, kb = divmod(int(bad[0]), n_even)

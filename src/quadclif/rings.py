@@ -1376,6 +1376,42 @@ class ArrayCoding:
             scaled = a * d
         return np.frompyfunc(int, 1, 1)(scaled).astype(object), d
 
+    def numeric(self, a):
+        """(a, m): a in the narrowest signed integer dtype that holds
+        -m..m, m bounding every |entry|, for residues over F_p and for an
+        integer array over Q; (a, None) for an array of object codes."""
+        import numpy as np
+
+        if self.p:
+            a, m = np.asarray(a) % self.p, self.p - 1
+        elif a.dtype == object:
+            return a, None
+        else:
+            m = int(np.abs(a).max(initial=0))
+        return a.astype(np.min_scalar_type(-m - 1), copy=False), m
+
+    def codes(self, a):
+        """Codes of a numeric() array: int64 over F_p, Python ints over Q."""
+        return a if a.dtype == self.dtype else a.astype(self.dtype)
+
+    def matmul(self, a, b, amax=None, bmax=None):
+        """Exact a @ b of coded arrays, reduced.  Integers bounded by amax
+        and bmax (residues over F_p, bounded by p - 1) are multiplied in
+        float64 when no partial sum can reach 2^53, and come back as
+        int64; other products run on the object codes, multiplying only
+        pairs of nonzero entries."""
+        import numpy as np
+
+        if self.p:
+            amax = bmax = self.p - 1
+        if amax is not None and bmax is not None and a.shape[-1] * amax * bmax < 1 << 53:
+            # one row of a per product: OpenBLAS keeps products that small
+            # on the calling thread; its worker threads can stall on a
+            # busy machine
+            out = a.astype(np.float64)[..., None, :] @ b.astype(np.float64)[..., None, :, :]
+            return self.reduce(out[..., 0, :].astype(np.int64))
+        return self.reduce(_object_matmul(a.astype(object), b.astype(object)))
+
     def _primitive(self, rows):
         """Rows rescaled without changing their span: reduced mod p, or
         divided by their content over Q."""
@@ -1404,6 +1440,29 @@ class ArrayCoding:
             else:
                 out[r] = [x / v for x in rows[r]]
         return out
+
+
+def _object_matmul(a, b):
+    """a @ b for object arrays of rank >= 2 (with numpy's broadcasting),
+    multiplying only pairs of nonzero entries: zeros cost nothing, and a
+    sum of no products stays the Python int 0."""
+    import numpy as np
+
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + (m, k)).reshape(math.prod(batch), m, k)
+    b = np.broadcast_to(b, batch + (k, n)).reshape(len(a), k, n)
+    (ta, ia, ka), (tb, kb, jb) = np.nonzero(a), np.nonzero(b)
+    # pair each nonzero a[t, i, k] with the nonzeros of row b[t, k], which
+    # np.nonzero lists in ascending (t, k) order
+    key, want = tb * k + kb, ta * k + ka
+    lo = np.searchsorted(key, want)
+    count = np.searchsorted(key, want, side="right") - lo
+    pa = np.repeat(np.arange(len(ta)), count)
+    pb = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(pa))
+    out = np.zeros((len(a), m, n), dtype=object)
+    np.add.at(out, (ta[pa], ia[pa], jb[pb]), a[ta[pa], ia[pa], ka[pa]] * b[tb[pb], kb[pb], jb[pb]])
+    return out.reshape(batch + (m, n))
 
 
 def coded_rref(coding, a):

@@ -5,8 +5,10 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import clifford_words
 from quadclif.clifford import (
     CenterReport,
     StructuredAlgebra,
@@ -125,8 +127,11 @@ def test_algebra_freed_by_reference_counting(build, field):
 
 
 def test_unit_check_catches_bad_table():
-    with pytest.raises(InvariantViolation):
-        StructuredAlgebra(QQ, 2, lambda i, j: {0: Fraction(1)})
+    # every product is the unit: e_1 e_0 = e_0, not e_1
+    table = np.zeros((2, 2, 2), dtype=object)
+    table[:, :, 0] = 1
+    with pytest.raises(InvariantViolation, match="algebra-unit"):
+        StructuredAlgebra(QQ, table)
 
 
 def test_fault_injection_is_caught_and_clears():
@@ -153,6 +158,22 @@ def test_orthogonal_sum_graded_tensor():
     verify_orthogonal_sum(QuadraticForm.diagonal(F2, [1, 1]), QuadraticForm.hyperbolic(F2, 1))
     verify_orthogonal_sum(QuadraticForm.diagonal(F3, [1, 2, 1]), QuadraticForm.diagonal(F3, [2]))
     verify_orthogonal_sum(QuadraticForm.hyperbolic(F5, 1), QuadraticForm.diagonal(F5, [1, 3]))
+
+
+def test_orthogonal_sum_reports_the_first_failing_product():
+    # the corrupted constant sits at index 1 of each algebra: e1 e1 of
+    # C(q1) and of the sum agree, but e1 e1 of C(q2), mask 1 << 2 in the
+    # sum, does not
+    inject_fault("clifford-mul")
+    try:
+        for field in (F3, QQ):
+            with pytest.raises(InvariantViolation) as err:
+                verify_orthogonal_sum(QuadraticForm.diagonal(field, [1, 2]),
+                                      QuadraticForm.diagonal(field, [1, 1]), check=False)
+            assert err.value.invariant == "orthogonal-sum-product"
+            assert "masks (0|1)*(0|1) give 1*1" in str(err.value)
+    finally:
+        inject_fault(None)
 
 
 # -- centers ----------------------------------------------------------------
@@ -332,12 +353,82 @@ def test_subspace_algebra_reads_coordinates_off_one_elimination(field):
         algebra_on_subspace(a, [a.dense({0: one}), a.dense({e12: one}), a.dense({e13: one})])
 
 
-def test_lazy_table_only_fills_what_is_used():
-    q = QuadraticForm.diagonal(F3, [1] * 7)
-    a = even_clifford(q, check=False)
-    a.mul_basis(1, 2)
-    filled = sum(1 for row in a._table for cell in row if cell is not None)
-    assert filled < 200  # unit checks plus the one requested product
+def _seeded_form(rng, field, n, kind):
+    # upper triangular, about a third of the slots empty (none for
+    # "huge", so that products of two coefficients reach 10^24); one
+    # leading coordinate is left out of every term when kind is "degenerate"
+    def value():
+        if field is QQ:
+            if kind == "fraction":
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            if kind == "huge":  # near 10^12, and past int64 at 10^30
+                return Fraction(rng.choice([10 ** 12, -10 ** 30]) - rng.randint(0, 9))
+            return Fraction(rng.randint(-3, 3))
+        return rng.choice(list(field.elements()))
+
+    skip = 1 if kind == "degenerate" else 0
+    empty = 0 if kind == "huge" else 0.3
+    return QuadraticForm(field, [[value() if j >= i >= skip and rng.random() >= empty
+                                  else field.zero() for j in range(n)] for i in range(n)])
+
+
+REFERENCE_CORPUS = (
+    [(field, n, kind) for field in (F2, F3, F5, QQ) for n in range(1, 8)
+     for kind in ("regular", "degenerate")]
+    + [(F9, n, "regular") for n in range(1, 5)]
+    + [(QQ, n, kind) for n in range(1, 5) for kind in ("fraction", "huge")]
+)
+
+
+@pytest.mark.parametrize("field, n, kind", REFERENCE_CORPUS,
+                         ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+def test_tensor_matches_word_rewriting(field, n, kind):
+    # the vectorised generator steps against the word-by-word rewriting
+    # of clifford_words, entry for entry, for the even and full algebras
+    rng = random.Random("%s/%d/%s" % (field.label(), n, kind))
+    q = _seeded_form(rng, field, n, kind)
+    for build in (even_clifford, full_clifford):
+        if build is full_clifford and n == 7 and field is not F3:
+            continue  # one field at dimension 128 keeps the test quick
+        a = build(q, check=False)
+        ref = clifford_words.products(q, a.masks)
+        for (i, j), prod in ref.items():
+            assert a.mul_basis(i, j) == prod, (build.__name__, i, j)
+        if kind == "huge" and n > 1:
+            # no slot is empty, so products of two coefficients pass
+            # 2^62: the object codes
+            assert a.table.dtype == object and a.bound is None
+        elif field is QQ and kind in ("regular", "degenerate"):
+            assert a.table.dtype.kind == "i" and a.bound == int(np.abs(a.table).max())
+
+
+def _fault_form(field, n, seed):
+    rng = random.Random(seed)
+    return QuadraticForm.of_ints(field, [[rng.randint(-2, 2) if j >= i else 0 for j in range(n)]
+                                         for i in range(n)])
+
+
+# the cases where the seeded 256-triple sample misses the corrupted
+# constant (dimension 64); everything else must be caught
+SAMPLE_MISSES = {(even_clifford, 7, 0), (even_clifford, 7, 2)}
+
+
+@pytest.mark.parametrize("build, n", [(even_clifford, n) for n in range(3, 8)]
+                         + [(full_clifford, n) for n in range(2, 6)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=lambda f: f.label())
+def test_fault_injection_raises_associativity(build, n, field):
+    inject_fault("clifford-mul")
+    try:
+        for seed in range(3):
+            q = _fault_form(field, n, seed)
+            if (build, n, seed) in SAMPLE_MISSES:
+                continue
+            with pytest.raises(InvariantViolation) as err:
+                build(q)
+            assert err.value.invariant == "algebra-associativity"
+    finally:
+        inject_fault(None)
 
 
 def test_hyperbolic_split_structure():
