@@ -24,7 +24,8 @@ Machine output is JSON with sorted keys and every scalar an exact
 string; it embeds the resolved input under "input", and feeding that
 block back through jobspec_from_input reproduces the job.  Exit codes:
 0 success, 1 inconclusive (an unknown or unresolved verdict is
-present), 2 invalid input, 3 internal invariant falsified.
+present), 2 invalid input, 3 internal invariant falsified, 4 internal
+error (any other exception: a bug, reported as "internal error").
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 from . import acceptance
 from .clifford import even_center_report, inject_fault
-from .lagrangian import stein_vs_center
+from .lagrangian import enumeration_in_budget, stein_vs_center
 from .pencil import (
     Pencil,
     analyze,
@@ -64,6 +65,10 @@ SCENARIO_DEFAULTS = {
 }
 
 FAULT_NAMES = ("clifford-mul",)
+
+# exit code for an exception that is neither an input error nor a named
+# invariant: a bug in the program
+EXIT_INTERNAL = 4
 
 
 class CliInputError(Exception):
@@ -402,12 +407,23 @@ def cmd_pencil(spec):
             raise CliInputError("pencil command needs --pencil or --scenario")
         literal = SCENARIO_DEFAULTS[spec.scenario]
     pen = parse_pencil_literal(literal, spec.field)
+    field = pen.field
+    if pen.n % 2 and field.characteristic == 2:
+        raise CliInputError("odd-rank pencils have no discriminant in "
+                            "characteristic 2")
     if spec.scenario:
         want = SCENARIO_RANK[spec.scenario]
         if pen.n != want:
             raise CliInputError("scenario %s expects rank %d, got %d"
                                 % (spec.scenario, want, pen.n))
+        if (spec.scenario in ("delpezzo", "fourfold")
+                and not (isinstance(field, PrimeField) and field.p <= 5)):
+            raise CliInputError("scenario %s searches over F2, F3 or F5, got %s"
+                                % (spec.scenario, field.label()))
     ana = analyze(pen)
+    if spec.scenario == "elliptic" and not ana.simple:
+        raise CliInputError("scenario elliptic needs a simply degenerating "
+                            "pencil (every member of radical rank <= 1)")
     body = {
         "pencil": {"q1": _form_dict(pen.q1), "q2": _form_dict(pen.q2)},
         "analysis": {
@@ -431,7 +447,6 @@ def cmd_pencil(spec):
             ],
         },
     }
-    field = pen.field
     if ana.squarefree and field.characteristic != 2:
         cm = cover_model(ana)
         body["cover"] = {
@@ -443,7 +458,7 @@ def cmd_pencil(spec):
     else:
         body["cover"] = None
     size = field.size()
-    if (pen.n % 2 == 0 and field.characteristic != 2 and ana.simple
+    if (pen.n % 2 == 0 and pen.n <= 7 and field.characteristic != 2 and ana.simple
             and size is not None and size <= 11):
         match = center_matches_cover(pen)
         body["center_cover"] = {
@@ -495,6 +510,23 @@ def cmd_pencil(spec):
 
 def cmd_lagrangian(spec):
     q = parse_form_literal(spec.form, spec.field)
+    field, n = q.field, q.n
+    if field.size() is None or field.characteristic == 2:
+        raise CliInputError("lagrangian needs a finite field of odd "
+                            "characteristic, got %s" % field.label())
+    if n not in (2, 4, 6):
+        raise CliInputError("lagrangian needs rank 2, 4 or 6, got %d" % n)
+    if q.radical_basis():
+        raise CliInputError("lagrangian needs a regular form")
+    # the center discriminant lies in the class of (-1)^(n/2) disc(q); a
+    # nonsquare one moves the enumeration to the quadratic extension
+    size = field.size()
+    if not field.is_square(field.from_int((-1) ** (n // 2)) * q.discriminant()):
+        size *= size
+    if not enumeration_in_budget(size, n):
+        raise CliInputError("lagrangian enumerates rank %d over a field of %d "
+                            "elements, beyond the budget (9 up to rank 6, 25 "
+                            "up to rank 4)" % (n, size))
     rep = stein_vs_center(q)
     body = {
         "form": _form_dict(q),
@@ -517,6 +549,9 @@ def cmd_lagrangian(spec):
 
 
 def cmd_selftest(spec):
+    unknown = set(spec.checks or ()) - set(acceptance.check_names())
+    if unknown:
+        raise CliInputError("unknown check(s): %s" % ", ".join(sorted(unknown)))
     results = acceptance.run_all(spec.checks)
     body = {
         "checks": [
@@ -657,12 +692,14 @@ def main(argv=None):
     except CliInputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
-    except ValueError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return 2
     except InvariantViolation as e:
         print("invariant falsified: %s" % e, file=sys.stderr)
         return 3
+    except Exception as e:  # noqa: BLE001 - a bug, never the user's input
+        import traceback  # only here: importing it costs every run ~0.1 MiB
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(report, spec, extras, sys.stdout)
     return code
 

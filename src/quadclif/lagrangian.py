@@ -119,6 +119,12 @@ def common_isotropic_subspaces(forms, r):
     return level
 
 
+def enumeration_in_budget(size, n):
+    """Whether enumerate_isotropic takes a rank-n form over a field of
+    size elements."""
+    return (size <= 9 and n <= 6) or (size <= 25 and n <= 4)
+
+
 def enumerate_isotropic(q, r):
     """All (r+1)-dimensional totally isotropic subspaces of q.
 
@@ -132,7 +138,7 @@ def enumerate_isotropic(q, r):
     n = q.n
     if size is None:
         raise ValueError("enumeration needs a finite field")
-    if not ((size <= 9 and n <= 6) or (size <= 25 and n <= 4)):
+    if not enumeration_in_budget(size, n):
         raise ValueError(
             "enumeration budget: field size <= 9 up to rank 6, "
             "or size <= 25 up to rank 4")

@@ -413,10 +413,11 @@ def _bilinear(u, m, v):
 
 def _coefficient(vs, k, forms, p):
     """Coefficient of x^k in x*q1(v) + q2(v) mod p, for every row of the
-    batch v = sum vs[a] x^a; coefficient vectors past vs are zero."""
+    batch v = sum vs[a] x^a, in the batch's dtype; coefficient vectors
+    past vs are zero."""
     import numpy as np
     top = len(vs) - 1
-    acc = np.zeros(len(vs[-1]), dtype=np.int64)
+    acc = np.zeros(len(vs[-1]), dtype=vs[-1].dtype)
     for c, b, shift in forms:
         kk = k - shift
         if kk < 0:
@@ -432,38 +433,76 @@ def _coefficient(vs, k, forms, p):
 _LEAF_BLOCK = 1 << 15
 
 
-def _head_search(forms, p, head, d):
-    """Exhaustive search for v = head + v_1 x + ... + v_d x^d with v_d != 0
-    and x*q1(v) + q2(v) = 0, head a zero of q2 and d >= 1.
+def _head_span(forms, p, head):
+    """What the witness search below one head shares across degrees:
+    (pivot, inv, span, span_part, q_e).
 
-    Returns (vs, leaves): vs the coefficient vectors of the first solution
-    in enumeration order, or None, and leaves the number of candidate
-    tuples (head, v_1, ..., v_d) generated up to it.  The coefficient of
-    x^k is B2(head, v_k) plus terms in v_0..v_{k-1}, so level k keeps
-    every partial tuple as one batch of rows and gives each row the
-    solutions v_k of that linear condition: a particular solution plus
-    the kernel span of ell = B2(head, .).  When ell = 0 (characteristic 2
-    or a radical head) a row survives only if its condition is already
-    met, and v_k runs over all of F_p^n.  Rows come out in the order of
-    a depth-first walk over the kernel combinations, level 1 outermost.
-    At level d the top half of the equations is checked, the coefficient
-    q1(v_d) of x^(2d+1) first.
+    Every level solves ell(v) = r for ell = B2(head, .).  With a pivot,
+    ell[pivot] != 0 with inverse inv, the solutions are r*inv*e_piv plus
+    the rows of span, the kernel of ell; without one (characteristic 2 or
+    a radical head) pivot and inv are None, span is all of F_p^n and
+    e_piv reads 0.  The rows of span follow itertools.product over the
+    kernel basis, so span[0] = 0.  span_part has one float32 column per
+    row s of span, (s, 1, B1(e_piv, s), B2(e_piv, s), q1(s), q2(s)) mod p,
+    and q_e = (q1(e_piv), q2(e_piv)).
     """
     import numpy as np
     n = len(head)
     ell = head @ forms[1][1] % p
     pivots = np.flatnonzero(ell)
+    e = np.zeros(n, dtype=np.int64)
     if len(pivots):
         pivot = pivots[0]
+        e[pivot] = 1
         inv = pow(int(ell[pivot]), p - 2, p)
         kernel = np.delete(np.eye(n, dtype=np.int64), pivot, axis=0)
         kernel[:, pivot] = (-ell[np.arange(n) != pivot] * inv) % p
     else:
-        pivot = None
+        pivot = inv = None
         kernel = np.eye(n, dtype=np.int64)
     combos = np.array(list(itertools.product(range(p), repeat=len(kernel))),
                       dtype=np.int64)
     span = (combos @ kernel) % p
+    (c1, b1, _), (c2, b2, _) = forms
+    span_part = np.column_stack([
+        span, np.ones(len(span), dtype=np.int64), span @ (b1 @ e), span @ (b2 @ e),
+        _bilinear(span, c1, span), _bilinear(span, c2, span)]).T % p
+    return pivot, inv, span, span_part.astype(np.float32), (e @ c1 @ e, e @ c2 @ e)
+
+
+def _head_search(forms, p, head, d, space):
+    """Exhaustive search for v = head + v_1 x + ... + v_d x^d with v_d != 0
+    and x*q1(v) + q2(v) = 0, head a zero of q2 and d >= 1; space is
+    _head_span(forms, p, head).
+
+    Returns (vs, leaves): vs the coefficient vectors of the first solution
+    in enumeration order, or None, and leaves the number of candidate
+    tuples (head, v_1, ..., v_d) counted up to it.  The coefficient of
+    x^k is B2(head, v_k) plus terms in v_0..v_{k-1}, so level k < d keeps
+    every partial tuple as one batch of rows and gives each row the
+    solutions v_k of that linear condition: a particular solution plus
+    the span of _head_span.  Without a pivot a row survives only if its
+    condition is already met.  Rows come out in the order of a
+    depth-first walk over the kernel combinations, level 1 outermost.
+
+    Level d is never built as leaf vectors.  Row r of the batch gives
+    v_d = c_r e_piv + span_s, and the coefficient of x^k, d < k <= 2d+1,
+    splits into a row part and a span part:
+      C_k[r] + c_r L_k[r][piv] + L_k[r] . span_s
+    with C_k the terms free of v_d and L_k = B2(v_{k-d}, .) + B1(v_{k-1-d}, .)
+    over the indices below d, plus q1(v_d) for k = 2d+1 and q2(v_d) for
+    k = 2d, where q(v_d) = c_r^2 q(e_piv) + c_r B(e_piv, span_s) + q(span_s).
+    So every coefficient is a row vector dotted with a span_part column,
+    and one matrix product evaluates all d+1 of them on a block of
+    _LEAF_BLOCK leaves, (row, combination) in C order.  It runs in
+    float32, exact here: with p <= 5 and n <= 5 every value is an
+    integer below 2^12.  The zero leaf (c_r = 0 with span[0]) is
+    dropped.  A leaf counts once its conditions have been evaluated in
+    a block; the count stops at the first solution in C order.
+    """
+    import numpy as np
+    pivot, inv, span, span_part, q_e = space
+    n = len(head)
     width = len(span)
 
     vs = [head[None, :]]  # v_0, then one (rows, n) array per level
@@ -480,25 +519,52 @@ def _head_search(forms, p, head, d):
             vs = vs[:1] + [np.repeat(v, width, axis=0) for v in vs[1:]]
             vs.append(((base[:, None, :] + span[None]) % p).reshape(-1, n))
 
-    # level d: base holds one particular solution per tuple in vs
+    # level d: row r of vs has the particular solution base[r] = c_r e_piv
     rows = len(base)
+    f32 = np.float32
+    c = base[:, pivot] if pivot is not None else np.zeros(rows, dtype=np.int64)
+    forms32 = [(cm.astype(f32), bm.astype(f32), shift) for cm, bm, shift in forms]
+    b1, b2 = forms32[0][1], forms32[1][1]
     step = max(1, _LEAF_BLOCK // width)
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
-        top = ((base[lo:hi, None, :] + span[None]) % p).reshape(-1, n)
-        pos = np.arange(lo * width, hi * width)
-        keep = top.any(axis=1) & (_bilinear(top, forms[0][0], top) % p == 0)
-        top, pos = top[keep], pos[keep]
-        for k in range(2 * d, d, -1):
-            if not len(pos):
-                break
-            full = vs[:1] + [v[pos // width] for v in vs[1:]] + [top]
-            keep = _coefficient(full, k, forms, p) == 0
-            top, pos = top[keep], pos[keep]
-        if len(pos):
-            first = pos[0] // width
-            return [head] + [v[first] for v in vs[1:]] + [top[0]], int(pos[0]) + 1
+        block = [v.astype(f32) for v in vs[:1] + [v[lo:hi] for v in vs[1:]]]
+        cb = c[lo:hi].astype(f32)
+        # row parts, one (rows, n + 5) slab per k = 2d+1, ..., d+1
+        row_part = np.zeros((d + 1, hi - lo, n + 5), dtype=f32)
+        for k, part in zip(range(2 * d + 1, d, -1), row_part):
+            for a, b in ((k - d, b2), (k - 1 - d, b1)):
+                if 0 <= a < d:
+                    part[:, :n] += block[a] @ b
+            if pivot is not None:
+                part[:, n] = part[:, pivot] * cb
+            if k < 2 * d:
+                part[:, n] += _coefficient(block, k, forms32, p)
+            else:
+                j = 2 * d + 1 - k  # 0: q1(v_d) in x^(2d+1), 1: q2(v_d) in x^(2d)
+                part[:, n] += cb * cb * q_e[j]
+                part[:, n + 1 + j] = cb
+                part[:, n + 3 + j] = 1
+        values = row_part.reshape(-1, n + 5) @ span_part
+        ok = _divisible(values, p).reshape(d + 1, hi - lo, width).all(axis=0)
+        ok[cb == 0, 0] = False  # the zero leaf
+        if ok.any():
+            at = int(ok.argmax())
+            r, s = divmod(at, width)
+            top = (base[lo + r] + span[s]) % p
+            return [head] + [v[lo + r] for v in vs[1:]] + [top], lo * width + at + 1
     return None, rows * width
+
+
+def _divisible(x, p):
+    """x % p == 0, elementwise, for integers 0 <= x < 2^32 in any numeric
+    dtype.  For odd p, multiplication by p^-1 mod 2^32 maps the multiples
+    of p onto [0, (2^32 - 1) // p] and every other value above it."""
+    import numpy as np
+    x = x.astype(np.uint32)
+    if p == 2:
+        return (x & 1) == 0
+    return x * np.uint32(pow(p, -1, 1 << 32)) <= np.uint32(((1 << 32) - 1) // p)
 
 
 def _witness_polys(q1, q2, vs):
@@ -532,15 +598,19 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
 
     Returns (witness, leaves): the witness as polynomial coordinates, or
     None, and the number of candidate coefficient tuples of degree >= 1
-    generated before the search stopped.  The search is exhaustive for
-    each degree d in ascending order.  The head coefficient vector v_0
-    runs over the projective zeros of q2 (coefficient of x^0), first
-    nonzero coordinate 1, in lexicographic order; a degree-0 witness is
-    exactly a common zero of the two forms.  For d >= 1 each head is
-    searched by _head_search, in batches of integer-coded coefficient
-    vectors.  With p odd and B2(v_0, .) != 0 for every head, an exhausted
-    search generates #heads * sum_{d=1}^{max_degree} p^((n-1)d) leaves.
-    The witness is checked over the wrapped field before it is returned.
+    whose conditions were evaluated before the search stopped.  The
+    search is exhaustive for each degree d in ascending order.  The head
+    coefficient vector v_0 runs over the projective zeros of q2
+    (coefficient of x^0), first nonzero coordinate 1, in lexicographic
+    order; a degree-0 witness is exactly a common zero of the two forms.
+    For d >= 1 each head is searched by _head_search on integer-coded
+    batches, with the head's kernel span and the span part of its leaf
+    conditions computed once by _head_span for all degrees; the leaves
+    of degree d are evaluated as row parts times span parts, block by
+    block, without building them.  With p odd and B2(v_0, .) != 0 for
+    every head, an exhausted search counts
+    #heads * sum_{d=1}^{max_degree} p^((n-1)d) leaves.  The witness is
+    checked over the wrapped field before it is returned.
     """
     import numpy as np
     if q1.field is not q2.field or q1.n != q2.n:
@@ -560,9 +630,10 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
     if max_degree >= 0 and len(common):
         return _witness_polys(q1, q2, [heads[common[0]]]), 0
     leaves = 0
+    spaces = [_head_span(forms, p, head) for head in heads]
     for d in range(1, max_degree + 1):
-        for head in heads:
-            vs, count = _head_search(forms, p, head, d)
+        for head, space in zip(heads, spaces):
+            vs, count = _head_search(forms, p, head, d, space)
             leaves += count
             if vs is not None:
                 return _witness_polys(q1, q2, vs), leaves
@@ -576,7 +647,7 @@ class IsotropyCorrespondence:
     witness: tuple  # polynomial coordinates, or None
     witness_degree: int  # -1 when absent
     searched_degree: int
-    leaves: int  # candidate tuples the witness search generated
+    leaves: int  # candidate tuples the witness search counted
 
 
 def amer_brumer_check(q1, q2, max_degree=3):
@@ -589,7 +660,7 @@ def amer_brumer_check(q1, q2, max_degree=3):
     degree-0 witness, and a witness without a common zero falsifies the
     correspondence, so either direction failing raises instead of
     reporting.  An exhausted search over an odd prime field whose heads
-    all have B2(head, .) != 0 must have generated exactly its closed-form
+    all have B2(head, .) != 0 must have counted exactly its closed-form
     number of leaves.
     """
     import numpy as np

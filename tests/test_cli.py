@@ -2,11 +2,14 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadclif.cli import (
+    EXIT_INTERNAL,
     CliInputError,
     JobSpec,
     jobspec_from_input,
@@ -160,6 +163,51 @@ def test_scenario_defaults():
     assert rep["plane_search"]["candidates"] == 11011
 
 
+def test_library_preconditions_are_input_errors():
+    # each is a precondition of the library call the job makes, checked
+    # where the job is built
+    cases = [
+        (["pencil", "--scenario", "delpezzo", "--pencil",
+          "field=F7; q1=diag(1,1,2,1,1); q2=diag(2,1,1,2,1)"], "F2, F3 or F5"),
+        (["pencil", "--scenario", "fourfold", "--pencil",
+          "field=Q; q1=H(3); q2=diag(1,2,3,4,5,6)"], "F2, F3 or F5"),
+        (["pencil", "--scenario", "elliptic", "--pencil",
+          "field=Q; q1=diag(1,1,1,1); q2=diag(1,1,2,3)"], "simply degenerating"),
+        (["pencil", "--pencil", "field=F2; q1=diag(1,1,1); q2=diag(1,0,1)"],
+         "characteristic 2"),
+        (["lagrangian", "--form", "field=Q; q=diag(1,1)"], "finite field"),
+        (["lagrangian", "--form", "field=F5; q=diag(1,1,1,0)"], "regular"),
+        # a nonsquare center sends rank 4 over F7 to F49, past the budget
+        (["lagrangian", "--form", "field=F7; q=diag(1,1,1,3)"], "49 elements"),
+    ]
+    for argv, words in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("input error: ") and words in err, (argv, err)
+
+
+def test_internal_error_is_not_an_input_error(monkeypatch):
+    import quadclif.cli as cli_mod
+
+    def broken(pen):
+        raise ValueError("an internal bug")
+    monkeypatch.setattr(cli_mod, "analyze", broken)
+    code, out, err = run_cli(["pencil", "--pencil",
+                              "field=Fp:5; q1=diag(1,1,1,1); q2=diag(1,2,3,4)"])
+    assert code == EXIT_INTERNAL == 4 and not out
+    assert err.startswith("internal error: ValueError: an internal bug\n")
+    assert "Traceback" in err  # kept for the bug report
+
+
+def test_rank8_pencil_skips_the_center_cover_comparison():
+    # the even Clifford algebra stops at rank 7, as in analyze
+    code, rep = run_json(["pencil", "--pencil",
+                          "field=F11; q1=diag(1,1,1,1,1,1,1,1); "
+                          "q2=diag(1,2,3,4,5,6,7,8)"])
+    assert code == 0
+    assert rep["analysis"]["simple"] and rep["center_cover"] is None
+
+
 def test_elliptic_unknown_is_exit_1():
     code, rep = run_json(["pencil", "--scenario", "elliptic", "--pencil",
                           "field=Q; q1=diag(1,1,1,1); q2=diag(1,2,3,4)",
@@ -274,3 +322,70 @@ def test_simple_fourfold_without_a_line_is_refused(monkeypatch):
     code, out, err = run_cli(["pencil", "--scenario", "fourfold", "--format", "machine"])
     assert code == 3 and not out
     assert "fano-lines" in err
+
+
+# ------------------------------------------------------ literal fuzzing
+
+# pieces of the form and pencil literal grammars, glued in any order
+_LITERAL_PIECES = ["field=", "Q", "Fp:", "F", "q=", "q1=", "q2=", "coeffs=", "n=",
+                   "diag(", "H(", "zero(", "(", ")", "[", "]", ",", ";", " ",
+                   "=", ":", "-", "0", "1", "2", "3", "5", "@", "x", "1.5"]
+
+
+def _shape(n):
+    ints = st.integers(-3, 3)
+    rows = st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
+    shapes = [st.lists(ints, min_size=n, max_size=n).map(
+                  lambda e: "diag(%s)" % ",".join(map(str, e))),
+              st.just("zero(%d)" % n),
+              rows.map(lambda r: str([[a if j >= i else 0 for j, a in enumerate(row)]
+                                      for i, row in enumerate(r)]))]
+    if n % 2 == 0:
+        shapes.append(st.just("H(%d)" % (n // 2)))
+    return st.one_of(shapes)
+
+
+def _literal(slots):
+    """Literals whose clauses are all well formed, one shape clause per
+    slot with its key drawn from the slot, the same with one piece
+    spliced in or cut out, and free strings of grammar pieces."""
+    field = st.sampled_from(["Q", "Fp:2", "F3", "Fp:5", "F4", "Fp:x", ""]).map("field=".__add__)
+
+    def clauses(n):
+        shapes = [st.tuples(st.sampled_from(keys), _shape(n)).map("=".join) for keys in slots]
+        return st.tuples(st.lists(field, max_size=1), st.lists(st.just("n=%d" % n), max_size=1),
+                         st.tuples(*shapes)).map(lambda t: t[0] + t[1] + list(t[2]))
+
+    whole = st.integers(1, 4).flatmap(clauses).flatmap(st.permutations).map("; ".join)
+    spliced = st.tuples(whole, st.integers(0, 40), st.integers(0, 3),
+                        st.sampled_from(_LITERAL_PIECES + [""])).map(
+        lambda t: t[0][:t[1]] + t[3] + t[0][t[1] + t[2]:])
+    glued = st.lists(st.one_of(st.sampled_from(_LITERAL_PIECES), st.text(max_size=2)),
+                     max_size=12).map("".join)
+    return st.one_of(whole, spliced, glued)
+
+
+def _assert_parses_or_is_an_input_error(command, flag, text, field):
+    # any number in the text stays below 10, so that a literal which
+    # parses names a form of rank at most 18 and the job stays quick
+    assume(all(int(d) < 10 for d in re.findall(r"\d+", text)))
+    # flag=text, so that a literal starting with '-' is not an option
+    argv = [command, "%s=%s" % (flag, text), "--format", "machine"]
+    code, out, err = run_cli(argv + (["--field", field] if field else []))
+    assert code != EXIT_INTERNAL, err
+    if code == 2:
+        assert err.startswith("input error: ") and not out
+    else:
+        assert code in (0, 1) and json.loads(out)["command"] == command
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_literal([("q", "coeffs")]), field=st.sampled_from([None, "Q", "F3"]))
+def test_form_literal_fuzz(text, field):
+    _assert_parses_or_is_an_input_error("analyze", "--form", text, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_literal([("q1",), ("q2",)]), field=st.sampled_from([None, "Q", "F5"]))
+def test_pencil_literal_fuzz(text, field):
+    _assert_parses_or_is_an_input_error("pencil", "--pencil", text, field)

@@ -23,7 +23,7 @@ from quadclif.pencil import (
     gaussian_binomial,
     pencil_isotropy_witness,
 )
-from quadclif.pencil import _head_search, _int_forms, _witness_polys
+from quadclif.pencil import _head_search, _head_span, _int_forms, _witness_polys
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -271,7 +271,8 @@ HEAD_SEARCH_CASES = [
 def test_head_search_finds_a_witness_of_each_degree(c1, c2, z, d, want, leaves):
     import numpy as np
     q1, q2 = diag(F3, c1), diag(F3, c2)
-    vs, count = _head_search(_int_forms(q1, q2), 3, np.array(z), d)
+    forms, head = _int_forms(q1, q2), np.array(z)
+    vs, count = _head_search(forms, 3, head, d, _head_span(forms, 3, head))
     assert [[int(a) for a in v] for v in vs] == want
     assert count == leaves
     polys = _witness_polys(q1, q2, vs)
@@ -332,16 +333,27 @@ def _loop_head_search(forms, p, head, d):
     return walk([[int(a) for a in head]]), leaves
 
 
+def _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch):
+    import quadclif.pencil as pencil_mod
+    want, want_leaves = _loop_head_search(forms, p, head, d)
+    # blocks of one row (7 leaves) and of several rows (64 leaves), so
+    # that rows straddle block boundaries
+    for block in (7, 64):
+        monkeypatch.setattr(pencil_mod, "_LEAF_BLOCK", block)
+        vs, leaves = _head_search(forms, p, head, d, _head_span(forms, p, head))
+        assert leaves == want_leaves
+        assert (None if vs is None else [[int(a) for a in v] for v in vs]) == want
+    return want, want_leaves
+
+
 @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2),
-                                   (3, 4, 2), (5, 2, 2)])
+                                   (3, 4, 2), (5, 2, 2), (3, 5, 1), (5, 3, 2),
+                                   (3, 4, 3)])
 def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
     import random
-    import quadclif.pencil as pencil_mod
     import numpy as np
     from quadclif.pencil import _bilinear
     from quadclif.rings import table_coding
-    # small leaf blocks, so that rows straddle block boundaries
-    monkeypatch.setattr(pencil_mod, "_LEAF_BLOCK", 7)
     field = PrimeField(p)
     rng = random.Random(100 * p + n)
     for _ in range(6):
@@ -351,10 +363,40 @@ def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
         tc = table_coding(field)
         pts = np.concatenate([tc.points(n, lead) for lead in reversed(range(n))]).astype(np.int64)
         for head in pts[_bilinear(pts, forms[1][0], pts) % p == 0][:3]:
-            vs, leaves = _head_search(forms, p, head, d)
-            want, want_leaves = _loop_head_search(forms, p, head, d)
-            assert leaves == want_leaves
-            assert (None if vs is None else [[int(a) for a in v] for v in vs]) == want
+            _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_head_search_in_the_radical_of_q2_over_f3(d, monkeypatch):
+    # e_0 spans the radical of q2, so B2(head, .) = 0 and no level has a
+    # pivot: v_d runs over all of F_3^3, and a row survives only when its
+    # condition already holds, which starts with q1(head) = 0
+    import numpy as np
+    q1 = QuadraticForm.of_ints(F3, [[0, 1, 0], [0, 2, 1], [0, 0, 1]])
+    q2 = diag(F3, [0, 1, 2])
+    forms = _int_forms(q1, q2)
+    head = np.array([1, 0, 0])
+    assert not (head @ forms[1][1] % 3).any()
+    want, leaves = _assert_head_search_matches_the_loop(forms, 3, head, d, monkeypatch)
+    # head * x^d, at combination (1, 0, 0) of the first row
+    assert want == [[1, 0, 0]] + [[0, 0, 0]] * (d - 1) + [[1, 0, 0]]
+    assert leaves == 10
+
+
+def test_head_search_skips_a_row_whose_only_solution_is_the_zero_leaf(monkeypatch):
+    import numpy as np
+    q1 = QuadraticForm.of_ints(F3, [[0, 1, 0], [0, 2, 1], [0, 0, 1]])
+    q2 = QuadraticForm.of_ints(F3, [[0, 2, 1], [0, 1, 1], [0, 0, 2]])
+    forms = _int_forms(q1, q2)
+    head = [1, 0, 1]
+    # the first row, v_1 = (2, 0, 0), meets every condition of degree 2
+    # only with v_2 = 0; the search must go on to the second row
+    assert all(_loop_coefficient(forms, [head, [2, 0, 0], [0, 0, 0]], k, 3) == 0
+               for k in (3, 4, 5))
+    want, leaves = _assert_head_search_matches_the_loop(forms, 3, np.array(head), 2,
+                                                        monkeypatch)
+    assert want == [head, [0, 0, 1], [2, 0, 0]]
+    assert leaves == 10  # the first leaf of the second row of 9
 
 
 def test_witness_polys_rejects_a_non_witness():
