@@ -88,7 +88,6 @@ class JobSpec:
     form: str = None
     pencil: str = None
     budget_height: int = 10
-    budget_enum: int = 200000
     format: str = "human"
     scenario: str = None
     fault: str = None
@@ -97,7 +96,6 @@ class JobSpec:
 
 def input_block(spec):
     return {
-        "budget_enum": spec.budget_enum,
         "budget_height": spec.budget_height,
         "checks": list(spec.checks) if spec.checks is not None else None,
         "command": spec.command,
@@ -119,7 +117,6 @@ def jobspec_from_input(block):
         form=block.get("form"),
         pencil=block.get("pencil"),
         budget_height=block["budget_height"],
-        budget_enum=block["budget_enum"],
         format=block["format"],
         scenario=block.get("scenario"),
         fault=block.get("fault"),
@@ -349,9 +346,9 @@ def render_human(report):
 
 
 def _budget(spec):
-    if spec.budget_height < 1 or spec.budget_enum < 1:
-        raise CliInputError("budgets must be positive")
-    return SearchBudget(height=spec.budget_height, enum=spec.budget_enum)
+    if spec.budget_height < 1:
+        raise CliInputError("--budget-height must be positive")
+    return SearchBudget(height=spec.budget_height)
 
 
 def cmd_analyze(spec):
@@ -613,8 +610,6 @@ def build_parser():
                         default="human", help="report format")
     common.add_argument("--budget-height", type=int, default=10,
                         help="rational search height bound")
-    common.add_argument("--budget-enum", type=int, default=200000,
-                        help="enumeration cap for searches")
     common.add_argument("--fault-inject", dest="fault", metavar="NAME",
                         help="test hook: corrupt a named internal (see docs)")
 
@@ -657,7 +652,6 @@ def jobspec_from_args(args):
         form=_expand_at(getattr(args, "form", None)),
         pencil=_expand_at(getattr(args, "pencil", None)),
         budget_height=args.budget_height,
-        budget_enum=args.budget_enum,
         format=args.format,
         scenario=getattr(args, "scenario", None),
         fault=args.fault,

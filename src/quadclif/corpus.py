@@ -88,7 +88,7 @@ def isotropic_form_corpus(count=100, seed=DEFAULT_SEED, budget=None):
     """
     rng = random.Random(seed + 2)
     if budget is None:
-        budget = SearchBudget(height=4, enum=20000)
+        budget = SearchBudget(height=4)
     out = []
     while len(out) < count:
         field = FIELDS[rng.choice(("F3", "F5", "Q"))]

@@ -16,12 +16,15 @@ center/cover comparison, the common-zero against function-field-witness
 correspondence for two forms, and the rank-4 and rank-6 triviality
 checks that the correspondence powers.
 
-The finite-field searches share one point walk.  The common-zero search
-runs splitting.canonical_points lazily on wrapped elements, so it
-covers every finite field.  The witness search and the Amer-Brumer
-check take their points from rings.TableCoding.points, whose codes over
-F_p are the residues, cast to int64.  The rank-6 plane search is one
-step of lagrangian.common_isotropic_subspaces over both forms.
+The common-zero search is the zero search of splitting.find_isotropic
+run on both forms: exhaustive over every finite field, a height sweep
+over Q.  The degenerate members over F_q come from the one
+factorization of the discriminant: its linear factors are the rational
+points, the others the extension points.  The witness search and the
+Amer-Brumer check take their points from rings.TableCoding.points and
+their forms from rings.ArrayCoding, both coding F_p by residues.  The
+rank-6 plane search is one step of
+lagrangian.common_isotropic_subspaces over both forms.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rings import (
+    ArrayCoding,
     BinaryForm,
     ExtensionField,
     InvariantViolation,
@@ -41,7 +45,7 @@ from .rings import (
 )
 from .lagrangian import common_isotropic_subspaces
 from .quadform import QuadraticForm
-from .splitting import DEFAULT_BUDGET, canonical_points
+from .splitting import DEFAULT_BUDGET, _first_common_zero
 
 
 @dataclass(frozen=True)
@@ -161,12 +165,14 @@ def analyze(pencil):
     """Full degeneration analysis of the pencil.
 
     Computes the discriminant form, its squarefreeness, and the radical
-    rank of the member at every root: base-rational roots directly, and
-    over a finite field also every root in every extension, by factoring
-    the discriminant and evaluating in the residue field of each factor
-    (the class of the variable is a root there, and radical rank is
-    constant along a conjugacy class).  Each visited root is checked
-    against the multiplicity bound: multiplicity >= radical rank.
+    rank of the member at every root.  Over Q the roots are the rational
+    ones.  Over a finite field one factorization of the dehomogenized
+    discriminant gives them all: a linear factor t + c is the rational
+    root (1 : -c), listed in element order and followed by (0 : 1), and
+    a factor g of higher degree is evaluated in its residue field (the
+    class of the variable is a root there, and radical rank is constant
+    along a conjugacy class).  Each visited root is checked against the
+    multiplicity bound: multiplicity >= radical rank.
     """
     field = pencil.field
     n = pencil.n
@@ -190,8 +196,20 @@ def analyze(pencil):
                     % (scalar_str(s0), scalar_str(t0)))
 
     squarefree = delta.is_squarefree()
+    factors = []
+    if field.size() is None:
+        rational = delta.roots_projective()
+    else:
+        dehom = delta.dehomogenize()
+        if dehom.degree() > 0:
+            _, factors = irreducible_factors(dehom)
+        roots = {-g.coeff(0): mult for g, mult in factors if g.degree() == 1}
+        rational = [((one, r), roots[r]) for r in field.elements() if r in roots]
+        inf = delta.infinity_multiplicity()
+        if inf:
+            rational.append(((field.zero(), one), inf))
     points = []
-    for (s0, t0), mult in delta.roots_projective():
+    for (s0, t0), mult in rational:
         rank = _radical_rank_at(pencil, s0, t0)
         if mult < rank:
             raise InvariantViolation(
@@ -206,30 +224,24 @@ def analyze(pencil):
             point=(s0, t0), factor=label, degree=1,
             multiplicity=mult, radical_rank=rank))
 
-    exhaustive = True
-    if field.size() is not None:
-        dehom = delta.dehomogenize()
-        if dehom.degree() > 0:
-            _, factors = irreducible_factors(dehom)
-            for g, mult in factors:
-                if g.degree() == 1:
-                    continue  # already visited as a rational root
-                ext = ExtensionField(field, g)
-                theta = ext.gen()
-                lifted = pencil.map_field(ext, ext.embed)
-                rank = len(lifted.member(ext.one(), theta).radical_basis())
-                if mult < rank:
-                    raise InvariantViolation(
-                        "multiplicity-bound",
-                        "root of %s has multiplicity %d < radical rank %d"
-                        % (str(g), mult, rank))
-                points.append(DegenerationPoint(
-                    point=None, factor=str(g), degree=g.degree(),
-                    multiplicity=mult, radical_rank=rank))
-    elif field.kind == "rationals":
-        # irrational roots are not enumerated; the multiplicity bound
-        # still decides simplicity whenever delta is squarefree
-        exhaustive = squarefree
+    for g, mult in factors:
+        if g.degree() == 1:
+            continue  # already visited as a rational root
+        ext = ExtensionField(field, g)
+        theta = ext.gen()
+        lifted = pencil.map_field(ext, ext.embed)
+        rank = len(lifted.member(ext.one(), theta).radical_basis())
+        if mult < rank:
+            raise InvariantViolation(
+                "multiplicity-bound",
+                "root of %s has multiplicity %d < radical rank %d"
+                % (str(g), mult, rank))
+        points.append(DegenerationPoint(
+            point=None, factor=str(g), degree=g.degree(),
+            multiplicity=mult, radical_rank=rank))
+    # irrational roots over Q are not enumerated; the multiplicity bound
+    # still decides simplicity whenever delta is squarefree
+    exhaustive = field.size() is not None or squarefree
 
     simple = squarefree and all(p.radical_rank <= 1 for p in points)
     return PencilAnalysis(
@@ -345,63 +357,21 @@ def center_matches_cover(pencil, samples=None):
 def common_isotropic_vector(q1, q2, budget=DEFAULT_BUDGET):
     """First common nonzero zero of both forms, or None.
 
-    Exhaustive over finite fields; over Q an ascending sweep over
-    primitive integer vectors of bounded height, capped by the budget's
-    enumeration allowance.
+    The zero search of splitting.find_isotropic on both forms at once:
+    exhaustive over finite fields, over Q an ascending sweep over
+    primitive integer vectors up to the budget's height.
     """
     if q1.field is not q2.field or q1.n != q2.n:
         raise ValueError("forms must share a field and a rank")
-    field, n = q1.field, q1.n
-    if field.size() is not None:
-        return next((v for v in canonical_points(field, n)
-                     if not q1.evaluate(v) and not q2.evaluate(v)), None)
-    if field.kind != "rationals":
-        raise ValueError("common-zero search supports finite fields and Q")
-    from fractions import Fraction
-    import math
-    seen = 0
-    for h in range(1, budget.height + 1):
-        span = range(-h, h + 1)
-        for raw in itertools.product(span, repeat=n):
-            if max(abs(a) for a in raw) != h:
-                continue
-            seen += 1
-            if seen > budget.enum:
-                return None
-            g = 0
-            for a in raw:
-                g = math.gcd(g, abs(a))
-            if g != 1:
-                continue
-            lead = next((a for a in raw if a), 0)
-            if lead < 0:
-                continue
-            v = tuple(Fraction(a) for a in raw)
-            if not q1.evaluate(v) and not q2.evaluate(v):
-                return v
-    return None
-
-
-def _int_form(q):
-    """Upper triangular coefficient matrix as plain ints mod p."""
-    return [[e.v for e in row] for row in q.c]
-
-
-def _int_polar(q):
-    p = q.field.p
-    c = _int_form(q)
-    n = q.n
-    return [[(c[i][j] if i < j else c[j][i] if j < i else 2 * c[i][i]) % p
-             for j in range(n)] for i in range(n)]
+    return _first_common_zero([q1, q2], budget)
 
 
 def _int_forms(q1, q2):
     """(coefficient matrix, polar matrix, shift) of q1 and q2 as int64
     arrays, the shift being the power of x that multiplies the form in
     x*q1 + q2."""
-    import numpy as np
-    return tuple((np.array(_int_form(q), dtype=np.int64),
-                  np.array(_int_polar(q), dtype=np.int64), shift)
+    coding = ArrayCoding(q1.field)
+    return tuple((coding.array(q.c), coding.array(q.polar_matrix().rows), shift)
                  for q, shift in ((q1, 1), (q2, 0)))
 
 

@@ -960,35 +960,6 @@ def irreducible_factors(f):
     return unit, out
 
 
-def factor_roots_prime_field(f):
-    """All roots in a finite coefficient field, with multiplicities.
-
-    Returns ([(root, multiplicity), ...], cofactor) where the cofactor is
-    the monic rootless part.  Exhaustive evaluation, so the field must be
-    finite; roots come out in enumeration order.
-    """
-    if f.field.size() is None:
-        raise ValueError("root factoring by enumeration needs a finite field")
-    if not f:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    roots = []
-    g = f.monic()
-    for a in f.field.elements():
-        if g.degree() == 0:
-            break
-        if not g.evaluate(a):
-            mult = 0
-            lin = Poly(f.field, f.var, (-a, f.field.one()))
-            while True:
-                q, r = divmod(g, lin)
-                if r:
-                    break
-                g = q
-                mult += 1
-            roots.append((a, mult))
-    return roots, g
-
-
 def rational_roots(f):
     """Rational roots with multiplicities, plus the rootless cofactor.
 
@@ -1122,21 +1093,19 @@ class BinaryForm:
         return all(m == 1 for _, m in decomp)
 
     def roots_projective(self):
-        """[( (s0, t0), multiplicity ), ...] over the coefficient field.
+        """[( (s0, t0), multiplicity ), ...] over Q.
 
-        Affine roots are (1, r) for roots r of the dehomogenization; the
-        point (0, 1) appears when the top coefficients vanish.  For Q the
-        affine roots are the rational ones.
+        Affine roots are (1, r) for the rational roots r of the
+        dehomogenization; the point (0, 1) appears when the top
+        coefficients vanish.  Over a finite field pencil.analyze reads
+        the roots off the factorization of the dehomogenization instead.
         """
         if self.is_zero():
             raise ValueError("the zero form vanishes everywhere")
+        if self.field.kind != "rationals":
+            raise ValueError("root listing needs Q")
         d = self.dehomogenize()
-        if self.field.size() is not None:
-            affine, _ = factor_roots_prime_field(d) if d.degree() > 0 else ([], d)
-        elif self.field.kind == "rationals":
-            affine, _ = rational_roots(d) if d.degree() > 0 else ([], d)
-        else:
-            raise ValueError("root listing needs a finite field or Q")
+        affine, _ = rational_roots(d) if d.degree() > 0 else ([], d)
         one = self.field.one()
         out = [((one, r), m) for r, m in affine]
         inf = self.infinity_multiplicity()

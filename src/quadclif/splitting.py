@@ -1,16 +1,18 @@
 """Isotropic vectors and hyperbolic splitting of quadratic forms.
 
-The search for isotropic vectors is exact and deterministic:
+One exact, deterministic search finds the first common zero of a list
+of forms: find_isotropic runs it on one form and
+pencil.common_isotropic_vector on the two forms of a pencil.
 
 * finite fields: exhaustive projective enumeration (first nonzero
   coordinate normalized to 1, lexicographic in the field's element
-  order), so returning None is a proof of anisotropy.  canonical_points
-  walks the points lazily on wrapped elements, so it runs over any
-  finite field, and pencil.common_isotropic_vector walks the same
-  order;
+  order), so returning None is a proof that there is no zero.
+  canonical_points walks the points lazily on wrapped elements, so it
+  runs over any finite field;
 * the rationals: integer vectors swept by increasing height (maximum
-  absolute coordinate), primitive and sign-normalized, up to a height
-  budget, so None is merely inconclusive.
+  absolute coordinate), primitive and sign-normalized, up to the height
+  budget, and evaluated on the forms scaled to integer rows, so None is
+  merely inconclusive.
 
 Splitting follows the classical construction: an isotropic v with
 b(v, w0) nonzero for some basis vector w0 is completed to a hyperbolic
@@ -34,18 +36,17 @@ from .rings import InvariantViolation, Matrix
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the inconclusive searches over Q.
+    """Cap for the inconclusive zero searches over Q.
 
-    height: maximum absolute coordinate for integer vectors.
-    enum: cap on candidates tried by the common-zero search of a pencil.
+    height: maximum absolute coordinate of the integer vectors that
+    find_isotropic and pencil.common_isotropic_vector sweep.
     """
 
     height: int = 10
-    enum: int = 200000
 
     def __post_init__(self):
-        if self.height < 1 or self.enum < 1:
-            raise ValueError("budget caps must be positive")
+        if self.height < 1:
+            raise ValueError("the budget height must be positive")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -106,17 +107,22 @@ def find_isotropic(q, budget=DEFAULT_BUDGET):
 
     Exhaustive over finite fields, a height sweep over Q.
     """
-    kind = q.field.kind
-    if kind in ("prime", "extension"):
-        return next((v for v in canonical_points(q.field, q.n) if not q.evaluate(v)), None)
-    if kind == "rationals":
-        return _find_isotropic_rational(q, budget)
-    raise ValueError("no isotropy search over %s" % q.field.label())
+    return _first_common_zero([q], budget)
 
 
-def _find_isotropic_rational(q, budget):
-    n = q.n
-    rows = _rational_int_rows(q)
+def _first_common_zero(forms, budget):
+    """First nonzero vector on which every form vanishes, or None; the
+    forms share a field and a rank.  Over a finite field the first in
+    canonical_points order, over Q the first primitive integer vector
+    with positive first nonzero coordinate by height, then
+    lexicographically, up to budget.height."""
+    field, n = forms[0].field, forms[0].n
+    if field.size() is not None:
+        return next((v for v in canonical_points(field, n)
+                     if not any(q.evaluate(v) for q in forms)), None)
+    if field.kind != "rationals":
+        raise ValueError("no isotropy search over %s" % field.label())
+    rows = [_rational_int_rows(q) for q in forms]
     for h in range(1, budget.height + 1):
         for v in itertools.product(range(-h, h + 1), repeat=n):
             if max(abs(c) for c in v) != h:
@@ -126,7 +132,7 @@ def _find_isotropic_rational(q, budget):
                 continue
             if math.gcd(*v) != 1:
                 continue
-            if _eval_int_rows(rows, v, n) == 0:
+            if all(_eval_int_rows(r, v, n) == 0 for r in rows):
                 return tuple(Fraction(c) for c in v)
     return None
 

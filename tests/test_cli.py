@@ -211,7 +211,7 @@ def test_rank8_pencil_skips_the_center_cover_comparison():
 def test_elliptic_unknown_is_exit_1():
     code, rep = run_json(["pencil", "--scenario", "elliptic", "--pencil",
                           "field=Q; q1=diag(1,1,1,1); q2=diag(1,2,3,4)",
-                          "--budget-height", "3", "--budget-enum", "3000"])
+                          "--budget-height", "3"])
     assert code == 1
     assert rep["brauer"]["kind"] == "unknown"
 
@@ -242,6 +242,7 @@ def test_machine_output_is_sorted_and_roundtrips():
     rep = json.loads(out)
     assert out == render_machine(rep)  # sorted keys, stable formatting
     assert "budget_degree" not in rep["input"]
+    assert "budget_enum" not in rep["input"]
     spec = jobspec_from_input(rep["input"])
     assert spec == JobSpec(command="analyze", form="field=Q; q=diag(1,2,3)",
                            format="machine")

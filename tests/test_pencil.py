@@ -2,15 +2,19 @@
 correspondence searches."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadclif.rings import QQ, InvariantViolation, PrimeField, scalar_str
+import gauss_jordan
+from quadclif.rings import (
+    QQ, InvariantViolation, Poly, PrimeField, quadratic_extension, scalar_str)
 from quadclif.quadform import QuadraticForm
 from quadclif.splitting import SearchBudget
 from quadclif.pencil import (
     BrauerVerdict,
+    DegenerationPoint,
     Pencil,
     amer_brumer_check,
     analyze,
@@ -156,6 +160,74 @@ def test_rational_degeneration_points_of_f3_rank2_pair():
     a = analyze(Pencil(diag(F3, [1, 1]), QuadraticForm.of_ints(F3, [[0, 1], [0, 0]])))
     assert a.squarefree and a.simple
     assert {p.factor for p in a.points} == {"t+1", "t+2"}
+
+
+def _brute_rational_points(pencil):
+    """The base-rational DegenerationPoints by brute force: delta at every
+    point of P^1(F_q), (1 : a) in element order, then (0 : 1).  A zero's
+    multiplicity comes from dividing delta, in the chart where the point
+    is affine, by the linear factor through it until a remainder shows;
+    its radical rank is n minus the rank of the member's polar matrix by
+    textbook elimination."""
+    field, n = pencil.field, pencil.n
+    delta = discriminant_form(pencil)
+    one, zero = field.one(), field.zero()
+    out = []
+    for s0, t0 in [(one, a) for a in field.elements()] + [(zero, one)]:
+        if delta.evaluate(s0, t0):
+            continue
+        if s0:
+            f, root, label = delta.dehomogenize(), t0, str(Poly(field, "t", (-t0, one)))
+        else:
+            f, root, label = Poly(field, "s", delta.coeffs[::-1]), zero, "inf"
+        lin = Poly(field, f.var, (-root, one))
+        mult = 0
+        while True:
+            quo, rem = divmod(f, lin)
+            if rem:
+                break
+            f, mult = quo, mult + 1
+        _, pivots = gauss_jordan.rref(field, pencil.member(s0, t0).polar_matrix().rows)
+        out.append(DegenerationPoint(point=(s0, t0), factor=label, degree=1,
+                                     multiplicity=mult, radical_rank=n - len(pivots)))
+    return out
+
+
+def _pencil_corpus(rng, field, n):
+    """A random pencil whose members are often degenerate at a repeated
+    or infinite root: diagonal with entries from a short list, or upper
+    triangular with a zero row in q2 now and then."""
+    elems = field.elements()
+    if rng.random() < 0.5:
+        few = rng.sample(elems, min(3, len(elems)))
+        return Pencil(*(diag(field, [rng.choice(few) for _ in range(n)]) for _ in "12"))
+    forms = [[[rng.choice(elems) if j >= i else field.zero() for j in range(n)]
+              for i in range(n)] for _ in "12"]
+    if rng.random() < 0.4:
+        k = rng.randrange(n)
+        for j in range(n):
+            forms[1][min(j, k)][max(j, k)] = field.zero()
+    return Pencil(*(QuadraticForm(field, rows) for rows in forms))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, PrimeField(7), quadratic_extension(F3)],
+                         ids=["F2", "F3", "F5", "F7", "F9"])
+def test_rational_degeneration_points_match_brute_force(field):
+    rng = random.Random(field.size())
+    repeated = infinite = 0
+    for n in range(2, 7):
+        if n % 2 and field.characteristic == 2:
+            continue  # no odd-rank discriminant in characteristic 2
+        for _ in range(10):
+            pencil = _pencil_corpus(rng, field, n)
+            a = analyze(pencil)
+            if a.identically_degenerate:
+                continue
+            got = [p for p in a.points if p.degree == 1]
+            assert got == _brute_rational_points(pencil)
+            repeated += any(p.multiplicity > 1 for p in got)
+            infinite += any(p.factor == "inf" for p in got)
+    assert repeated >= 3 and infinite >= 3
 
 
 # ------------------------------------------------------------ the cover
@@ -424,7 +496,7 @@ def test_brauer_trivial_with_planted_vector():
 def test_brauer_unknown_over_q_when_nothing_in_reach():
     # sums of squares have no rational zero at all, so the bounded
     # search cannot settle the class over Q
-    budget = SearchBudget(height=3, enum=3000)
+    budget = SearchBudget(height=3)
     verdict = brauer_triviality_rank4(diag(QQ, [1, 1, 1, 1]), diag(QQ, [1, 2, 3, 4]),
                                       budget=budget)
     assert verdict.kind == "unknown" and not bool(verdict)

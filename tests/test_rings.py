@@ -20,7 +20,6 @@ from quadclif.rings import (
     Matrix,
     Poly,
     PrimeField,
-    factor_roots_prime_field,
     find_irreducible,
     poly_gcd,
     poly_is_irreducible,
@@ -207,18 +206,6 @@ def test_squarefree_decomposition_reconstructs_char_p(seed, p):
             assert poly_gcd(decomp[i][0], decomp[j][0]).degree() == 0
 
 
-def test_root_factoring_lists_all_roots_in_order():
-    t = Poly.x(F5, "t")
-    f = (t + 1) * (t + 1) * (t + 2)
-    roots, cofactor = factor_roots_prime_field(f)
-    assert roots == [(F5.from_int(3), 1), (F5.from_int(4), 2)]
-    assert cofactor.degree() == 0
-    # irreducible quadratic keeps its cofactor
-    g = Poly.of_ints(F3, "t", [1, 0, 1])  # t^2 + 1 over F_3
-    roots, cofactor = factor_roots_prime_field(g)
-    assert roots == [] and cofactor == g.monic()
-
-
 def test_rational_roots_with_multiplicity():
     t = Poly.x(QQ, "t")
     f = (2 * t - 1) ** 2 * (t + 3) * t
@@ -295,14 +282,16 @@ def test_binary_form_evaluation_and_infinity_roots():
 
 
 def test_binary_form_root_at_infinity():
-    # degree-4 form with vanishing top coefficients: s^2 (s + t) t is not; use s^3 t model
-    f3 = PrimeField(3)
-    bf = BinaryForm(f3, 4, [f3.from_int(c) for c in (0, 1, 0, 0, 0)])  # s^3 t
+    # degree-4 form with vanishing top coefficients: the s^3 t model
+    bf = BinaryForm(QQ, 4, [Fraction(c) for c in (0, 1, 0, 0, 0)])  # s^3 t
     inf = [m for (pt, m) in bf.roots_projective() if not pt[0]]
     assert inf == [3]
     assert not bf.is_squarefree()
     affine = [(pt, m) for (pt, m) in bf.roots_projective() if pt[0]]
-    assert affine == [((f3.one(), f3.zero()), 1)]
+    assert affine == [((Fraction(1), Fraction(0)), 1)]
+    # over a finite field pencil.analyze reads roots off the factorization
+    with pytest.raises(ValueError):
+        BinaryForm(F3, 4, [F3.from_int(c) for c in (0, 1, 0, 0, 0)]).roots_projective()
 
 
 def test_binary_form_frobenius_power_detected():

@@ -1,6 +1,7 @@
 """Isotropic vector search and hyperbolic reduction."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadclif.rings import QQ, PrimeField, quadratic_extension
-from quadclif.pencil import common_isotropic_vector
+from quadclif.pencil import brauer_triviality_rank4, common_isotropic_vector
 from quadclif.quadform import QuadraticForm
 from quadclif.splitting import (
     DEFAULT_BUDGET,
@@ -209,8 +210,6 @@ def test_reduction_random_diagonals_f5(entries):
 def test_budget_constructor_validation():
     with pytest.raises(ValueError):
         SearchBudget(height=0)
-    with pytest.raises(ValueError):
-        SearchBudget(enum=0)
     assert DEFAULT_BUDGET.height == 10
 
 
@@ -225,9 +224,18 @@ def test_reduce_fully_rank1_leftover_is_conclusive():
 # --------------------------------------------- canonical point searches
 
 
-def _brute_first(field, n, *forms):
-    """The first common zero of forms among all of F^n, by sorting every
-    normalized zero on (leading column, element positions)."""
+def _brute_first(field, n, *forms, height=3):
+    """The first common zero of forms.  Over a finite field: among all of
+    F^n, by sorting every normalized zero on (leading column, element
+    positions).  Over Q: among the integer vectors of height <= height
+    that are primitive with a positive first nonzero entry, by height,
+    then lexicographically."""
+    if field.size() is None:
+        zeros = [v for v in itertools.product(range(-height, height + 1), repeat=n)
+                 if math.gcd(*v) == 1 and next(a for a in v if a) > 0
+                 and not any(q.evaluate(tuple(map(Fraction, v))) for q in forms)]
+        first = min(zeros, key=lambda v: (max(map(abs, v)), v), default=None)
+        return None if first is None else tuple(map(Fraction, first))
     elems = field.elements()
     pos = {e: i for i, e in enumerate(elems)}
     zeros = []
@@ -241,17 +249,33 @@ def _brute_first(field, n, *forms):
 
 
 def _random_upper(rng, field, n):
-    elems = field.elements()
+    if field.size() is None:
+        elems = [Fraction(a, b) for a in range(-3, 4) for b in (1, 1, 1, 2, 3)]
+    else:
+        elems = field.elements()
     return QuadraticForm(field, [[rng.choice(elems) if j >= i and rng.random() < 0.7
                                   else field.zero() for j in range(n)] for i in range(n)])
+
+
+def _plant(q, v):
+    """q changed in the diagonal entry at the first nonzero entry of v so
+    that q(v) = 0."""
+    i = next(k for k, a in enumerate(v) if a)
+    rows = [list(r) for r in q.c]
+    rows[i][i] -= q.evaluate(v) / (v[i] * v[i])
+    return QuadraticForm(q.field, rows)
 
 
 @pytest.mark.parametrize("field, ranks", [
     (F2, (1, 2, 3, 4)), (F3, (1, 2, 3, 4)), (F5, (1, 2, 3)),
     (quadratic_extension(F3), (1, 2, 3)), (quadratic_extension(F5), (1, 2)),
     (PrimeField(31), (2, 3)), (quadratic_extension(PrimeField(7)), (1, 2)),
-], ids=["F2", "F3", "F5", "F9", "F25", "F31", "F49"])
+    (QQ, (2, 3, 4)),
+], ids=["F2", "F3", "F5", "F9", "F25", "F31", "F49", "Q"])
 def test_point_searches_match_brute_force(field, ranks):
+    if field.size() is None:
+        _rational_point_searches_match_brute_force(ranks)
+        return
     rng = random.Random(field.size())
     for n in ranks:
         for _ in range(4 if n < 3 else 2):
@@ -263,6 +287,37 @@ def test_point_searches_match_brute_force(field, ranks):
         a = next(e for e in field.elements() if not field.is_square(e))
         q = QuadraticForm.diagonal(field, [field.one(), -a])
         assert find_isotropic(q) is None and _brute_first(field, 2, q) is None
+
+
+def _rational_point_searches_match_brute_force(ranks):
+    rng = random.Random(13)
+    budget = SearchBudget(height=3)
+    found = 0
+    for n in ranks:
+        for k in range(8):
+            q1, q2 = _random_upper(rng, QQ, n), _random_upper(rng, QQ, n)
+            if k % 2:
+                # half the pencils get a common zero within the height
+                v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                if any(v):
+                    q1, q2 = _plant(q1, v), _plant(q2, v)
+            want = _brute_first(QQ, n, q1, q2)
+            found += want is not None
+            assert find_isotropic(q1, budget) == _brute_first(QQ, n, q1)
+            assert common_isotropic_vector(q1, q2, budget) == want
+    assert found >= 6
+    # first zeros of height 4: out of reach at height 3, found at 4
+    q = QuadraticForm.diagonal(QQ, [16, -1])
+    assert find_isotropic(q, budget) is None
+    assert find_isotropic(q, SearchBudget(height=4)) == (1, -4)
+    q1 = QuadraticForm.diagonal(QQ, [-3, -2, 2, -21])
+    q2 = QuadraticForm.diagonal(QQ, [-4, 3, -1, 8])
+    assert common_isotropic_vector(q1, q2, budget) is None
+    assert brauer_triviality_rank4(q1, q2, budget).kind == "unknown"
+    high = SearchBudget(height=4)
+    assert common_isotropic_vector(q1, q2, high) == (1, -2, -4, -1) \
+        == _brute_first(QQ, 4, q1, q2, height=4)
+    assert brauer_triviality_rank4(q1, q2, high).witness == (1, -2, -4, -1)
 
 
 def test_point_search_past_the_prime_table_bound():
