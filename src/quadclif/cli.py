@@ -34,7 +34,7 @@ import argparse
 import ast
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import acceptance
 from .clifford import even_center_report, inject_fault
@@ -95,33 +95,19 @@ class JobSpec:
 
 
 def input_block(spec):
-    return {
-        "budget_height": spec.budget_height,
-        "checks": list(spec.checks) if spec.checks is not None else None,
-        "command": spec.command,
-        "fault": spec.fault,
-        "field": spec.field,
-        "form": spec.form,
-        "format": spec.format,
-        "pencil": spec.pencil,
-        "scenario": spec.scenario,
-    }
+    """Every JobSpec field by name; checks as a list, as JSON has it."""
+    block = {f.name: getattr(spec, f.name) for f in fields(JobSpec)}
+    if spec.checks is not None:
+        block["checks"] = list(spec.checks)
+    return block
 
 
 def jobspec_from_input(block):
     """Rebuild the JobSpec from an emitted report's input block."""
-    checks = block.get("checks")
-    return JobSpec(
-        command=block["command"],
-        field=block.get("field"),
-        form=block.get("form"),
-        pencil=block.get("pencil"),
-        budget_height=block["budget_height"],
-        format=block["format"],
-        scenario=block.get("scenario"),
-        fault=block.get("fault"),
-        checks=tuple(checks) if checks is not None else None,
-    )
+    values = {f.name: block[f.name] for f in fields(JobSpec) if f.name in block}
+    if values.get("checks") is not None:
+        values["checks"] = tuple(values["checks"])
+    return JobSpec(**values)
 
 
 # ----------------------------------------------------------- parsing
@@ -646,17 +632,12 @@ def build_parser():
 
 
 def jobspec_from_args(args):
-    return JobSpec(
-        command=args.command,
-        field=_expand_at(getattr(args, "field", None)),
-        form=_expand_at(getattr(args, "form", None)),
-        pencil=_expand_at(getattr(args, "pencil", None)),
-        budget_height=args.budget_height,
-        format=args.format,
-        scenario=getattr(args, "scenario", None),
-        fault=args.fault,
-        checks=tuple(args.checks) if getattr(args, "checks", None) else None,
-    )
+    """The JobSpec of the parsed flags; a subcommand without a flag gives None."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(JobSpec)}
+    for name in ("field", "form", "pencil"):
+        values[name] = _expand_at(values[name])
+    values["checks"] = tuple(values["checks"]) if values["checks"] else None
+    return JobSpec(**values)
 
 
 def _emit(report, spec, extras, out):

@@ -3,8 +3,10 @@
 An algebra here is a basis plus one dense structure tensor T of shape
 (d, d, d): T[i, j, k] is the coefficient of e_k in e_i e_j, in
 rings.ArrayCoding codes.  It is built eagerly and every consumer reads
-it with numpy; mul_basis and mul_elem decode.  Basis element 0 is the
-unit.  T holds residues over F_p, and integers over Q when the form's
+it with numpy.  Elements are coded vectors of length d throughout, from
+the tensor to the center report and the Peirce fibers; only mul_basis
+decodes, for the products that an error message names.  Basis element 0
+is the unit.  T holds residues over F_p, and integers over Q when the form's
 coefficients bound its entries below 2^62, in the narrowest numpy
 integer dtype; otherwise object codes (Fractions, huge integers,
 elements of F_{p^2}).  Contractions run in float64 only where a bound
@@ -28,9 +30,8 @@ produces the full Clifford algebra (all 2^n subsets), used by the
 orthogonal-sum and hyperbolic-splitting verifications.
 
 Every constructed algebra re-verifies unitality and associativity:
-exhaustively through dimension 16, and on a seeded 256-triple sample
-above that (a fixed-seed sample, so failures reproduce).  Callers that
-want the exhaustive check at dimension 32 can force it.
+exhaustively through dimension 16, and on a 256-triple sample above
+that, drawn with seed 0 from the dimension alone, so failures reproduce.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import ArrayCoding, InvariantViolation, Matrix, coded_kernel, coded_rref, scalar_str
+from .rings import ArrayCoding, InvariantViolation, coded_kernel, coded_rref, scalar_str
 
 # fault injection hook for the self-test machinery: when set to
 # "clifford-mul", freshly built even Clifford algebras get one corrupted
@@ -55,11 +56,11 @@ def inject_fault(target):
 
 
 @functools.lru_cache(maxsize=None)
-def _sample_triples(seed, d, samples):
-    """The seeded sample of basis triples checked above dimension 16."""
-    rng = random.Random(seed)
+def _sample_triples(d):
+    """The sample of 256 basis triples checked above dimension 16."""
+    rng = random.Random(0)
     triples = np.array([(rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                        for _ in range(samples)], dtype=np.int64).reshape(-1, 3)
+                        for _ in range(256)], dtype=np.int64)
     triples.flags.writeable = False  # shared by every algebra of dimension d
     return triples
 
@@ -67,74 +68,48 @@ def _sample_triples(seed, d, samples):
 class StructuredAlgebra:
     """Finite-dimensional unital associative algebra over an exact field.
 
-    Elements are sparse dicts {basis index: coefficient}.  The unit is
-    basis element 0 (checked at construction).  table[i, j, k] codes the
-    coefficient of e_k in e_i e_j, stored as ArrayCoding.numeric returns
-    it: narrow integers with bound their largest |entry|, or object codes
-    with bound None.
+    Elements are coded vectors of length dim.  The unit is basis element
+    0 (checked at construction).  table[i, j, k] codes the coefficient of
+    e_k in e_i e_j, stored as ArrayCoding.numeric returns it: narrow
+    integers with bound their largest |entry|, or object codes with bound
+    None.
     """
 
-    def __init__(self, field, table, labels=None, gen_indices=None, check="auto", seed=0):
+    def __init__(self, field, table, labels=None, gen_indices=None):
         if len(table) < 1:
             raise ValueError("an algebra needs at least the unit")
         self.field, self.coding, self.dim = field, ArrayCoding(field), len(table)
         self.table, self.bound = self.coding.numeric(table)
         self.labels = list(labels) if labels else ["b%d" % i for i in range(self.dim)]
         self.gen_indices = list(gen_indices) if gen_indices is not None else None
-        if check not in ("auto", "full", False):
-            raise ValueError("check must be 'auto', 'full', or False")
         self._verify_unit()
-        if check:
-            self.verify_associativity(seed=seed, force_full=check == "full")
+        self.verify_associativity()
 
     # -- basic operations ----------------------------------------------
 
     def mul_basis(self, i, j):
         return {k: self.coding.decode(c) for k, c in enumerate(self.table[i, j].tolist()) if c}
 
-    def unit(self):
-        return {0: self.field.one()}
+    def mul(self, x, y):
+        """The product x y of two coded vectors, as a coded vector.
 
-    def mul_elem(self, x, y):
-        xs = [u for u, c in x.items() if c]
-        ys = [v for v, c in y.items() if c]
-        if not xs or not ys:
-            return {}
+        Only the block of the tensor on the supports of x and y is read.
+        Over Q with an integer tensor the coefficients are scaled to
+        integers by one common denominator, so the contraction runs on
+        integers and the product is divided once at the end.
+        """
         coding = self.coding
-        coefs = coding.reduce(np.outer(coding.array([x[u] for u in xs]),
-                                       coding.array([y[v] for v in ys]))).reshape(1, -1)
+        xs, ys = np.flatnonzero(x), np.flatnonzero(y)
+        if not xs.size or not ys.size:
+            return coding.zeros(self.dim)
+        coefs = coding.reduce(np.outer(x[xs], y[ys])).reshape(1, -1)
         den, top = 1, None
         if self.bound is not None and not coding.p:
-            # integer tensor over Q: one common denominator, then integers
             coefs, den = coding.integral(coefs)
             top = int(np.abs(coefs).max())
         block = self.table[np.ix_(xs, ys)].reshape(-1, self.dim)
-        prod = coding.matmul(coefs, block, top, self.bound)[0]
-        decode = coding.decode
-        return {w: decode(c, den) for w, c in enumerate(prod.tolist()) if c}
-
-    def add_elem(self, x, y):
-        out = dict(x)
-        for k, c in y.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return out
-
-    def sub_elem(self, x, y):
-        return self.add_elem(x, {k: -c for k, c in y.items()})
-
-    def scale_elem(self, c, x):
-        return {k: c * v for k, v in x.items()} if c else {}
-
-    def dense(self, x):
-        return tuple(x.get(k, self.field.zero()) for k in range(self.dim))
-
-    def mul_dense(self, xv, yv):
-        return self.dense(self.mul_elem(dict(enumerate(xv)), dict(enumerate(yv))))
+        prod = coding.codes(coding.matmul(coefs, block, top, self.bound)[0])
+        return prod if den == 1 else coding.scale(prod, coding.decode(1, den))
 
     # -- construction-time checks ---------------------------------------
 
@@ -147,7 +122,7 @@ class StructuredAlgebra:
                 "basis element 0 does not act as the unit on index %d" % bad[0],
             )
 
-    def verify_associativity(self, seed=0, force_full=False, samples=256):
+    def verify_associativity(self):
         """(e_i e_j) e_k = e_i (e_j e_k), exhaustive or sampled by dimension.
 
         Runs on the coded tensor: coding is an injective ring map, so a
@@ -167,7 +142,7 @@ class StructuredAlgebra:
                 raise InvariantViolation("algebra-associativity",
                                          "(%s %s) %s != %s (%s %s)" % (i, j, k, i, j, k))
 
-        if d <= 16 or force_full:
+        if d <= 16:
             # all triples with i in a block: left[i, j, k, w] from
             # (e_i e_j) against the rows u, right from e_i against e_j e_k
             step = max(1, (1 << 16) // d ** 3)
@@ -179,7 +154,7 @@ class StructuredAlgebra:
                 bad[:, 0] += lo
                 refuse(bad)
         else:
-            triples = _sample_triples(seed, d, samples)
+            triples = _sample_triples(d)
             step = max(1, (1 << 16) // d ** 2)
             for lo in range(0, len(triples), step):
                 i, j, k = triples[lo:lo + step].T
@@ -303,7 +278,7 @@ def _mask_label(mask):
 class CliffordAlgebra(StructuredAlgebra):
     """Structure-tensor algebra whose basis is a set of index masks."""
 
-    def __init__(self, form, masks, gen_popcount, check="auto", seed=0):
+    def __init__(self, form, masks, gen_popcount):
         if not 1 <= form.n <= 7:
             raise ValueError("Clifford construction supports rank 1 through 7, got %d" % form.n)
         self.form = form
@@ -316,7 +291,7 @@ class CliffordAlgebra(StructuredAlgebra):
                        if bin(m).count("1") == gen_popcount]
         super().__init__(form.field, table,
                          labels=[_mask_label(m) for m in self.masks],
-                         gen_indices=gen_indices, check=check, seed=seed)
+                         gen_indices=gen_indices)
 
     def mask_mul(self, mask_s, mask_t):
         """Product by masks instead of indices, as a mask-keyed dict."""
@@ -324,21 +299,21 @@ class CliffordAlgebra(StructuredAlgebra):
         return {self.masks[k]: c for k, c in prod.items()}
 
 
-def even_clifford(form, check="auto", seed=0):
+def even_clifford(form):
     """The even Clifford algebra, dimension 2^(n-1), n up to 7."""
     masks = [m for m in range(1 << form.n) if bin(m).count("1") % 2 == 0]
-    return CliffordAlgebra(form, masks, 2, check=check, seed=seed)
+    return CliffordAlgebra(form, masks, 2)
 
 
-def full_clifford(form, check="auto", seed=0):
+def full_clifford(form):
     """The full Clifford algebra, dimension 2^n, n up to 7."""
-    return CliffordAlgebra(form, list(range(1 << form.n)), 1, check=check, seed=seed)
+    return CliffordAlgebra(form, list(range(1 << form.n)), 1)
 
 # ---------------------------------------------------------------------------
 # graded tensor decomposition
 
 
-def verify_orthogonal_sum(q1, q2, check="auto"):
+def verify_orthogonal_sum(q1, q2):
     """C(q1 + q2) is the graded tensor product of C(q1) and C(q2).
 
     The identification sends the pair of masks (S1, S2) to the mask
@@ -348,7 +323,7 @@ def verify_orthogonal_sum(q1, q2, check="auto"):
     at once: the tensor of the sum, indexed by the interleaved masks,
     equals the signed tensor product of the two summands' tensors.
     """
-    big, a1, a2 = (full_clifford(q, check=check) for q in (q1.direct_sum(q2), q1, q2))
+    big, a1, a2 = (full_clifford(q) for q in (q1.direct_sum(q2), q1, q2))
     # a full algebra's basis index is its mask, so index s1 + 2^n1 s2 is (S1, S2)
     odd1, odd2 = (np.array([bin(m).count("1") & 1 for m in a.masks]) for a in (a1, a2))
     sign = 1 - 2 * np.outer(odd2, odd1)  # [s2, t1]
@@ -373,16 +348,16 @@ def verify_orthogonal_sum(q1, q2, check="auto"):
 
 
 def center_basis(algebra):
-    """Basis of the center, as sparse dicts; deterministic.
+    """Basis of the center, as coded rows; deterministic.
 
     Works by intersecting the kernels of the commutator maps with the
     algebra's generators (the generating set is enough: commuting with
     generators means commuting with everything they generate).  The
     candidates are coded rows, their commutators with generator g are
-    rows @ (T[g] - T[:, g]), solved by rings.coded_kernel, and only the
-    final basis is decoded.  Over Q the rows are integers with one
-    denominator each: scaling a column of a commutator matrix only
-    rescales its reduced echelon kernel basis, so the basis is unchanged.
+    rows @ (T[g] - T[:, g]), solved by rings.coded_kernel.  Over Q the
+    rows are integers with one denominator each, divided out at the end:
+    scaling a column of a commutator matrix only rescales its reduced
+    echelon kernel basis, so the basis is unchanged.
     """
     d, coding, t = algebra.dim, algebra.coding, algebra.table
     gens = algebra.gen_indices if algebra.gen_indices is not None else list(range(d))
@@ -401,9 +376,7 @@ def center_basis(algebra):
         ints, lcm = coding.integral(kernel, per_row=True)
         rows = coding.codes(coding.matmul(ints, rows, top(ints), top(rows)))
         dens = lcm * dens[free]
-    decode = coding.decode
-    return [{i: decode(x, den) for i, x in enumerate(row) if x}
-            for row, den in zip(rows.tolist(), dens.tolist())]
+    return coding.divide_rows(rows, dens)
 
 
 @dataclass(slots=True, eq=False)
@@ -418,14 +391,13 @@ class CenterReport:
       big      -- dimension above 2 (heavily degenerate input)
 
     delta is the discriminant scalar with center k[z]/(z^2 - delta)
-    (characteristic not 2; None otherwise), z the chosen generator.
+    (characteristic not 2; None otherwise).  idempotents is the pair of
+    coded vectors of a split center, None otherwise.
     """
 
     dim: int
-    basis: list
     kind: str
     delta: object
-    z: object
     idempotents: object
     separable: bool
 
@@ -434,56 +406,59 @@ class CenterReport:
         return "CenterReport(dim=%d, kind=%s%s)" % (self.dim, self.kind, d)
 
 
+def _affine(coding, a, b, v):
+    """The coded vector a 1 + b v, for field elements a, b and a coded v."""
+    out = coding.scale(v, b)
+    out[0] = coding.code(a + b * coding.decode(v[0]))
+    return out
+
+
 def center_report(algebra):
     basis = center_basis(algebra)
     dim = len(basis)
-    field = algebra.field
+    field, coding, decode = algebra.field, algebra.coding, algebra.coding.decode
     if dim == 1:
-        return CenterReport(1, basis, "trivial", None, None, None, True)
+        return CenterReport(1, "trivial", None, None, True)
     if dim > 2:
-        return CenterReport(dim, basis, "big", None, None, None, False)
+        return CenterReport(dim, "big", None, None, False)
 
-    # pick a generator w of the center not proportional to the unit
-    w = next((cand for cand in basis if set(cand) != {0}), None)
+    # pick a generator w of the center not proportional to the unit, and
+    # a coordinate k > 0 where it is nonzero
+    w = next((row for row in basis if np.count_nonzero(row[1:])), None)
     if w is None:
         raise InvariantViolation("center-rank", "rank-2 center spanned by scalars")
-    w2 = algebra.mul_elem(w, w)
-    # solve w^2 = alpha 1 + beta w inside span{1, w}
-    m = Matrix(field, [[field.one() if i == 0 else field.zero(), c]
-                       for i, c in enumerate(algebra.dense(w))])
-    sol = m.solve(algebra.dense(w2))
-    if sol is None:
+    k = 1 + int(np.flatnonzero(w[1:])[0])
+    # w^2 = alpha 1 + beta w: beta from coordinate k, alpha from the unit's
+    w2 = algebra.mul(w, w)
+    beta = decode(w2[k]) / decode(w[k])
+    alpha = decode(w2[0]) - beta * decode(w[0])
+    if not coding.equal(w2, _affine(coding, alpha, beta, w)):
         raise InvariantViolation("center-rank", "w^2 escapes span{1, w}")
-    alpha, beta = sol
 
+    one = field.one()
     if field.characteristic != 2:
         two = field.from_int(2)
-        z = algebra.sub_elem(w, {0: beta / two})
+        z = _affine(coding, -beta / two, one, w)
         delta = alpha + beta * beta / (two * two)
-        z2 = algebra.mul_elem(z, z)
-        if z2 != ({0: delta} if delta else {}):
+        z2 = algebra.mul(z, z)
+        if np.count_nonzero(z2[1:]) or decode(z2[0]) != delta:
             raise InvariantViolation("center-quadratic", "z^2 != delta")
         if not delta:
-            return CenterReport(2, basis, "dual", delta, z, None, False)
+            return CenterReport(2, "dual", delta, None, False)
         root = field.sqrt(delta)
         if root is not None:
-            half = field.one() / two
-            zr = algebra.scale_elem(half / root, z)
-            e1 = algebra.add_elem({0: half}, zr)
-            e2 = algebra.sub_elem({0: half}, zr)
+            half = one / two
+            e1, e2 = (_affine(coding, half, s * half / root, z) for s in (one, -one))
             _check_idempotents(algebra, e1, e2)
-            return CenterReport(2, basis, "split", delta, z, (e1, e2), True)
-        return CenterReport(2, basis, "field", delta, z, None, True)
+            return CenterReport(2, "split", delta, (e1, e2), True)
+        return CenterReport(2, "field", delta, None, True)
 
     # characteristic 2: w^2 = alpha + beta w
     separable = bool(beta)
     if not separable:
         # inseparable: nilpotent iff alpha is a square (then (w - r)^2 = 0)
-        root = field.sqrt(alpha)
-        if root is not None:
-            z = algebra.sub_elem(w, {0: root})
-            return CenterReport(2, basis, "dual", None, z, None, False)
-        return CenterReport(2, basis, "field", None, w, None, False)
+        kind = "dual" if field.sqrt(alpha) is not None else "field"
+        return CenterReport(2, kind, None, None, False)
     if field.size() is None:
         raise NotImplementedError(
             "separable rank-2 center over an infinite characteristic-2 field"
@@ -493,11 +468,11 @@ def center_report(algebra):
     for r in field.elements():
         if not (r * r + beta * r + alpha):
             # e = (w - r) / beta satisfies e^2 = e
-            e1 = algebra.scale_elem(field.one() / beta, algebra.sub_elem(w, {0: r}))
-            e2 = algebra.sub_elem(algebra.unit(), e1)
+            e1 = _affine(coding, -r / beta, one / beta, w)
+            e2 = _affine(coding, one, -one, e1)
             _check_idempotents(algebra, e1, e2)
-            return CenterReport(2, basis, "split", None, w, (e1, e2), True)
-    return CenterReport(2, basis, "field", None, w, None, True)
+            return CenterReport(2, "split", None, (e1, e2), True)
+    return CenterReport(2, "field", None, None, True)
 
 
 def even_center_report(form):
@@ -524,11 +499,12 @@ def even_center_report(form):
 
 
 def _check_idempotents(algebra, e1, e2):
-    if algebra.mul_elem(e1, e1) != e1 or algebra.mul_elem(e2, e2) != e2:
+    coding, mul = algebra.coding, algebra.mul
+    if not (coding.equal(mul(e1, e1), e1) and coding.equal(mul(e2, e2), e2)):
         raise InvariantViolation("center-idempotent", "claimed idempotent fails e^2 = e")
-    if algebra.mul_elem(e1, e2) or algebra.mul_elem(e2, e1):
+    if np.count_nonzero(mul(e1, e2)) or np.count_nonzero(mul(e2, e1)):
         raise InvariantViolation("center-idempotent", "idempotents not orthogonal")
-    if algebra.add_elem(e1, e2) != algebra.unit():
+    if not coding.equal(e1 + e2, coding.eye(algebra.dim)[0]):
         raise InvariantViolation("center-idempotent", "idempotents do not sum to 1")
 
 
@@ -564,19 +540,18 @@ def is_central_simple(algebra):
     )
 
 
-def algebra_on_subspace(parent, basis_elems):
+def algebra_on_subspace(parent, basis):
     """Algebra structure induced on a subspace.
 
-    basis_elems are dense tuples over parent.field, independent, with
-    the unit of the new algebra first.  Products are computed upstairs,
-    then re-expanded in the given basis; failure to close raises.  The
-    basis B is eliminated once: [B | I] reduces to [R | T] with R = T B,
-    so a vector v in the span has R-coordinates y = v at R's pivot
-    columns, v = y R, and B-coordinates y T.
+    basis is a coded array of independent rows, with the unit of the new
+    algebra first.  Products are computed upstairs, then re-expanded in
+    the given basis; failure to close raises.  The basis B is eliminated
+    once: [B | I] reduces to [R | T] with R = T B, so a vector v in the
+    span has R-coordinates y = v at R's pivot columns, v = y R, and
+    B-coordinates y T.
     """
-    m, dim = len(basis_elems), parent.dim
+    m, dim = len(basis), parent.dim
     coding = parent.coding
-    basis = coding.array(basis_elems)
     red, pivots = coded_rref(coding, np.concatenate([basis, coding.eye(m)], axis=1))
     span, to_basis = red[:, :dim], red[:, dim:]
     # the products of all pairs, on the columns the basis touches:
@@ -603,20 +578,21 @@ def split_fibers(algebra, report):
     """
     if report.kind != "split":
         raise ValueError("Peirce fibers need a split center, got %s" % report.kind)
-    one = algebra.field.one()
+    d, coding, t = algebra.dim, algebra.coding, algebra.table
     fibers = []
     for e in report.idempotents:
-        ed = algebra.dense(e)
-        cands = [ed] + [algebra.mul_dense(algebra.mul_dense(ed, algebra.dense({k: one})), ed)
-                        for k in range(algebra.dim)]
+        # row k of left is e e_k, and right is the matrix of x -> x e
+        left = coding.matmul(e[None], t.reshape(d, d * d)).reshape(d, d)
+        right = coding.matmul(t.transpose(0, 2, 1).reshape(d * d, d), e[:, None]).reshape(d, d)
+        cands = np.concatenate([e[None], coding.codes(coding.matmul(left, right))])
         # the basis is the candidates at the pivot columns of the matrix
         # whose columns they are: each is independent of those before it
-        _, pivots = Matrix(algebra.field, list(zip(*cands))).rref()
-        fibers.append(algebra_on_subspace(algebra, [cands[c] for c in pivots]))
+        _, pivots = coded_rref(coding, cands.T)
+        fibers.append(algebra_on_subspace(algebra, cands[pivots]))
     return fibers
 
 
-def hyperbolic_split_structure(m, field, check="auto"):
+def hyperbolic_split_structure(m, field):
     """Fiber decomposition of the even algebra of the split form H(m).
 
     The center splits into two idempotent fibers, each a central simple
@@ -629,7 +605,7 @@ def hyperbolic_split_structure(m, field, check="auto"):
         raise ValueError("split structure needs characteristic not 2")
     from .quadform import QuadraticForm
     q = QuadraticForm.hyperbolic(field, m)
-    alg = even_clifford(q, check=check)
+    alg = even_clifford(q)
     rep = center_report(alg)
     if rep.kind != "split":
         raise InvariantViolation("hyperbolic-center-split",

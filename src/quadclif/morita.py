@@ -48,8 +48,9 @@ are Python ints when integral and Fractions otherwise.  The structure
 constants are read as slices of the algebras' dense structure tensors
 (StructuredAlgebra.table), so nothing is re-coded here.  Where products
 would mix in Fractions, the checks first scale a whole stack of matrices
-by one common denominator, so they run on Python ints.  Field elements
-are decoded only for the returned End basis and the witness matrix.
+by one common denominator, so they run on Python ints.  The End basis
+stays coded from the solve to the bijectivity check; field elements are
+decoded only for the witness matrix.
 """
 
 from __future__ import annotations
@@ -102,14 +103,14 @@ def _product_defects(coding, mats, coefs, right=False):
     return coding.reduce(got)
 
 
-def build_P(qp, check="auto"):
+def build_P(qp):
     """The rank-two right module over the even algebra of q'."""
     if qp.n > 4:
         raise ValueError("module machinery kept to rank <= 4 so the"
                          " endomorphism systems stay at 256 unknowns")
     import numpy as np
 
-    cp = full_clifford(qp, check=check)
+    cp = full_clifford(qp)
     coding = cp.coding
     even_idx = [i for i, m in enumerate(cp.masks) if _even(m)]
     parity = [0 if _even(m) else 1 for m in cp.masks]
@@ -180,10 +181,10 @@ def _commutant(coding, parity, gens):
 def endomorphism_algebra(P):
     """Solve f(x . a) = f(x) . a blindly for a basis of End(P).
 
-    Returns basis_mats, where basis_mats[k] is the matrix of the k-th
-    basis endomorphism, unit first.  Commuting with the degree-2
-    elements e_i e_j, which generate the even algebra, is commuting with
-    all of it.  Closure under composition is not checked here:
+    Returns a coded array whose k-th matrix is the k-th basis
+    endomorphism, unit first.  Commuting with the degree-2 elements
+    e_i e_j, which generate the even algebra, is commuting with all of
+    it.  Closure under composition is not checked here:
     morita_witness proves it, since the images of C0 multiply like C0
     and span this basis.
     """
@@ -197,7 +198,7 @@ def endomorphism_algebra(P):
         raise InvariantViolation(
             "endomorphism-dimension",
             "solved dim %d, expected %d" % (len(basis), 2 * P.dim))
-    return [tuple(tuple(coding.decode(e) for e in row) for row in m) for m in basis]
+    return basis
 
 
 def _unit_first_basis(coding, free, sols):
@@ -289,7 +290,7 @@ def _pair_images(P, n):
     return pairs
 
 
-def morita_witness(qp, check="auto"):
+def morita_witness(qp):
     """Build H | q', map its even algebra into End(P) block by block,
     and certify that the map is an isomorphism.
 
@@ -303,12 +304,12 @@ def morita_witness(qp, check="auto"):
 
     field = qp.field
     q = QuadraticForm.hyperbolic(field, 1).direct_sum(qp)
-    P = build_P(qp, check=check)
+    P = build_P(qp)
     end_mats = endomorphism_algebra(P)
     coding, dim = P.coding, P.dim
     checks = []
 
-    C = full_clifford(q, check=check)
+    C = full_clifford(q)
     even_idx = [i for i, m in enumerate(C.masks) if _even(m)]
 
     pairs = _pair_images(P, q.n)
@@ -342,8 +343,7 @@ def morita_witness(qp, check="auto"):
     checks.append("multiplicative-on-all-pairs")
 
     # bijectivity onto the solved endomorphism algebra
-    rows = _solve_rows(coding, coding.array(end_mats).reshape(len(end_mats), -1),
-                       images.reshape(n_even, -1))
+    rows = _solve_rows(coding, end_mats.reshape(len(end_mats), -1), images.reshape(n_even, -1))
     if rows is None:
         raise InvariantViolation("witness-into-end",
                                  "an image is not an endomorphism")

@@ -16,8 +16,8 @@ Two numpy codings carry the linear algebra.  ArrayCoding puts field
 elements into arrays for exact fraction-free elimination over any
 field.  coded_rref is the one single-matrix elimination: it always
 takes the first nonzero pivot candidate, so ranks, kernels, and every
-witness derived from them are deterministic, and Matrix's rref, rank,
-kernel_basis and solve decode its result (Matrix.det keeps its own
+witness derived from them are deterministic, and Matrix's rref, rank
+and kernel_basis decode its result (Matrix.det keeps its own
 elimination).  TableCoding codes the elements of a field with at most
 25 elements, F_p or F_{p^2}, as ints 0..q-1 with add/mul/neg/inv tables
 built once per context from the field's own arithmetic.  It evaluates
@@ -780,19 +780,17 @@ def quadratic_extension(base):
 def squarefree_decomposition(f):
     """(unit, [(g_i, m_i)]) with f = unit * prod g_i^{m_i}, g_i monic squarefree.
 
-    Works in characteristic zero (Yun) and over perfect finite coefficient
-    fields, where p-th roots are taken through the Frobenius; imperfect
-    bases such as F_p(u) raise when a genuine p-th power block appears.
+    Over finite coefficient fields, which are perfect: p-th roots are
+    taken through the Frobenius.
     """
+    if f.field.size() is None:
+        raise ValueError("squarefree decomposition by this route needs a finite field")
     if not f:
         raise ValueError("cannot decompose the zero polynomial")
     unit = f.lc()
     f = f.monic()
     if f.degree() == 0:
         return unit, []
-    p = f.field.characteristic
-    if p == 0:
-        return unit, _yun(f)
     out = {}
     _squarefree_char_p(f, 1, out)
     decomp = sorted(
@@ -800,22 +798,6 @@ def squarefree_decomposition(f):
         key=lambda kv: (kv[1], kv[0].degree(), tuple(scalar_str(c) for c in kv[0].coeffs)),
     )
     return unit, [(g, m) for g, m in decomp]
-
-
-def _yun(f):
-    """Squarefree decomposition in characteristic zero, monic input."""
-    out = []
-    g = poly_gcd(f, f.derivative())
-    c = f // g
-    i = 1
-    while c.degree() > 0:
-        y = poly_gcd(c, g)
-        factor = c // y
-        if factor.degree() > 0:
-            out.append((factor.monic(), i))
-        c, g = y, g // y
-        i += 1
-    return out
 
 
 def _squarefree_char_p(f, scale, out):
@@ -1078,19 +1060,16 @@ class BinaryForm:
     def is_squarefree(self):
         """No repeated roots over the algebraic closure.
 
-        Uses the full squarefree decomposition of the dehomogenization,
-        so perfect coefficient fields in small characteristic are handled
-        exactly, plus the explicit multiplicity at (0 : 1).
+        Over a perfect field (Q, F_q) the dehomogenization f is
+        squarefree exactly when gcd(f, f') = 1; the multiplicity at
+        (0 : 1) is read off the top coefficients.
         """
         if self.is_zero():
             raise ValueError("the zero form is not squarefree")
         if self.infinity_multiplicity() > 1:
             return False
         d = self.dehomogenize()
-        if d.degree() <= 0:
-            return True
-        _, decomp = squarefree_decomposition(d)
-        return all(m == 1 for _, m in decomp)
+        return poly_gcd(d, d.derivative()).degree() == 0
 
     def roots_projective(self):
         """[( (s0, t0), multiplicity ), ...] over Q.
@@ -1233,18 +1212,6 @@ class Matrix:
         """Deterministic kernel basis: one vector per free column, ascending."""
         coding, a = self._coded()
         return [tuple(coding.decode(x) for x in v) for v in coded_kernel(coding, a)[1]]
-
-    def solve(self, b):
-        """A solution of self @ x = b, or None; free variables set to zero."""
-        coding, a = Matrix(self.field, [r + (bv,) for r, bv in zip(self.rows, b)])._coded()
-        red, pivots = coded_rref(coding, a)
-        nc = self.ncols
-        if nc in pivots:
-            return None
-        x = [self.field.zero()] * nc
-        for r, pc in enumerate(pivots):
-            x[pc] = coding.decode(red[r, nc])
-        return tuple(x)
 
     def __repr__(self):
         return "Matrix(%s)" % ("; ".join(" ".join(scalar_str(a) for a in r) for r in self.rows))
@@ -1394,20 +1361,28 @@ class ArrayCoding:
             return rows // g[:, None]
         return rows
 
-    def _divide_rows(self, rows, pivots):
-        """Each row divided by its own pivot entry."""
+    def scale(self, a, c):
+        """Codes of c * a, for a coded array a and a field element c."""
+        import numpy as np
+
+        if self.p:
+            return a * c.v % self.p
+        out = a * c
+        if self.field.kind == "rationals":
+            out = np.frompyfunc(self.code, 1, 1)(out)  # integral Fractions back to ints
+        return out
+
+    def divide_rows(self, rows, divisors):
+        """Each row divided by its own nonzero code: one inversion per row."""
         import numpy as np
 
         if self.p:
             p = self.p
-            inv = np.array([pow(int(v), p - 2, p) for v in pivots], dtype=np.int64)
+            inv = np.array([pow(int(v), p - 2, p) for v in divisors], dtype=np.int64)
             return rows * inv[:, None] % p
-        out = rows.copy()
-        for r, v in enumerate(pivots):
-            if self.field.kind == "rationals":
-                out[r] = [self.code(Fraction(x, v)) for x in rows[r]]
-            else:
-                out[r] = [x / v for x in rows[r]]
+        one, out = self.field.one(), rows.astype(object)
+        for r, v in enumerate(divisors):
+            out[r] = self.scale(rows[r], one / self.decode(v))
         return out
 
 
@@ -1438,7 +1413,7 @@ def coded_rref(coding, a):
     """(reduced row echelon rows, pivot columns) of a coded matrix.
 
     The one exact single-matrix elimination for every field; Matrix.rref,
-    rank, kernel_basis and solve decode its result.  Each pivot step updates
+    rank and kernel_basis decode its result.  Each pivot step updates
     every other row with a nonzero entry in the pivot column at once, as
     pivot * row - entry * pivot_row (fraction free), and the pivot rows
     are divided by their pivots at the end.  Over F_p rows are reduced
@@ -1467,7 +1442,7 @@ def coded_rref(coding, a):
             a[hits] = coding._primitive(a[r, col] * a[hits] - np.outer(a[hits, col], a[r]))
         pivots.append(col)
         r += 1
-    return coding._divide_rows(a[:r], [a[k, c] for k, c in enumerate(pivots)]), pivots
+    return coding.divide_rows(a[:r], [a[k, c] for k, c in enumerate(pivots)]), pivots
 
 
 def coded_kernel(coding, a):

@@ -1,13 +1,17 @@
 """Explicit Morita equivalence after splitting a hyperbolic plane."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gauss_jordan
 from quadclif import morita
-from quadclif.rings import QQ, InvariantViolation, PrimeField, quadratic_extension
+from quadclif.corpus import morita_corpus
+from quadclif.rings import QQ, InvariantViolation, PrimeField, quadratic_extension, scalar_str
 from quadclif.quadform import QuadraticForm
 from quadclif.clifford import even_clifford, center_report
 from quadclif.morita import build_P, endomorphism_algebra, morita_witness
@@ -258,7 +262,10 @@ def test_end_basis_is_the_echelon_kernel_of_the_full_system(qp):
     field = qp.field
     ident = tuple(tuple(field.one() if i == j else field.zero() for j in range(P.dim))
                   for i in range(P.dim))
-    assert endomorphism_algebra(P) == _unit_first(field, ident, want)
+    # the End basis comes back coded
+    end = [tuple(tuple(P.coding.decode(e) for e in row) for row in m)
+           for m in endomorphism_algebra(P)]
+    assert end == _unit_first(field, ident, want)
 
 
 def test_witness_on_non_integral_rational_rest():
@@ -269,6 +276,27 @@ def test_witness_on_non_integral_rational_rest():
         # no float from an int / int division inside the coded elimination
         assert all(type(e) is Fraction for row in w.matrix for e in row)
     assert any(e.denominator != 1 for row in w.matrix for e in row)
+
+
+# the answers of the witness before its End basis stayed coded: dimensions,
+# checks, and a digest of the matrix written out with scalar_str
+PINNED_WITNESSES = json.loads(
+    (Path(__file__).parent / "data" / "morita_witness.json").read_text())
+F9_RESTS = [QuadraticForm.diagonal(F9, e)
+            for e in ([1], [1, 2], [F9.gen(), 1], [1, 1, 2], [1, F9.gen(), 2])]
+
+
+def test_witnesses_match_the_pinned_answers():
+    rests = morita_corpus() + F9_RESTS
+    assert len(rests) == len(PINNED_WITNESSES)
+    for qp, pin in zip(rests, PINNED_WITNESSES):
+        assert [qp.field.label(), [scalar_str(qp.c[i][i]) for i in range(qp.n)]] \
+            == [pin["field"], pin["diagonal"]]
+        w = morita_witness(qp)
+        strs = [[scalar_str(x) for x in row] for row in w.matrix]
+        assert (w.dim_even, w.dim_end, list(w.checks)) \
+            == (pin["dim_even"], pin["dim_end"], pin["checks"])
+        assert hashlib.sha256(json.dumps(strs).encode()).hexdigest() == pin["matrix_sha256"]
 
 
 # -- faults -----------------------------------------------------------------

@@ -168,21 +168,34 @@ def test_squarefree_inseparable_corner_raises():
         squarefree_decomposition(Poly.zero_poly(F5, "t"))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_squarefree_decomposition_reconstructs_char0(seed):
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["Q", 2, 3, 5]))
+def test_is_squarefree_matches_sympy_and_the_decomposition(seed, p):
+    # gcd(f, f') = 1 against sympy's squarefree factorization over Q and
+    # against the multiplicities of squarefree_decomposition over F_p;
+    # products of powers of small factors, some past p, and forms with
+    # zero top coefficients, which put roots at (0 : 1)
     rng = random.Random(seed)
-    t = Poly.x(QQ, "t")
-    f = Poly.const(QQ, "t", Fraction(rng.randint(1, 5)))
+    field = QQ if p == "Q" else PrimeField(p)
+    t = Poly.x(field, "t")
+    f = Poly.const(field, "t", field.from_int(rng.choice([1, -1])))
     for _ in range(rng.randrange(4)):
-        lin = t + rng.randint(-3, 3)
-        f = f * lin ** rng.randint(1, 3)
-    unit, decomp = squarefree_decomposition(f)
-    rebuilt = Poly.const(QQ, "t", unit)
-    for g, m in decomp:
-        rebuilt = rebuilt * g**m
-        assert poly_gcd(g, g.derivative()).degree() == 0
-    assert rebuilt == f
+        part = Poly.of_ints(field, "t", [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))])
+        if part.degree() > 0:
+            f = f * part ** rng.randint(1, 3 if p == "Q" else p + 1)
+    deg = f.degree() + rng.choice([0, 0, 1, 2])
+    bf = BinaryForm(field, deg, list(f.coeffs) + [field.zero()] * (deg - f.degree()))
+    at_infinity = deg - f.degree()
+    if p == "Q":
+        sym = sympy.Symbol("t")
+        poly = sum(sympy.Rational(c.numerator, c.denominator) * sym**i
+                   for i, c in enumerate(f.coeffs))
+        affine = all(m == 1 for _, m in sympy.sqf_list(poly, sym)[1])
+        with pytest.raises(ValueError):
+            squarefree_decomposition(f)
+    else:
+        affine = all(m == 1 for _, m in squarefree_decomposition(f)[1])
+    assert bf.is_squarefree() == (affine and at_infinity <= 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,30 +338,6 @@ def test_det_rank_kernel_against_sympy(seed, n):
     assert len(m.kernel_basis()) == n - m.rank()
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 5))
-def test_solve_finds_solutions(seed, nr, nc):
-    rng = random.Random(seed)
-    F = F7
-    m = Matrix(F, [[F.from_int(rng.randrange(7)) for _ in range(nc)] for _ in range(nr)])
-    x = tuple(F.from_int(rng.randrange(7)) for _ in range(nc))
-    b = m.mul_vec(x)
-    sol = m.solve(b)
-    assert sol is not None
-    assert m.mul_vec(sol) == b
-
-
-def test_solve_detects_inconsistency():
-    m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    assert m.solve((Fraction(1), Fraction(3))) is None
-    assert m.solve((Fraction(1), Fraction(2))) is not None
-    F9 = quadratic_extension(F3)
-    g, o = F9.gen(), F9.one()
-    m = Matrix(F9, [[o, g], [g, g * g]])  # the second row is g times the first
-    assert m.solve((o, o)) is None
-    assert m.solve((o, g)) == (o, F9.zero())
-
-
 def test_matrix_over_extension_field():
     F25 = quadratic_extension(F5)
     g = F25.gen()
@@ -417,21 +406,37 @@ def test_coded_elimination_matches_matrix(field):
         assert all(type(x) is type(field.one()) for row in m.rref()[0].rows for x in row)
 
 
+def test_coded_rref_over_an_extension_returns_no_float():
+    # int codes 0 and 1 divided by an int pivot must come back as
+    # elements of F9, not as Python floats
+    F9 = quadratic_extension(F3)
+    coding = ArrayCoding(F9)
+    two, g = F9.from_int(2), F9.gen()
+    assert not any(type(x) is float for x in coding.divide_rows(coding.eye(2), [1, 1]).ravel())
+    for a, want in ((coding.eye(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                    (coding.array([[0, 1, 1], [1, 1, 0]]), [[1, 0, 2], [0, 1, 1]]),
+                    (coding.array([[0, 2, 1], [1, 1, 0]]), [[1, 0, 1], [0, 1, 2]]),
+                    (coding.array([[g, two, 0], [0, 1, 1]]), None)):
+        red, _ = coded_rref(coding, a)
+        assert not any(type(x) is float for x in red.ravel())
+        if want is not None:
+            assert [[coding.decode(x) for x in row] for row in red] \
+                == [[F9.from_int(x) for x in row] for row in want]
+
+
 @pytest.mark.parametrize("field", [F3, QQ, F49], ids=lambda f: f.label())
 def test_matrix_rref_edge_shapes(field):
     # no rows, no columns, all zero, and zero rows padded below the rank
     z, o = field.zero(), field.one()
     empty = Matrix(field, [])
     assert empty.rref() == (empty, ())
-    assert empty.rank() == 0 and empty.kernel_basis() == [] and empty.solve(()) == ()
+    assert empty.rank() == 0 and empty.kernel_basis() == []
     thin = Matrix(field, [[], [], []])
     assert thin.rref() == (thin, ()) and thin.rank() == 0
-    assert thin.kernel_basis() == [] and thin.solve((z, z, z)) == ()
-    assert thin.solve((z, o, z)) is None
+    assert thin.kernel_basis() == []
     zero = Matrix(field, [[z] * 3] * 2)
     assert zero.rref() == (zero, ())
     assert zero.kernel_basis() == [(o, z, z), (z, o, z), (z, z, o)]
-    assert zero.solve((z, z)) == (z, z, z) and zero.solve((z, o)) is None
     two = field.from_int(2)
     m = Matrix(field, [[z, two, two], [z, o, o], [z, z, z], [z, o, two]])
     red, pivots = m.rref()
