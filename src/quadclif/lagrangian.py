@@ -21,11 +21,14 @@ column past the last pivot, a column in which every earlier row is
 zero, and polar to every earlier row under every form; the polar
 conditions are tested for a whole block of candidate points at once.
 Every RREF basis arises from its first rows in exactly one way, so each
-subspace is produced once and nothing needs deduplication.  The rulings compare every pair through the
-rank of the stacked pair, in batched eliminations, and the q-power map
-acts on the codes as a permutation.  The wrapped-element check in
-_assert_totally_isotropic re-verifies every answer independently of the
-tables.
+subspace is produced once and nothing needs deduplication.  The
+subspaces stay coded through the rulings, which compare every pair
+through the rank of the stacked pair in batched eliminations, and
+through the q-power map, which acts on the codes as a permutation; only
+the reported LagrangianSet decodes them.  _assert_totally_isotropic
+re-verifies the whole enumerated stack at once independently of the
+tables: it lifts the codes to base-field residues read off the field's
+own elements and forms every Gram matrix in int64 residue arithmetic.
 """
 
 from __future__ import annotations
@@ -33,22 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import (
-    ExtElem,
-    FpElem,
     InvariantViolation,
-    PrimeField,
     quadratic_extension,
     scalar_str,
     table_coding,
 )
-
-
-def _context_of(a):
-    if isinstance(a, FpElem):
-        return PrimeField(a.p)
-    if isinstance(a, ExtElem):
-        return a.field
-    raise TypeError("cannot recover a field context from %r" % (a,))
 
 
 # codes one chunk of the candidate test in _grow, or of the pair ranks in
@@ -125,14 +117,10 @@ def enumeration_in_budget(size, n):
     return (size <= 9 and n <= 6) or (size <= 25 and n <= 4)
 
 
-def enumerate_isotropic(q, r):
-    """All (r+1)-dimensional totally isotropic subspaces of q.
-
-    Returns a sorted tuple of subspaces, each a tuple of r+1 basis rows
-    in reduced row echelon form.  Exhaustive and duplicate-free; every
-    returned basis is re-checked against the form and its polar before
-    being handed out.
-    """
+def _enumerate_codes(q, r):
+    """The (r+1)-dimensional totally isotropic subspaces of q as one
+    stack (count, r+1, n) of table codes of RREF bases, sorted by code,
+    checked by _assert_totally_isotropic."""
     field = q.field
     size = field.size()
     n = q.n
@@ -148,59 +136,96 @@ def enumerate_isotropic(q, r):
 
     level = common_isotropic_subspaces([q], r)
     if not level:
-        return ()
+        return np.zeros((0, r + 1, n), dtype=np.int16)
     flat = np.concatenate(list(level.values())).reshape(-1, (r + 1) * n)
     found = flat[np.lexsort(flat.T[::-1])].reshape(-1, r + 1, n)
-    out = table_coding(field).decode(found)
-    for sub in out:
-        _assert_totally_isotropic(q, sub)
-    return out
+    _assert_totally_isotropic(q, found)
+    return found
 
 
-def _assert_totally_isotropic(q, sub):
-    for i, u in enumerate(sub):
-        if q.evaluate(u):
-            raise InvariantViolation(
-                "isotropic-basis", "claimed basis vector has a nonzero value")
-        for v in sub[i + 1:]:
-            if q.polar(u, v):
-                raise InvariantViolation(
-                    "isotropic-basis", "claimed basis pair has nonzero polar value")
+def enumerate_isotropic(q, r):
+    """All (r+1)-dimensional totally isotropic subspaces of q.
+
+    Returns a sorted tuple of subspaces, each a tuple of r+1 basis rows
+    in reduced row echelon form.  Exhaustive and duplicate-free; every
+    returned basis is re-checked against the form and its polar before
+    being handed out.
+    """
+    return table_coding(q.field).decode(_enumerate_codes(q, r))
+
+
+def _residues(field, a):
+    """The base-field residues of a field element: (v,) over F_p, the
+    coefficient residues over an extension of F_p."""
+    return (a.v,) if field.kind == "prime" else tuple(c.v for c in a.c)
+
+
+def _assert_totally_isotropic(q, codes):
+    """Refuse a stack (count, k, n) of table codes of bases unless every
+    basis spans a totally isotropic subspace of q.
+
+    Independent of the add and mul tables of TableCoding: each code is
+    lifted to the base-field residues of its element, and each Gram
+    matrix M = V C V^T mod p is formed in int64, with C the upper
+    triangular coefficient matrix of q.  Its diagonal holds the values
+    q(v_i), and M_ij + M_ji the polar values b(v_i, v_j).  Over an
+    extension F_p[w]/(f) the residues are the coefficients of the powers
+    of w, multiplied through mult, whose row x e + y holds the residues
+    of w^(x+y) reduced by f (ExtensionField._xpow).
+    """
+    import numpy as np
+
+    field = q.field
+    p = field.characteristic
+    lift = np.array([_residues(field, a) for a in table_coding(field).elems], dtype=np.int64)
+    coef = np.array([[_residues(field, a) for a in row] for row in q.c], dtype=np.int64)
+    e = lift.shape[1]
+    powers = np.eye(e, dtype=np.int64).tolist() + [
+        [c.v for c in row] for row in getattr(field, "_xpow", ())]
+    mult = np.array([powers[x + y] for x in range(e) for y in range(e)], dtype=np.int64)
+
+    def times(spec, x, y):
+        prod = np.einsum(spec, x, y)  # the products of residues, axes x, y
+        return (prod.reshape(prod.shape[:-2] + (e * e,)) @ mult) % p
+
+    v = lift[codes]
+    gram = times("akmx,ajmy->akjxy", times("aknx,nmy->akmxy", v, coef), v)
+    if gram.diagonal(0, 1, 2).any():
+        raise InvariantViolation(
+            "isotropic-basis", "claimed basis vector has a nonzero value")
+    i, j = np.triu_indices(codes.shape[1], 1)
+    if ((gram[:, i, j] + gram[:, j, i]) % p).any():
+        raise InvariantViolation(
+            "isotropic-basis", "claimed basis pair has nonzero polar value")
 
 
 @dataclass(frozen=True)
 class RulingPartition:
     m: int
     labels: tuple  # component index per input subspace, 0 or 1
-    components: tuple  # (tuple of subspaces, tuple of subspaces)
-
-    @property
-    def sizes(self):
-        return (len(self.components[0]), len(self.components[1]))
+    sizes: tuple  # number of subspaces with label 0, with label 1
 
 
-def ruling_components(lagrangians, m):
+def ruling_components(tc, codes, m):
     """Partition of maximal isotropic subspaces into the two rulings.
 
-    Two subspaces land in one component exactly when the dimension of
-    their intersection is congruent to m mod 2.  The rule is checked as
-    an equivalence relation on the whole input, pair by pair, and the
-    partition must come out with exactly two classes; anything else
-    raises, since it falsifies the parity rule on this instance.
+    codes is a stack (count, m, n) of table codes of tc's field, one
+    basis per subspace.  Two subspaces land in one component exactly
+    when the dimension of their intersection is congruent to m mod 2.
+    The rule is checked as an equivalence relation on the whole input,
+    pair by pair, and the partition must come out with exactly two
+    classes; anything else raises, since it falsifies the parity rule on
+    this instance.
     """
-    subs = tuple(lagrangians)
-    if m < 1:
-        raise ValueError("need subspaces of dimension at least 1")
-    if len(subs) < 2:
-        raise ValueError("a single lagrangian cannot be split into rulings")
-    for sub in subs:
-        if len(sub) != m:
-            raise ValueError("input subspace of dimension != m")
     import numpy as np
 
-    tc = table_coding(_context_of(subs[0][0][0]))
-    codes = tc.code(subs)
-    count = len(subs)
+    if m < 1:
+        raise ValueError("need subspaces of dimension at least 1")
+    count = len(codes)
+    if count < 2:
+        raise ValueError("a single lagrangian cannot be split into rulings")
+    if codes.shape[1] != m:
+        raise ValueError("input subspace of dimension != m")
     # the pairs (i, j), i < j, of a block of rows i at a time, each
     # compared through the rank of the stacked pair
     rows = max(1, _BLOCK // codes[0].size // (2 * count))
@@ -221,10 +246,8 @@ def ruling_components(lagrangians, m):
     if 0 in sizes:
         raise InvariantViolation(
             "ruling-two-classes",
-            "parity rule yields a single class on %d subspaces" % len(subs))
-    comps = (tuple(s for s, l in zip(subs, labels) if l == 0),
-             tuple(s for s, l in zip(subs, labels) if l == 1))
-    return RulingPartition(m=m, labels=tuple(labels), components=comps)
+            "parity rule yields a single class on %d subspaces" % count)
+    return RulingPartition(m=m, labels=tuple(labels), sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -294,39 +317,37 @@ def stein_vs_center(q):
             "stein-center", "square class of the center discriminant "
             "disagrees with the idempotent split")
 
-    base_subs = enumerate_isotropic(q, m - 1)
+    tc = table_coding(field)
+    base = _enumerate_codes(q, m - 1)
     if delta_square:
-        if not base_subs:
+        if not len(base):
             raise InvariantViolation(
                 "stein-components", "split center but no maximal isotropic "
                 "subspaces over the ground field")
-        part = ruling_components(base_subs, m)
-        lag = LagrangianSet(field.label(), m, base_subs, part.labels, None)
+        part = ruling_components(tc, base, m)
+        lag = LagrangianSet(field.label(), m, tc.decode(base), part.labels, None)
         return SteinReport(
             field_label=field.label(), n=n, m=m, delta_is_square=True,
-            center_kind=rep.kind, extension_used=False, count=len(base_subs),
+            center_kind=rep.kind, extension_used=False, count=len(base),
             component_sizes=part.sizes, frobenius_swaps=None,
             lagrangians=lag, matches_center=True)
 
-    if base_subs:
+    if len(base):
         raise InvariantViolation(
             "stein-witt",
             "nonsquare center discriminant yet %d maximal isotropic "
-            "subspaces exist over the ground field" % len(base_subs))
+            "subspaces exist over the ground field" % len(base))
     ext = quadratic_extension(field)
-    qe = q.map_field(ext, ext.embed)
-    subs = enumerate_isotropic(qe, m - 1)
-    if not subs:
+    tc = table_coding(ext)
+    codes = _enumerate_codes(q.map_field(ext, ext.embed), m - 1)
+    if not len(codes):
         raise InvariantViolation(
             "stein-extension", "no maximal isotropic subspaces even over "
             "the quadratic extension")
-    part = ruling_components(subs, m)
+    part = ruling_components(tc, codes, m)
     import numpy as np
 
-    tc = table_coding(ext)
-    frob = tc.code([ext.frobenius(a) for a in tc.elems])  # a permutation of codes
-    codes = tc.code(subs)
-    red, rank = tc.rref(frob[codes])
+    red, rank = tc.rref(tc.frobenius[codes])
     if np.any(rank != m):
         raise InvariantViolation("stein-frobenius", "image dropped rank")
     pos = {sub.tobytes(): i for i, sub in enumerate(codes)}
@@ -344,9 +365,9 @@ def stein_vs_center(q):
             "stein-frobenius",
             "the q-power map fixes a ruling although the center "
             "discriminant is not a square")
-    lag = LagrangianSet(ext.label(), m, subs, part.labels, tuple(perm))
+    lag = LagrangianSet(ext.label(), m, tc.decode(codes), part.labels, tuple(perm))
     return SteinReport(
         field_label=field.label(), n=n, m=m, delta_is_square=False,
-        center_kind=rep.kind, extension_used=True, count=len(subs),
+        center_kind=rep.kind, extension_used=True, count=len(codes),
         component_sizes=part.sizes, frobenius_swaps=True,
         lagrangians=lag, matches_center=True)

@@ -1470,7 +1470,8 @@ class TableCoding:
     The code of an element is its position in field.elements(), so the
     code 0 is zero and codes sort in the order of elements().  The add,
     mul, neg and inv tables are built from the field's own arithmetic
-    (inv of zero is coded as zero and never read); every operation is a
+    (inv of zero is coded as zero and never read), and over an extension
+    the frobenius permutation of codes too; every operation is a
     table lookup on whole int16 arrays of codes, with numpy broadcasting.
     Covers F_p and F_{p^2}, so a table has at most 625 entries.  Build
     one per field context with table_coding().
@@ -1494,6 +1495,9 @@ class TableCoding:
                              dtype=np.int16).ravel()
         self.neg = np.array([index[-e] for e in elems], dtype=np.int16)
         self.inv = np.array([index[one / e] if e else 0 for e in elems], dtype=np.int16)
+        # the q-power map over the base as a permutation of codes
+        self.frobenius = (np.array([index[field.frobenius(e)] for e in elems], dtype=np.int16)
+                          if field.kind == "extension" else None)
 
     def points(self, n, lead):
         """Codes of the vectors of length n that are zero before lead and

@@ -124,9 +124,7 @@ def _first_common_zero(forms, budget):
         raise ValueError("no isotropy search over %s" % field.label())
     rows = [_rational_int_rows(q) for q in forms]
     for h in range(1, budget.height + 1):
-        for v in itertools.product(range(-h, h + 1), repeat=n):
-            if max(abs(c) for c in v) != h:
-                continue
+        for v in _height_shell(h, n):
             first = next((c for c in v if c), None)
             if first is None or first < 0:
                 continue
@@ -135,6 +133,29 @@ def _first_common_zero(forms, budget):
             if all(_eval_int_rows(r, v, n) == 0 for r in rows):
                 return tuple(Fraction(c) for c in v)
     return None
+
+
+def _height_shell(h, n):
+    """The integer vectors of length n and height exactly h (maximum
+    absolute coordinate), in the lexicographic order of
+    itertools.product(range(-h, h + 1), repeat=n).
+
+    A vector lies in the shell when its first coordinate of absolute
+    value h follows a prefix of smaller ones; each such prefix with its
+    extreme coordinate (both signs at once in the last place) is one
+    block, a product over the free tail."""
+    full = range(-h, h + 1)
+
+    def blocks(prefix, k):
+        if k == 1:
+            yield prefix + ((-h, h),)
+        elif k:
+            yield prefix + ((-h,),) + (full,) * (k - 1)
+            for c in range(1 - h, h):
+                yield from blocks(prefix + ((c,),), k - 1)
+            yield prefix + ((h,),) + (full,) * (k - 1)
+
+    return itertools.chain.from_iterable(itertools.product(*b) for b in blocks((), n))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +56,12 @@ def _seeded_forms(field, n, count, seed):
                 rows[i][n - 1] = zero
         out.append(QuadraticForm(field, rows))
     return out
+
+
+def _coded(q, r):
+    """The table coding of q's field and the checked code stack of its
+    (r+1)-dimensional totally isotropic subspaces."""
+    return table_coding(q.field), lagrangian._enumerate_codes(q, r)
 
 
 # ------------------------------------------------------- enumeration
@@ -180,79 +187,204 @@ def test_planes_lie_on_the_line_set(code):
         assert not q.polar(u, v)
 
 
+# ------------------------------------------------- the isotropy check
+
+
+F25 = quadratic_extension(F5)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9, F25], ids=["F3", "F5", "F9", "F25"])
+def test_isotropy_check_refuses_planted_bases(field, monkeypatch):
+    # H(2) = x0 x1 + x2 x3; c is the generator over an extension, so the
+    # planted values live in the second residue there
+    q = QuadraticForm.hyperbolic(field, 2)
+    tc, planes = _coded(q, 1)
+    z, o = field.zero(), field.one()
+    c = field.gen() if field.kind == "extension" else o
+    valued = tc.code([[o, c, z, z], [z, z, o, z]])  # q(e0 + c e1) = c
+    paired = tc.code([[o, z, z, z], [z, c, z, z]])  # b(e0, c e1) = c
+    # the check reads no lookup table of the coding
+    for table in ("_add", "_mul", "neg", "inv"):
+        monkeypatch.setattr(tc, table, np.zeros_like(getattr(tc, table)))
+    lagrangian._assert_totally_isotropic(q, planes)
+    for bad, detail in ((valued, "nonzero value"), (paired, "nonzero polar value")):
+        stack = np.concatenate([planes[:3], bad[None], planes[3:]])
+        with pytest.raises(InvariantViolation) as err:
+            lagrangian._assert_totally_isotropic(q, stack)
+        assert err.value.invariant == "isotropic-basis"
+        assert detail in str(err.value)
+
+
+def _check_verdict(q, basis):
+    """None when the isotropy check passes the basis, else its message."""
+    try:
+        lagrangian._assert_totally_isotropic(q, table_coding(q.field).code([basis]))
+    except InvariantViolation as err:
+        assert err.invariant == "isotropic-basis"
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+def test_isotropy_check_agrees_with_wrapped_evaluation(field):
+    # every vector of rank <= 4, and a seeded sample of pairs, against
+    # evaluate and polar on wrapped elements
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4):
+        for q in _seeded_forms(field, n, 2 if n < 4 else 1, seed=10 + n):
+            value = {v: q.evaluate(v) for v in itertools.product(field.elements(), repeat=n)}
+            for v, a in value.items():
+                got = _check_verdict(q, [v])
+                assert "nonzero value" in got if a else got is None
+            vectors = list(value)
+            zeros = [v for v in vectors if not value[v]]
+            pairs = [rng.sample(vectors, 2) for _ in range(100)]
+            pairs += [(rng.choice(zeros), rng.choice(zeros)) for _ in range(100)]
+            for u, v in pairs:
+                got = _check_verdict(q, [u, v])
+                if value[u] or value[v]:
+                    assert "nonzero value" in got
+                elif q.polar(u, v):
+                    assert "nonzero polar value" in got
+                else:
+                    assert got is None
+
+
+def _answer_digest(reports):
+    """sha256 of what stein_vs_center reported on each form of a list of
+    (form, report) pairs (count, component sizes, labels, Frobenius
+    permutation, basis strings) and, below rank 6, of every
+    enumerate_isotropic level over the field the report enumerated in."""
+    import hashlib
+    import json
+
+    out = []
+    for q, r in reports:
+        lag = r.lagrangians
+        entry = [r.count, list(r.component_sizes), list(lag.labels),
+                 None if lag.frobenius is None else list(lag.frobenius),
+                 [list(sub) for sub in lag.basis_strings()]]
+        if q.n < 6:
+            qe = q
+            if r.extension_used:
+                ext = quadratic_extension(q.field)
+                qe = q.map_field(ext, ext.embed)
+            tc = table_coding(qe.field)
+            for k in range(q.n // 2):
+                codes = tc.code(enumerate_isotropic(qe, k))
+                entry.append(hashlib.sha256(codes.tobytes()).hexdigest())
+        out.append(entry)
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def _pinned_digests():
+    """The _answer_digest of each corpus as the release that checked
+    isotropy on wrapped elements and decoded before the rulings gave it;
+    the rank-6 case over F9 is compared in
+    test_stein_rank6_nonsplit_over_f3_goes_to_f9."""
+    import json
+    from pathlib import Path
+
+    return json.loads((Path(__file__).parent / "data" / "lagrangian_digests.json").read_text())
+
+
+def test_answers_match_the_pinned_digests():
+    # the enumeration, ruling labels, Frobenius permutation and basis
+    # strings on the c09 corpus and a split rank-6 form
+    from quadclif.corpus import all_diagonal_forms
+
+    corpora = {
+        "c09-F3": all_diagonal_forms(F3, 4, regular_only=True),
+        "c09-F5": all_diagonal_forms(F5, 4, regular_only=True),
+        "rank6-F3-split": [QuadraticForm.hyperbolic(F3, 3)],
+    }
+    pinned = _pinned_digests()
+    for name, forms in corpora.items():
+        assert _answer_digest([(q, stein_vs_center(q)) for q in forms]) == pinned[name], name
+
+
+def test_frobenius_permutation_is_built_once_per_coding():
+    for F in (F9, F25):
+        tc = table_coding(F)
+        assert tc.frobenius is table_coding(F).frobenius
+        assert [tc.elems[i] for i in tc.frobenius] == [a ** F.base.size() for a in tc.elems]
+    assert table_coding(F3).frobenius is None
+
+
 # ----------------------------------------------------------- rulings
 
 
 def test_h2_rulings_split_evenly():
     for F in (F2, F3, F5):
-        subs = enumerate_isotropic(QuadraticForm.hyperbolic(F, 2), 1)
-        part = ruling_components(subs, 2)
+        tc, subs = _coded(QuadraticForm.hyperbolic(F, 2), 1)
+        part = ruling_components(tc, subs, 2)
         assert part.sizes == (len(subs) // 2, len(subs) // 2)
 
 
 def test_h3_f2_rulings():
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F2, 3), 2)
+    tc, subs = _coded(QuadraticForm.hyperbolic(F2, 3), 2)
     assert len(subs) == 30
-    part = ruling_components(subs, 3)
+    part = ruling_components(tc, subs, 3)
     assert part.sizes == (15, 15)
 
 
 def test_h1_rulings_are_singletons():
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 1), 0)
-    part = ruling_components(subs, 1)
+    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 1), 0)
+    part = ruling_components(tc, subs, 1)
     assert part.sizes == (1, 1)
 
 
 def test_single_lagrangian_is_rejected():
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 2), 1)
+    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
     with pytest.raises(ValueError):
-        ruling_components(subs[:1], 2)
+        ruling_components(tc, subs[:1], 2)
 
 
 def test_wrong_dimension_is_rejected():
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 2), 1)
+    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
     with pytest.raises(ValueError):
-        ruling_components(subs, 3)
+        ruling_components(tc, subs, 3)
 
 
 def test_parity_that_is_no_equivalence_is_refuted(monkeypatch):
     # three planes of F3^3 pairwise meet in a line, an odd dimension
     # against m = 2: all three would be pairwise in different classes.
     # One pair per elimination block still finds it, in the last block.
-    z, o = F3.zero(), F3.one()
-    planes = [((o, z, z), (z, o, z)), ((o, z, z), (z, z, o)), ((z, o, z), (z, z, o))]
+    tc = table_coding(F3)
+    planes = tc.code([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]])
     with pytest.raises(InvariantViolation) as err:
-        ruling_components(planes, 2)
+        ruling_components(tc, planes, 2)
     assert err.value.invariant == "ruling-parity"
     monkeypatch.setattr(lagrangian, "_BLOCK", 1)
     with pytest.raises(InvariantViolation) as err:
-        ruling_components(planes, 2)
+        ruling_components(tc, planes, 2)
     assert err.value.invariant == "ruling-parity"
 
 
 def test_one_ruling_alone_is_refuted():
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 2), 1)
-    one = ruling_components(subs, 2).components[0]
+    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
+    labels = np.array(ruling_components(tc, subs, 2).labels)
     with pytest.raises(InvariantViolation) as err:
-        ruling_components(one, 2)
+        ruling_components(tc, subs[labels == 0], 2)
     assert err.value.invariant == "ruling-two-classes"
 
 
 def test_rulings_do_not_depend_on_the_block_size(monkeypatch):
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 3), 2)
-    labels = ruling_components(subs, 3).labels
+    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 3), 2)
+    labels = ruling_components(tc, subs, 3).labels
     monkeypatch.setattr(lagrangian, "_BLOCK", 1)
-    assert ruling_components(subs, 3).labels == labels
+    assert ruling_components(tc, subs, 3).labels == labels
 
 
 def test_intersection_parity_within_components():
     # planes in one ruling of H(2) meet in dimension 0 or 2; across
     # rulings they meet in dimension 1
     from quadclif.rings import Matrix
-    subs = enumerate_isotropic(QuadraticForm.hyperbolic(F3, 2), 1)
-    part = ruling_components(subs, 2)
-    a = part.components[0]
-    b = part.components[1]
+    tc, codes = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
+    labels = ruling_components(tc, codes, 2).labels
+    subs = tc.decode(codes)
+    a = [s for s, l in zip(subs, labels) if l == 0]
+    b = [s for s, l in zip(subs, labels) if l == 1]
     inter = lambda U, V: 4 - Matrix(F3, [list(r) for r in U + V]).rank()
     assert all(inter(u, v) % 2 == 0 for u in a for v in a)
     assert all(inter(u, v) % 2 == 1 for u in a for v in b)
@@ -301,7 +433,9 @@ def test_stein_rank6_split_over_f3():
 def test_stein_rank6_nonsplit_over_f3_goes_to_f9():
     # (-1)^3 disc = 2 is a nonsquare mod 3: no planes over F3, and over F9
     # the 2(9+1)(81+1) = 1640 planes split evenly, swapped by Frobenius
-    r = stein_vs_center(QuadraticForm.diagonal(F3, [1] * 6))
+    q = QuadraticForm.diagonal(F3, [1] * 6)
+    r = stein_vs_center(q)
+    assert _answer_digest([(q, r)]) == _pinned_digests()["rank6-F3-to-F9"]
     assert not r.delta_is_square and r.extension_used
     assert r.count == 1640 and r.component_sizes == (820, 820)
     assert r.frobenius_swaps is True

@@ -14,6 +14,7 @@ from quadclif.quadform import QuadraticForm
 from quadclif.splitting import (
     DEFAULT_BUDGET,
     SearchBudget,
+    _height_shell,
     find_isotropic,
     hyperbolic_complement,
     reduce_fully,
@@ -88,6 +89,16 @@ def test_budget_is_respected_over_q():
     q = QuadraticForm.diagonal(QQ, [1, -25])
     assert find_isotropic(q, SearchBudget(height=4)) is None
     assert find_isotropic(q, SearchBudget(height=5)) == (Fraction(5), Fraction(-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_height_shells_are_the_filtered_product(n):
+    # the sweep over Q visits the shells of height exactly h in the
+    # lexicographic order of the full product, lower shells left out
+    for h in (1, 2, 3):
+        want = [v for v in itertools.product(range(-h, h + 1), repeat=n)
+                if max(abs(c) for c in v) == h]
+        assert list(_height_shell(h, n)) == want
 
 
 # ------------------------------------------------------- splitting a plane
