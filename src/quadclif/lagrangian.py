@@ -8,27 +8,21 @@ square center discriminant must show two components over the ground
 field, a nonsquare one must show the two components only over the
 quadratic extension with the q-power map swapping them.
 
-Everything runs on the table coding of rings.TableCoding: field
-elements are ints 0..q-1 in numpy arrays, and sums and products are
-table lookups, so the hot loops never touch wrapped field elements.
-The growth takes a list of forms and finds the subspaces totally
-isotropic for all of them at once (common_isotropic_subspaces): one
-form for the enumeration here, the two forms of a rank-6 pencil for
-pencil.common_isotropic_plane_rank6.  There is one table of common
-isotropic points per leading column, cut out of TableCoding.points.  A
-subspace grows in RREF order: its next row is a point with its leading
-column past the last pivot, a column in which every earlier row is
-zero, and polar to every earlier row under every form; the polar
-conditions are tested for a whole block of candidate points at once.
-Every RREF basis arises from its first rows in exactly one way, so each
-subspace is produced once and nothing needs deduplication.  The
-subspaces stay coded through the rulings, which compare every pair
-through the rank of the stacked pair in batched eliminations, and
-through the q-power map, which acts on the codes as a permutation; only
-the reported LagrangianSet decodes them.  _assert_totally_isotropic
-re-verifies the whole enumerated stack at once independently of the
-tables: it lifts the codes to base-field residues read off the field's
-own elements and forms every Gram matrix in int64 residue arithmetic.
+Everything runs on rings.ResidueCoding: an element of F_{p^e} is its e
+residues mod p and a form over F_{p^e} its e Gram matrices over F_p, so
+the hot loops are matrix products.  The growth finds the subspaces
+totally isotropic for a list of forms at once
+(common_isotropic_subspaces): one form here, the two forms of a rank-6
+pencil for pencil.common_isotropic_plane_rank6.  A subspace grows in
+RREF order: its next row is a common isotropic point whose leading
+column is past the last pivot and zero in every earlier row, and which
+is polar to every earlier row under every form, tested for a block of
+candidates at once.  Every RREF basis arises this way from its first
+rows exactly once, so nothing needs deduplication.  The subspaces stay
+residue rows through the rulings and the q-power map; only the reported
+LagrangianSet decodes them.  _assert_totally_isotropic re-verifies the
+whole stack independently of the growth's Gram matrices, forming every
+Gram matrix in int64 straight from the residues.
 """
 
 from __future__ import annotations
@@ -37,50 +31,54 @@ from dataclasses import dataclass
 
 from .rings import (
     InvariantViolation,
+    ResidueCoding,
+    bilinear,
     quadratic_extension,
     scalar_str,
-    table_coding,
 )
 
 
-# codes one chunk of the candidate test in _grow, or of the pair ranks in
-# ruling_components, holds at most, unless a single parent subspace or a
-# single row of pairs is already larger
+# residues one chunk of the candidate test in _grow, or of the pair ranks
+# in ruling_components, holds at most, unless a single parent subspace or
+# a single row of pairs is already larger
 _BLOCK = 1 << 16
 
 
-def _grow(tc, polars, points, level):
+def _grow(coding, polars, points, level):
     """The subspaces one dimension up, each exactly once.
 
     level maps a last pivot column to the stack of subspaces, in RREF,
     whose last pivot it is.  The first d rows of a (d+1)-dimensional
     RREF basis are the RREF basis of a d-dimensional subspace that is
     zero in the last pivot column, and the last row is a point of the
-    point table of that column; the span is totally isotropic for every
-    form exactly when that point is polar to every row of the parent
-    under each of the polar matrices.  A grown stack is ordered by the
-    parent's last pivot, then the parent, then the point.
+    point table of that column; the span is totally isotropic exactly
+    when every residue of the polar value of that point with every row
+    of the parent vanishes, under every form.  A grown stack is ordered
+    by the parent's last pivot, then the parent, then the point.
     """
     import numpy as np
 
+    e = coding.e
     grown = {}
     for lead, cand in enumerate(points):
         if not cand.size:
             continue
+        # the polar values b(e_i, w) of the basis residues against every
+        # candidate w, one column per (form, residue, candidate)
+        against = np.concatenate([g @ cand.T for g in polars])
+        against = against.transpose(1, 0, 2).reshape(cand.shape[1], -1)
         blocks = []
         for piv, subs in level.items():
             if piv >= lead:
                 continue
-            subs = subs[~subs[:, :, lead].any(axis=1)]
+            subs = subs[~subs[:, :, lead * e:(lead + 1) * e].any(axis=(1, 2))]
             if not subs.size:
                 continue
-            step = max(1, _BLOCK // (subs[0].size * max(len(polars[0]), len(cand))))
+            step = max(1, _BLOCK // (subs.shape[1] * against.shape[1]))
             for s in range(0, len(subs), step):
-                chunk = subs[s:s + step, :, None, :]
-                ok = True
-                for polar in polars:
-                    lin = tc.dot(chunk, polar)  # b(row, e_j)
-                    ok = ok & ~tc.dot(lin[:, :, None, :], cand).any(axis=1)
+                chunk = subs[s:s + step]
+                values = coding.reduce(chunk.reshape(-1, chunk.shape[2]) @ against)
+                ok = ~values.reshape(len(chunk), -1, len(cand)).any(axis=1)
                 pi, wi = np.nonzero(ok)
                 if pi.size:
                     blocks.append(np.concatenate([subs[s + pi], cand[wi, None, :]], axis=1))
@@ -91,36 +89,41 @@ def _grow(tc, polars, points, level):
 
 def common_isotropic_subspaces(forms, r):
     """The (r+1)-dimensional subspaces totally isotropic for every form
-    in forms (same finite field of at most 25 elements, same rank), each
-    once, as table codes: a dict from last pivot column to the stack of
-    RREF bases with that last pivot, in the order of _grow; a column
-    with none has no entry."""
-    tc = table_coding(forms[0].field)
+    in forms (same finite field, same rank), each once, as residue rows:
+    a dict from last pivot column to the stack of RREF bases with that
+    last pivot, in the order of _grow; a column with none has no
+    entry."""
+    import numpy as np
+
+    coding = ResidueCoding(forms[0].field)
     n = forms[0].n
-    coefs = [tc.code(q.c) for q in forms]
-    polars = [tc.code(q.polar_matrix().rows) for q in forms]
+    coefs = [coding.gram(q.c) for q in forms]
+    polars = [coding.gram(q.polar_matrix().rows) for q in forms]
     points = []  # per leading column, the common zeros among the points
     for lead in range(n):
-        pts = tc.points(n, lead)
-        for coef in coefs:
-            pts = pts[tc.form_values(coef, pts) == 0]
+        pts = coding.points(n, lead)
+        for coef in coefs:  # a point stays when every residue of its value is 0
+            values = coding.reduce(np.array([bilinear(pts, g, pts) for g in coef]))
+            pts = pts[~values.any(axis=0)]
         points.append(pts)
     level = {lead: pts[:, None, :] for lead, pts in enumerate(points) if pts.size}
     for _ in range(r):
-        level = _grow(tc, polars, points, level)
+        level = _grow(coding, polars, points, level)
     return level
 
 
 def enumeration_in_budget(size, n):
     """Whether enumerate_isotropic takes a rank-n form over a field of
-    size elements."""
+    size elements.  The caps are a time budget: the point tables grow as
+    size^(n-1) and the subspaces with them; any finite field of
+    characteristic p can be coded."""
     return (size <= 9 and n <= 6) or (size <= 25 and n <= 4)
 
 
 def _enumerate_codes(q, r):
     """The (r+1)-dimensional totally isotropic subspaces of q as one
-    stack (count, r+1, n) of table codes of RREF bases, sorted by code,
-    checked by _assert_totally_isotropic."""
+    stack (count, r+1, n*e) of residue rows of RREF bases, sorted
+    lexicographically, checked by _assert_totally_isotropic."""
     field = q.field
     size = field.size()
     n = q.n
@@ -136,9 +139,10 @@ def _enumerate_codes(q, r):
 
     level = common_isotropic_subspaces([q], r)
     if not level:
-        return np.zeros((0, r + 1, n), dtype=np.int16)
-    flat = np.concatenate(list(level.values())).reshape(-1, (r + 1) * n)
-    found = flat[np.lexsort(flat.T[::-1])].reshape(-1, r + 1, n)
+        coding = ResidueCoding(field)
+        return np.zeros((0, r + 1, n * coding.e), dtype=coding.dtype)
+    flat = np.concatenate([sub.reshape(len(sub), -1) for sub in level.values()])
+    found = flat[np.lexsort(flat.T[::-1])].reshape(len(flat), r + 1, -1)
     _assert_totally_isotropic(q, found)
     return found
 
@@ -151,49 +155,35 @@ def enumerate_isotropic(q, r):
     returned basis is re-checked against the form and its polar before
     being handed out.
     """
-    return table_coding(q.field).decode(_enumerate_codes(q, r))
+    return ResidueCoding(q.field).decode(_enumerate_codes(q, r))
 
 
-def _residues(field, a):
-    """The base-field residues of a field element: (v,) over F_p, the
-    coefficient residues over an extension of F_p."""
-    return (a.v,) if field.kind == "prime" else tuple(c.v for c in a.c)
+def _assert_totally_isotropic(q, rows):
+    """Refuse a stack (count, k, n*e) of residue rows of bases unless
+    every basis spans a totally isotropic subspace of q.
 
-
-def _assert_totally_isotropic(q, codes):
-    """Refuse a stack (count, k, n) of table codes of bases unless every
-    basis spans a totally isotropic subspace of q.
-
-    Independent of the add and mul tables of TableCoding: each code is
-    lifted to the base-field residues of its element, and each Gram
-    matrix M = V C V^T mod p is formed in int64, with C the upper
-    triangular coefficient matrix of q.  Its diagonal holds the values
-    q(v_i), and M_ij + M_ji the polar values b(v_i, v_j).  Over an
-    extension F_p[w]/(f) the residues are the coefficients of the powers
-    of w, multiplied through mult, whose row x e + y holds the residues
-    of w^(x+y) reduced by f (ExtensionField._xpow).
+    Each Gram matrix M = V C V^T of the stack, C the upper triangular
+    coefficient matrix of q, is formed in int64 from the residues through
+    the coding's tensor mult, not from the growth's Gram matrices.  Its
+    diagonal holds the values q(v_i), and M_ij + M_ji the polar values.
     """
     import numpy as np
 
-    field = q.field
-    p = field.characteristic
-    lift = np.array([_residues(field, a) for a in table_coding(field).elems], dtype=np.int64)
-    coef = np.array([[_residues(field, a) for a in row] for row in q.c], dtype=np.int64)
-    e = lift.shape[1]
-    powers = np.eye(e, dtype=np.int64).tolist() + [
-        [c.v for c in row] for row in getattr(field, "_xpow", ())]
-    mult = np.array([powers[x + y] for x in range(e) for y in range(e)], dtype=np.int64)
+    coding = ResidueCoding(q.field)
+    p, e = coding.p, coding.e
+    mult = coding.mult.reshape(e * e, e)
 
     def times(spec, x, y):
-        prod = np.einsum(spec, x, y)  # the products of residues, axes x, y
+        prod = np.einsum(spec, x, y, dtype=np.int64)  # products of residues, axes x, y
         return (prod.reshape(prod.shape[:-2] + (e * e,)) @ mult) % p
 
-    v = lift[codes]
+    v = coding.elements_axis(rows)
+    coef = coding.elements_axis(coding.array(q.c))
     gram = times("akmx,ajmy->akjxy", times("aknx,nmy->akmxy", v, coef), v)
     if gram.diagonal(0, 1, 2).any():
         raise InvariantViolation(
             "isotropic-basis", "claimed basis vector has a nonzero value")
-    i, j = np.triu_indices(codes.shape[1], 1)
+    i, j = np.triu_indices(rows.shape[1], 1)
     if ((gram[:, i, j] + gram[:, j, i]) % p).any():
         raise InvariantViolation(
             "isotropic-basis", "claimed basis pair has nonzero polar value")
@@ -206,35 +196,49 @@ class RulingPartition:
     sizes: tuple  # number of subspaces with label 0, with label 1
 
 
-def ruling_components(tc, codes, m):
+def ruling_components(coding, rows, m):
     """Partition of maximal isotropic subspaces into the two rulings.
 
-    codes is a stack (count, m, n) of table codes of tc's field, one
-    basis per subspace.  Two subspaces land in one component exactly
-    when the dimension of their intersection is congruent to m mod 2.
-    The rule is checked as an equivalence relation on the whole input,
-    pair by pair, and the partition must come out with exactly two
-    classes; anything else raises, since it falsifies the parity rule on
-    this instance.
+    rows is a stack (count, m, n*e) of residue rows of RREF bases over
+    coding's field.  Two subspaces land in one component exactly when
+    the dimension of their intersection is congruent to m mod 2.  With
+    K_i the reduced echelon kernel basis of L_i, dim(L_i & L_j) = m -
+    rank(L_j K_i): one product and one m x (n-m) elimination per pair.
+    The rule is checked as an equivalence relation, pair by pair, and
+    must give exactly two classes; anything else falsifies it here.
     """
     import numpy as np
 
     if m < 1:
         raise ValueError("need subspaces of dimension at least 1")
-    count = len(codes)
+    count = len(rows)
     if count < 2:
         raise ValueError("a single lagrangian cannot be split into rulings")
-    if codes.shape[1] != m:
+    if rows.shape[1] != m:
         raise ValueError("input subspace of dimension != m")
-    # the pairs (i, j), i < j, of a block of rows i at a time, each
-    # compared through the rank of the stacked pair
-    rows = max(1, _BLOCK // codes[0].size // (2 * count))
-    for i0 in range(0, count - 1, rows):
-        block = np.triu(np.ones((min(rows, count - 1 - i0), count), dtype=bool), i0 + 1)
-        ii, jj = np.nonzero(block)
+    res = coding.elements_axis(rows)
+    n, width = res.shape[2], rows.shape[2]
+    # the kernel basis: a 1 in each free column, -L[r, free] at pivot r
+    at, cols = np.arange(count)[:, None], np.arange(n - m)
+    pivots = res.any(axis=3).argmax(axis=2)
+    is_pivot = (pivots[:, :, None] == np.arange(n)).any(axis=1)
+    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :n - m]
+    kernel = np.zeros((count, n, n - m, coding.e), dtype=coding.dtype)
+    kernel[at, free, cols, 0] = 1
+    kernel[at[:, :, None], pivots[:, :, None], cols] = \
+        -np.take_along_axis(res, free[:, None, :, None], axis=2) % coding.p
+    maps = coding.weil(kernel.reshape(count, n, -1))
+    flat = rows.reshape(count * m, width).astype(maps.dtype)
+    # the pairs (i, j), i < j, of a block of rows i at a time
+    step = max(1, _BLOCK // max(1, flat.size // n * (n - m)))
+    for i0 in range(0, count - 1, step):
+        i1 = min(count - 1, i0 + step)
+        prod = coding.reduce(flat @ maps[i0:i1].transpose(1, 0, 2).reshape(width, -1))
+        prod = prod.reshape(count, m, i1 - i0, -1).transpose(2, 0, 1, 3)  # [i, j] = L_j K_i
+        ii, jj = np.nonzero(np.triu(np.ones((i1 - i0, count), dtype=bool), i0 + 1))
+        _, rank = coding.rref(prod[ii, jj])
         ii += i0
-        _, rank = tc.rref(np.concatenate([codes[ii], codes[jj]], axis=1))
-        same = (m - rank) % 2 == 0  # intersection dimension 2m - rank
+        same = rank % 2 == 0  # m - dim(L_i & L_j) is even
         if i0 == 0:
             labels = np.concatenate([[0], np.where(same[:count - 1], 0, 1)])
         if np.any(same != (labels[ii] == labels[jj])):
@@ -317,57 +321,46 @@ def stein_vs_center(q):
             "stein-center", "square class of the center discriminant "
             "disagrees with the idempotent split")
 
-    tc = table_coding(field)
-    base = _enumerate_codes(q, m - 1)
-    if delta_square:
-        if not len(base):
+    over = field if delta_square else quadratic_extension(field)
+    rows = _enumerate_codes(q, m - 1)
+    if delta_square and not len(rows):
+        raise InvariantViolation(
+            "stein-components", "split center but no maximal isotropic "
+            "subspaces over the ground field")
+    if not delta_square:
+        if len(rows):
             raise InvariantViolation(
-                "stein-components", "split center but no maximal isotropic "
-                "subspaces over the ground field")
-        part = ruling_components(tc, base, m)
-        lag = LagrangianSet(field.label(), m, tc.decode(base), part.labels, None)
-        return SteinReport(
-            field_label=field.label(), n=n, m=m, delta_is_square=True,
-            center_kind=rep.kind, extension_used=False, count=len(base),
-            component_sizes=part.sizes, frobenius_swaps=None,
-            lagrangians=lag, matches_center=True)
-
-    if len(base):
-        raise InvariantViolation(
-            "stein-witt",
-            "nonsquare center discriminant yet %d maximal isotropic "
-            "subspaces exist over the ground field" % len(base))
-    ext = quadratic_extension(field)
-    tc = table_coding(ext)
-    codes = _enumerate_codes(q.map_field(ext, ext.embed), m - 1)
-    if not len(codes):
-        raise InvariantViolation(
-            "stein-extension", "no maximal isotropic subspaces even over "
-            "the quadratic extension")
-    part = ruling_components(tc, codes, m)
-    import numpy as np
-
-    red, rank = tc.rref(tc.frobenius[codes])
-    if np.any(rank != m):
-        raise InvariantViolation("stein-frobenius", "image dropped rank")
-    pos = {sub.tobytes(): i for i, sub in enumerate(codes)}
-    perm = [pos.get(sub.tobytes()) for sub in red]
-    if None in perm:
-        raise InvariantViolation(
-            "stein-frobenius", "image subspace missing from the "
-            "enumerated set; the set should be Galois stable")
-    for i, j in enumerate(perm):
-        if perm[j] != i:
+                "stein-witt",
+                "nonsquare center discriminant yet %d maximal isotropic "
+                "subspaces exist over the ground field" % len(rows))
+        rows = _enumerate_codes(q.map_field(over, over.embed), m - 1)
+        if not len(rows):
+            raise InvariantViolation(
+                "stein-extension", "no maximal isotropic subspaces even over "
+                "the quadratic extension")
+    coding = ResidueCoding(over)
+    part = ruling_components(coding, rows, m)
+    perm = None
+    if not delta_square:
+        # the q-power map fixes 0 and 1, so it takes an RREF basis to the
+        # RREF basis of the image subspace
+        pos = {sub.tobytes(): i for i, sub in enumerate(rows)}
+        perm = tuple(pos.get(sub.tobytes()) for sub in coding.conjugate(rows))
+        if None in perm:
+            raise InvariantViolation(
+                "stein-frobenius", "image subspace missing from the "
+                "enumerated set; the set should be Galois stable")
+        if any(perm[j] != i for i, j in enumerate(perm)):
             raise InvariantViolation(
                 "stein-frobenius", "the q-power map is not an involution")
-    if any(part.labels[j] == part.labels[i] for i, j in enumerate(perm)):
-        raise InvariantViolation(
-            "stein-frobenius",
-            "the q-power map fixes a ruling although the center "
-            "discriminant is not a square")
-    lag = LagrangianSet(ext.label(), m, tc.decode(codes), part.labels, tuple(perm))
+        if any(part.labels[j] == part.labels[i] for i, j in enumerate(perm)):
+            raise InvariantViolation(
+                "stein-frobenius",
+                "the q-power map fixes a ruling although the center "
+                "discriminant is not a square")
+    lag = LagrangianSet(over.label(), m, coding.decode(rows), part.labels, perm)
     return SteinReport(
-        field_label=field.label(), n=n, m=m, delta_is_square=False,
-        center_kind=rep.kind, extension_used=True, count=len(codes),
-        component_sizes=part.sizes, frobenius_swaps=True,
+        field_label=field.label(), n=n, m=m, delta_is_square=delta_square,
+        center_kind=rep.kind, extension_used=not delta_square, count=len(rows),
+        component_sizes=part.sizes, frobenius_swaps=None if delta_square else True,
         lagrangians=lag, matches_center=True)

@@ -21,9 +21,9 @@ run on both forms: exhaustive over every finite field, a height sweep
 over Q.  The degenerate members over F_q come from the one
 factorization of the discriminant: its linear factors are the rational
 points, the others the extension points.  The witness search and the
-Amer-Brumer check take their points from rings.TableCoding.points and
-their forms from rings.ArrayCoding, both coding F_p by residues.  The
-rank-6 plane search is one step of
+Amer-Brumer check take their points from rings.ResidueCoding.points and
+their forms from rings.ArrayCoding, both coding F_p by residues, and
+evaluate them with rings.bilinear.  The rank-6 plane search is one step of
 lagrangian.common_isotropic_subspaces over both forms.
 """
 
@@ -39,9 +39,10 @@ from .rings import (
     InvariantViolation,
     Poly,
     PrimeField,
+    ResidueCoding,
+    bilinear,
     irreducible_factors,
     scalar_str,
-    table_coding,
 )
 from .lagrangian import common_isotropic_subspaces
 from .quadform import QuadraticForm
@@ -375,27 +376,21 @@ def _int_forms(q1, q2):
                  for q, shift in ((q1, 1), (q2, 0)))
 
 
-def _bilinear(u, m, v):
-    """u_r^T m v_r for every row r of u and v (a single row broadcasts);
-    with m a coefficient matrix and u = v this is the form value."""
-    return ((u @ m) * v).sum(axis=1)
-
-
 def _coefficient(vs, k, forms, p):
     """Coefficient of x^k in x*q1(v) + q2(v) mod p, for every row of the
-    batch v = sum vs[a] x^a, in the batch's dtype; coefficient vectors
-    past vs are zero."""
+    batch v = sum vs[a] x^a, in the dtype of the batch times the forms;
+    coefficient vectors past vs are zero."""
     import numpy as np
     top = len(vs) - 1
-    acc = np.zeros(len(vs[-1]), dtype=vs[-1].dtype)
+    acc = np.zeros(len(vs[-1]), dtype=np.result_type(vs[-1], forms[0][0]))
     for c, b, shift in forms:
         kk = k - shift
         if kk < 0:
             continue
         if kk % 2 == 0 and kk // 2 <= top:
-            acc += _bilinear(vs[kk // 2], c, vs[kk // 2])
+            acc += bilinear(vs[kk // 2], c, vs[kk // 2])
         for a in range(max(0, kk - top), (kk + 1) // 2):
-            acc += _bilinear(vs[a], b, vs[kk - a])
+            acc += bilinear(vs[a], b, vs[kk - a])
     return acc % p
 
 
@@ -436,7 +431,7 @@ def _head_span(forms, p, head):
     (c1, b1, _), (c2, b2, _) = forms
     span_part = np.column_stack([
         span, np.ones(len(span), dtype=np.int64), span @ (b1 @ e), span @ (b2 @ e),
-        _bilinear(span, c1, span), _bilinear(span, c2, span)]).T % p
+        bilinear(span, c1, span), bilinear(span, c2, span)]).T % p
     return pivot, inv, span, span_part.astype(np.float32), (e @ c1 @ e, e @ c2 @ e)
 
 
@@ -592,11 +587,11 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
         raise ValueError("witness search kept to rank <= 5")
     p = field.p
     forms = _int_forms(q1, q2)
-    tc = table_coding(field)
-    pts = np.concatenate([tc.points(n, lead) for lead in reversed(range(n))]).astype(np.int64)
-    heads = pts[_bilinear(pts, forms[1][0], pts) % p == 0]
+    coding = ResidueCoding(field)
+    pts = np.concatenate([coding.points(n, lead) for lead in reversed(range(n))])
+    heads = pts[bilinear(pts, forms[1][0], pts) % p == 0]
 
-    common = np.flatnonzero(_bilinear(heads, forms[0][0], heads) % p == 0)
+    common = np.flatnonzero(bilinear(heads, forms[0][0], heads) % p == 0)
     if max_degree >= 0 and len(common):
         return _witness_polys(q1, q2, [heads[common[0]]]), 0
     leaves = 0
@@ -643,10 +638,10 @@ def amer_brumer_check(q1, q2, max_degree=3):
         raise ValueError("rank capped at 5")
     p = field.p
     (c1, _, _), (c2, b2, _) = _int_forms(q1, q2)
-    tc = table_coding(field)
-    pts = np.concatenate([tc.points(n, lead) for lead in range(n)]).astype(np.int64)
-    on_q2 = _bilinear(pts, c2, pts) % p == 0
-    zeros = pts[on_q2 & (_bilinear(pts, c1, pts) % p == 0)]
+    coding = ResidueCoding(field)
+    pts = np.concatenate([coding.points(n, lead) for lead in range(n)])
+    on_q2 = bilinear(pts, c2, pts) % p == 0
+    zeros = pts[on_q2 & (bilinear(pts, c1, pts) % p == 0)]
     witness, leaves = pencil_isotropy_witness(q1, q2, max_degree)
 
     if len(zeros) and witness is None:
@@ -767,8 +762,8 @@ def common_isotropic_plane_rank6(q1, q2):
     field = q1.field
     if not isinstance(field, PrimeField) or field.p > 5:
         raise ValueError("plane search runs over prime fields with p <= 5")
-    tc = table_coding(field)
-    tables = [tc.points(6, lead) for lead in range(6)]
+    coding = ResidueCoding(field)
+    tables = [coding.points(6, lead) for lead in range(6)]
     count = sum(int((tables[pa][:, pb] == 0).sum()) * len(tables[pb])
                 for pa in range(6) for pb in range(pa + 1, 6))
     expected = gaussian_binomial(6, 2, field.p)
@@ -782,7 +777,7 @@ def common_isotropic_plane_rank6(q1, q2):
         # a stack's first row has its least pa, so the first plane is the
         # first row of the stack with the least (pa, pb)
         pb = min(level, key=lambda pb: (int((level[pb][0, 0] != 0).argmax()), pb))
-        fu, fv = tc.decode(level[pb][0])
+        fu, fv = coding.decode(level[pb][0])
         for q in (q1, q2):
             if q.evaluate(fu) or q.evaluate(fv) or q.polar(fu, fv):
                 raise InvariantViolation("plane-witness", "claimed plane fails")

@@ -18,16 +18,17 @@ field.  coded_rref is the one single-matrix elimination: it always
 takes the first nonzero pivot candidate, so ranks, kernels, and every
 witness derived from them are deterministic, and Matrix's rref, rank
 and kernel_basis decode its result (Matrix.det keeps its own
-elimination).  TableCoding codes the elements of a field with at most
-25 elements, F_p or F_{p^2}, as ints 0..q-1 with add/mul/neg/inv tables
-built once per context from the field's own arithmetic.  It evaluates
-forms and eliminates whole stacks of matrices by table lookups, and its
-points() is the one batched table of projective points that the
-finite-field searches walk.
+elimination).  ResidueCoding is the finite-field kernel of the batched
+searches: an element of F_{p^e} is its e residues mod p, and a matrix
+over F_{p^e} acts through its Weil restriction to F_p, so form and
+polar values are the stack evaluation bilinear.  It eliminates whole
+stacks of matrices at once, and its points() is the one batched table
+of projective points that the finite-field searches walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -1464,147 +1465,181 @@ def coded_kernel(coding, a):
     return free, kernel
 
 
-class TableCoding:
-    """Elements of a field with at most 25 elements coded as ints 0..q-1.
+def bilinear(u, m, v):
+    """u_r^T m v_r for every row r of the stacks u and v, broadcast: the
+    one stack evaluation of forms (the form value when u = v and m is a
+    coefficient matrix)."""
+    import numpy as np
 
-    The code of an element is its position in field.elements(), so the
-    code 0 is zero and codes sort in the order of elements().  The add,
-    mul, neg and inv tables are built from the field's own arithmetic
-    (inv of zero is coded as zero and never read), and over an extension
-    the frobenius permutation of codes too; every operation is a
-    table lookup on whole int16 arrays of codes, with numpy broadcasting.
-    Covers F_p and F_{p^2}, so a table has at most 625 entries.  Build
-    one per field context with table_coding().
+    return np.einsum("...i,...i->...", u @ m, v)
+
+
+class ResidueCoding:
+    """Elements of F_p, or of an extension F_p[w]/(f), as residues mod p.
+
+    An element of F_{p^e} is its coefficients of 1, w, ..., w^(e-1) mod
+    p, a vector a row of n*e residues, and rows sort as the vectors do in
+    the order of field.elements().  mult[x, y], the residues of w^(x+y)
+    reduced by f (ExtensionField._xpow), is the one multiplication
+    tensor.  Residues use the narrowest dtype in which a product of two
+    elements is exact.  Weil matrices are float, for BLAS products:
+    float32 while their sums stay below 2^24, where it is exact.
     """
 
     def __init__(self, field):
         import numpy as np
 
-        if field.size() is None or field.size() > 25:
-            raise ValueError("table coding needs a field of at most 25 elements")
-        elems = list(field.elements())
-        index = {e: i for i, e in enumerate(elems)}
-        one = field.one()
-        self.elems = elems
-        self.index = index
-        self.size = len(elems)
-        self.one = index[one]
-        self._add = np.array([[index[a + b] for b in elems] for a in elems],
-                             dtype=np.int16).ravel()
-        self._mul = np.array([[index[a * b] for b in elems] for a in elems],
-                             dtype=np.int16).ravel()
-        self.neg = np.array([index[-e] for e in elems], dtype=np.int16)
-        self.inv = np.array([index[one / e] if e else 0 for e in elems], dtype=np.int16)
-        # the q-power map over the base as a permutation of codes
-        self.frobenius = (np.array([index[field.frobenius(e)] for e in elems], dtype=np.int16)
-                          if field.kind == "extension" else None)
+        base = field.base if field.kind == "extension" else field
+        if base.kind != "prime":
+            raise ValueError("residue coding needs F_p or an extension of F_p")
+        self.field = field
+        p = self.p = base.p
+        e = self.e = field.degree if field.kind == "extension" else 1
+        self.dtype = np.min_scalar_type(-e * e * p ** 3)
+        powers = np.eye(e, dtype=int).tolist() + [
+            [c.v for c in row] for row in getattr(field, "_xpow", ())]
+        self.mult = np.array([[powers[x + y] for y in range(e)] for x in range(e)],
+                             dtype=self.dtype)
 
-    def points(self, n, lead):
-        """Codes of the vectors of length n that are zero before lead and
-        one at lead, tails in lexicographic code order: one row per
-        projective point with that leading column.  The tables by
-        ascending lead give the canonical order (first nonzero
-        coordinate 1, then lexicographic), by descending lead the plain
-        lexicographic order; over F_p the codes are the residues."""
+    @functools.cached_property
+    def frobenius(self):
+        """The q-power map as an e x e matrix, row x the residues of
+        (w^x)^p; None over F_p."""
+        f, e = self.field, self.e
+        return self.array([f.frobenius(f.gen() ** x) for x in range(e)]).reshape(e, e) \
+            if e > 1 else None
+
+    def array(self, rows):
+        """Residue rows (..., n*e) of nested sequences (..., n) of elements."""
         import numpy as np
-
-        count = self.size ** (n - lead - 1)
-        pts = np.zeros((count, n), dtype=np.int16)
-        pts[:, lead] = self.one
-        tails = np.arange(count)
-        for j in range(n - 1, lead, -1):
-            pts[:, j] = tails % self.size
-            tails //= self.size
-        return pts
-
-    def code(self, rows):
-        """int16 array of codes of a (nested) sequence of field elements."""
-        import numpy as np
-
-        index = self.index
 
         def walk(x):
-            return [walk(e) for e in x] if isinstance(x, (list, tuple)) else index[x]
+            if isinstance(x, (list, tuple)):
+                return [walk(y) for y in x]
+            return [x.v] if self.e == 1 else [c.v for c in x.c]
 
-        return np.array(walk(rows), dtype=np.int16)
+        a = np.array(walk(rows), dtype=self.dtype)
+        return a.reshape(a.shape[:-2] + (-1,))
 
     def decode(self, a):
-        """Nested tuples of field elements of a code array of rank >= 1."""
-        elems = self.elems
+        """Nested tuples of field elements of residue rows (..., n*e)."""
+        import numpy as np
+
+        elems = self.field.elements()
 
         def walk(x):
-            return tuple(walk(e) for e in x) if isinstance(x, list) else elems[x]
+            return tuple(walk(y) for y in x) if isinstance(x, list) else elems[x]
 
-        return walk(a.tolist())
+        return walk((self.elements_axis(a) @ self.p ** np.arange(self.e)[::-1]).tolist())
 
-    def add(self, a, b):
+    def elements_axis(self, a):
+        """Residue rows (..., n*e) viewed as (..., n, e)."""
+        return a.reshape(a.shape[:-1] + (a.shape[-1] // self.e, self.e))
+
+    def points(self, n, lead):
+        """Residue rows of the vectors of length n, zero before lead and
+        one at lead, tails in lexicographic order: the projective points
+        with that leading column.  By ascending lead the tables give the
+        canonical order, by descending lead the lexicographic one."""
         import numpy as np
 
-        return np.take(self._add, a * self.size + b)
+        e, p = self.e, self.p
+        count = p ** ((n - lead - 1) * e)
+        pts = np.zeros((count, n * e), dtype=self.dtype)
+        pts[:, lead * e] = 1
+        tails = np.arange(count)
+        for j in range(n * e - 1, (lead + 1) * e - 1, -1):
+            pts[:, j], tails = tails % p, tails // p
+        return pts
+
+    def weil(self, m):
+        """Weil restriction of a stack m (..., r, c*e) of residue rows: the
+        matrices (..., r*e, c*e) over F_p taking residues of u to u m."""
+        import numpy as np
+
+        m, p = self.elements_axis(m), self.p
+        real = np.float32 if m.shape[-3] * self.e * p * p < 1 << 24 else np.float64
+        out = np.einsum("...ija,xak->...ixjk", m, self.mult, dtype=real) % p
+        return out.reshape(m.shape[:-3] + (m.shape[-3] * self.e, m.shape[-2] * self.e))
+
+    def gram(self, rows):
+        """Gram matrices G (e, n*e, n*e) over F_p of an n x n matrix M of
+        field elements: bilinear(u, G[k], v) is residue k of u^T M v."""
+        import numpy as np
+
+        e, n, p = self.e, len(rows), self.p
+        lin = self.weil(self.array(rows)).reshape(n * e, n, e)
+        real = np.float32 if (n * e) ** 2 * p ** 3 < 1 << 24 else np.float64
+        out = np.einsum("ajz,zyk->kajy", lin, self.mult, dtype=real) % p
+        return out.reshape(e, n * e, n * e)
+
+    def reduce(self, x):
+        """Residues of integers, such as exact float Weil products."""
+        import numpy as np
+
+        return (x.astype(np.int64) % self.p).astype(self.dtype)
+
+    def conjugate(self, a):
+        """The q-power map on residue rows (..., n*e) of an extension."""
+        return (self.elements_axis(a) @ self.frobenius % self.p).reshape(a.shape)
 
     def mul(self, a, b):
+        """Products of elements stacked residue axis first, (e, ...)."""
         import numpy as np
 
-        return np.take(self._mul, a * self.size + b)
+        e, mult = self.e, self.mult
+        prods = [(x, y, a[x] * b[y]) for x in range(e) for y in range(e)]
+        return np.stack([sum(mult[x, y, k] * t for x, y, t in prods if mult[x, y, k])
+                         for k in range(e)]) % self.p
 
-    def dot(self, x, y):
-        """Sum over the last axis of x * y, broadcast over the others.
-
-        The polar value b(u, v) of a stack of vectors is dot(u, dot(B, v))
-        with v stacked as (..., 1, n) against the coded polar matrix B.
-        """
-        prod = self.mul(x, y)
-        acc = prod[..., 0]
-        for t in range(1, prod.shape[-1]):
-            acc = self.add(acc, prod[..., t])
-        return acc
-
-    def form_values(self, coef, v):
-        """q(v) = v . (C v) on a stack v (..., n), with C the coded upper
-        triangular coefficient matrix of q.  C v is built one row of C at
-        a time, so no (..., n, n) product is held in memory."""
+    def inverse(self, a):
+        """Inverses of elements stacked residue axis first, 0 for 0: with
+        s the q-power map, c = s(a) ... s^(e-1)(a) and the norm a c in F_p,
+        a^-1 = c / (a c)."""
         import numpy as np
 
-        return self.dot(v, np.stack([self.dot(row, v) for row in coef], axis=-1))
+        p = self.p
+        inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=self.dtype)
+        conj = image = a
+        for k in range(1, self.e):
+            image = np.tensordot(self.frobenius, image, axes=(0, 0)) % p
+            conj = image if k == 1 else self.mul(conj, image)
+        return inv[a] if self.e == 1 else conj * inv[self.mul(a, conj)[0]] % p
 
     def rref(self, a):
-        """(reduced row echelon forms, ranks) of a stack a (count, r, c).
+        """(reduced row echelon forms, ranks) of a stack a (count, r, c*e)
+        of residue rows.
 
-        One elimination for the whole stack: each column step swaps the
-        first usable row of every matrix that has one into place,
-        normalizes it and clears the column in its other rows.  Rows of
-        a matrix past its rank come out zero.
+        One elimination for the whole stack, stack axis last: each column
+        step swaps the first usable row of every matrix into place,
+        normalizes it and clears the column in the other rows.  A matrix
+        without one keeps its rows: it swaps a row with itself, whose
+        pivot 0 normalizes it to zero, so clearing subtracts nothing.
+        Rows past the rank come out zero.
         """
         import numpy as np
 
-        a = np.array(a, dtype=np.int16)
-        count, nr, nc = a.shape
+        count, nr, width = a.shape
+        a = self.elements_axis(a.astype(self.dtype)).transpose(3, 1, 2, 0).copy()
         rank = np.zeros(count, dtype=np.intp)
-        rows = np.arange(nr)
-        for col in range(nc):
-            usable = (a[:, :, col] != 0) & (rows >= rank[:, None])
-            hit = np.flatnonzero(usable.any(axis=1))
-            if not hit.size:
+        rows = np.arange(nr)[:, None]
+        for col in range(width // self.e):
+            usable = a[:, :, col].any(axis=0) & (rows >= rank)
+            has = usable.any(axis=0)
+            if not has.any():
                 continue
-            src = usable[hit].argmax(axis=1)
-            dst = rank[hit]
-            top = a[hit, src]
-            a[hit, src] = a[hit, dst]
-            top = self.mul(np.take(self.inv, top[:, col])[:, None], top)
-            a[hit, dst] = top
-            factor = np.take(self.neg, a[hit, :, col])
-            factor[np.arange(hit.size), dst] = 0
-            a[hit] = self.add(a[hit], self.mul(factor[:, :, None], top[:, None, :]))
-            rank[hit] += 1
-        return a, rank
-
-
-def table_coding(field):
-    """The TableCoding of a finite field, built once per field context."""
-    tc = getattr(field, "_table_coding", None)
-    if tc is None:
-        tc = field._table_coding = TableCoding(field)
-    return tc
+            dst = np.minimum(rank, nr - 1)[None, None, None]
+            src = np.where(has, usable.argmax(axis=0), dst)
+            row = np.take_along_axis(a, src, axis=1)
+            np.put_along_axis(a, src, np.take_along_axis(a, dst, axis=1), axis=1)
+            top = self.mul(self.inverse(row[:, :, col])[:, :, None], row)
+            np.put_along_axis(a, dst, np.where(has, top, row), axis=1)
+            factor = a[:, :, col].copy()
+            np.put_along_axis(factor, dst[0], 0, axis=1)
+            a -= self.mul(factor[:, :, None], top)
+            a %= self.p
+            rank += has
+        return a.transpose(3, 1, 2, 0).reshape(count, nr, width), rank
 
 
 # ---------------------------------------------------------------------------

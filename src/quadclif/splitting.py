@@ -11,8 +11,8 @@ pencil.common_isotropic_vector on the two forms of a pencil.
   runs over any finite field;
 * the rationals: integer vectors swept by increasing height (maximum
   absolute coordinate), primitive and sign-normalized, up to the height
-  budget, and evaluated on the forms scaled to integer rows, so None is
-  merely inconclusive.
+  budget, and evaluated on the terms of the forms scaled to integers
+  (ArrayCoding.integral), so None is merely inconclusive.
 
 Splitting follows the classical construction: an isotropic v with
 b(v, w0) nonzero for some basis vector w0 is completed to a hyperbolic
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadform import QuadraticForm
-from .rings import InvariantViolation, Matrix
+from .rings import QQ, ArrayCoding, InvariantViolation, Matrix
 
 
 @dataclass(frozen=True)
@@ -55,33 +55,6 @@ DEFAULT_BUDGET = SearchBudget()
 def search_is_exhaustive(field):
     """True when find_isotropic returning None proves anisotropy."""
     return field.size() is not None
-
-
-# ---------------------------------------------------------------------------
-# integer evaluation over Q
-
-
-def _rational_int_rows(q):
-    den = 1
-    for row in q.c:
-        for a in row:
-            den = den * a.denominator // math.gcd(den, a.denominator)
-    rows = [[int(a * den) for a in row] for row in q.c]
-    return rows
-
-
-def _eval_int_rows(rows, v, n):
-    acc = 0
-    for i in range(n):
-        vi = v[i]
-        if vi:
-            row = rows[i]
-            s = 0
-            for j in range(i, n):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            acc += vi * s
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +95,10 @@ def _first_common_zero(forms, budget):
                      if not any(q.evaluate(v) for q in forms)), None)
     if field.kind != "rationals":
         raise ValueError("no isotropy search over %s" % field.label())
-    rows = [_rational_int_rows(q) for q in forms]
+    # each form scaled to integers as its nonzero terms c x_i x_j
+    coding = ArrayCoding(QQ)
+    terms = [[(i, j, c) for i, row in enumerate(coding.integral(coding.array(q.c))[0].tolist())
+              for j, c in enumerate(row) if c] for q in forms]
     for h in range(1, budget.height + 1):
         for v in _height_shell(h, n):
             first = next((c for c in v if c), None)
@@ -130,7 +106,7 @@ def _first_common_zero(forms, budget):
                 continue
             if math.gcd(*v) != 1:
                 continue
-            if all(_eval_int_rows(r, v, n) == 0 for r in rows):
+            if all(sum(c * v[i] * v[j] for i, j, c in t) == 0 for t in terms):
                 return tuple(Fraction(c) for c in v)
     return None
 

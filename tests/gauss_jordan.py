@@ -2,8 +2,8 @@
 elements.
 
 The package has one single-matrix elimination, rings.coded_rref, which
-Matrix.rref, rank, kernel_basis and solve decode, and one batched
-elimination, TableCoding.rref.  The tests compare both against this
+Matrix.rref, rank and kernel_basis decode, and one batched elimination,
+ResidueCoding.rref.  The tests compare both against this
 loop, which shares no code with either: it divides the pivot row by
 its pivot and clears the pivot column in every other row, one wrapped
 scalar at a time, taking the first nonzero pivot candidate.

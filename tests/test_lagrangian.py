@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadclif import lagrangian
-from quadclif.rings import InvariantViolation, PrimeField, quadratic_extension, table_coding
+from quadclif.rings import (
+    ExtensionField,
+    InvariantViolation,
+    Poly,
+    PrimeField,
+    ResidueCoding,
+    quadratic_extension,
+)
 from quadclif.quadform import QuadraticForm
 from quadclif.lagrangian import (
     enumerate_isotropic,
@@ -18,6 +25,8 @@ from quadclif.lagrangian import (
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 F9 = quadratic_extension(F3)
+F4 = quadratic_extension(F2)
+F8 = ExtensionField(F2, Poly.of_ints(F2, "x", [1, 1, 0, 1]))  # x^3 + x + 1
 
 
 def _rref_bases(field, k, n):
@@ -59,9 +68,9 @@ def _seeded_forms(field, n, count, seed):
 
 
 def _coded(q, r):
-    """The table coding of q's field and the checked code stack of its
-    (r+1)-dimensional totally isotropic subspaces."""
-    return table_coding(q.field), lagrangian._enumerate_codes(q, r)
+    """The residue coding of q's field and the checked stack of residue
+    rows of its (r+1)-dimensional totally isotropic subspaces."""
+    return ResidueCoding(q.field), lagrangian._enumerate_codes(q, r)
 
 
 # ------------------------------------------------------- enumeration
@@ -112,12 +121,13 @@ def test_enumeration_is_deterministic_and_rref():
 
 
 @pytest.mark.parametrize("field, ranks", [(F2, (2, 3, 4, 5)), (F3, (2, 3, 4, 5)),
-                                          (F5, (2, 3, 4)), (F9, (2, 3, 4))],
-                         ids=["F2", "F3", "F5", "F9"])
+                                          (F5, (2, 3, 4)), (F9, (2, 3, 4)),
+                                          (F4, (2, 3, 4)), (F8, (2, 3, 4))],
+                         ids=["F2", "F3", "F5", "F9", "F4", "F8"])
 def test_enumeration_matches_brute_force(field, ranks):
     # every RREF basis filtered by q and b on wrapped elements, for each
     # dimension until none is left (the Witt index plus the radical)
-    index = table_coding(field).index
+    index = {a: i for i, a in enumerate(field.elements())}
     for n in ranks:
         for q in _seeded_forms(field, n, 3, seed=n):
             for k in range(1, n + 1):
@@ -194,18 +204,15 @@ F25 = quadratic_extension(F5)
 
 
 @pytest.mark.parametrize("field", [F3, F5, F9, F25], ids=["F3", "F5", "F9", "F25"])
-def test_isotropy_check_refuses_planted_bases(field, monkeypatch):
+def test_isotropy_check_refuses_planted_bases(field):
     # H(2) = x0 x1 + x2 x3; c is the generator over an extension, so the
     # planted values live in the second residue there
     q = QuadraticForm.hyperbolic(field, 2)
-    tc, planes = _coded(q, 1)
+    coding, planes = _coded(q, 1)
     z, o = field.zero(), field.one()
     c = field.gen() if field.kind == "extension" else o
-    valued = tc.code([[o, c, z, z], [z, z, o, z]])  # q(e0 + c e1) = c
-    paired = tc.code([[o, z, z, z], [z, c, z, z]])  # b(e0, c e1) = c
-    # the check reads no lookup table of the coding
-    for table in ("_add", "_mul", "neg", "inv"):
-        monkeypatch.setattr(tc, table, np.zeros_like(getattr(tc, table)))
+    valued = coding.array([[o, c, z, z], [z, z, o, z]])  # q(e0 + c e1) = c
+    paired = coding.array([[o, z, z, z], [z, c, z, z]])  # b(e0, c e1) = c
     lagrangian._assert_totally_isotropic(q, planes)
     for bad, detail in ((valued, "nonzero value"), (paired, "nonzero polar value")):
         stack = np.concatenate([planes[:3], bad[None], planes[3:]])
@@ -218,7 +225,7 @@ def test_isotropy_check_refuses_planted_bases(field, monkeypatch):
 def _check_verdict(q, basis):
     """None when the isotropy check passes the basis, else its message."""
     try:
-        lagrangian._assert_totally_isotropic(q, table_coding(q.field).code([basis]))
+        lagrangian._assert_totally_isotropic(q, ResidueCoding(q.field).array([basis]))
     except InvariantViolation as err:
         assert err.invariant == "isotropic-basis"
         return str(err)
@@ -269,9 +276,11 @@ def _answer_digest(reports):
             if r.extension_used:
                 ext = quadratic_extension(q.field)
                 qe = q.map_field(ext, ext.embed)
-            tc = table_coding(qe.field)
+            # the position of each entry in field.elements(), as int16
+            index = {a: i for i, a in enumerate(qe.field.elements())}
             for k in range(q.n // 2):
-                codes = tc.code(enumerate_isotropic(qe, k))
+                codes = np.array([[[index[a] for a in row] for row in sub]
+                                  for sub in enumerate_isotropic(qe, k)], dtype=np.int16)
                 entry.append(hashlib.sha256(codes.tobytes()).hexdigest())
         out.append(entry)
     return hashlib.sha256(json.dumps(out).encode()).hexdigest()
@@ -303,12 +312,13 @@ def test_answers_match_the_pinned_digests():
         assert _answer_digest([(q, stein_vs_center(q)) for q in forms]) == pinned[name], name
 
 
-def test_frobenius_permutation_is_built_once_per_coding():
-    for F in (F9, F25):
-        tc = table_coding(F)
-        assert tc.frobenius is table_coding(F).frobenius
-        assert [tc.elems[i] for i in tc.frobenius] == [a ** F.base.size() for a in tc.elems]
-    assert table_coding(F3).frobenius is None
+def test_frobenius_matrix_is_the_p_power_map():
+    for F in (F4, F8, F9, F25):
+        coding = ResidueCoding(F)
+        elems = F.elements()
+        images = coding.conjugate(coding.array([elems]))
+        assert coding.decode(images) == (tuple(a ** F.base.size() for a in elems),)
+    assert ResidueCoding(F3).frobenius is None
 
 
 # ----------------------------------------------------------- rulings
@@ -316,73 +326,74 @@ def test_frobenius_permutation_is_built_once_per_coding():
 
 def test_h2_rulings_split_evenly():
     for F in (F2, F3, F5):
-        tc, subs = _coded(QuadraticForm.hyperbolic(F, 2), 1)
-        part = ruling_components(tc, subs, 2)
+        coding, subs = _coded(QuadraticForm.hyperbolic(F, 2), 1)
+        part = ruling_components(coding, subs, 2)
         assert part.sizes == (len(subs) // 2, len(subs) // 2)
 
 
 def test_h3_f2_rulings():
-    tc, subs = _coded(QuadraticForm.hyperbolic(F2, 3), 2)
+    coding, subs = _coded(QuadraticForm.hyperbolic(F2, 3), 2)
     assert len(subs) == 30
-    part = ruling_components(tc, subs, 3)
+    part = ruling_components(coding, subs, 3)
     assert part.sizes == (15, 15)
 
 
 def test_h1_rulings_are_singletons():
-    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 1), 0)
-    part = ruling_components(tc, subs, 1)
+    coding, subs = _coded(QuadraticForm.hyperbolic(F3, 1), 0)
+    part = ruling_components(coding, subs, 1)
     assert part.sizes == (1, 1)
 
 
 def test_single_lagrangian_is_rejected():
-    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
+    coding, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
     with pytest.raises(ValueError):
-        ruling_components(tc, subs[:1], 2)
+        ruling_components(coding, subs[:1], 2)
 
 
 def test_wrong_dimension_is_rejected():
-    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
+    coding, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
     with pytest.raises(ValueError):
-        ruling_components(tc, subs, 3)
+        ruling_components(coding, subs, 3)
 
 
 def test_parity_that_is_no_equivalence_is_refuted(monkeypatch):
     # three planes of F3^3 pairwise meet in a line, an odd dimension
     # against m = 2: all three would be pairwise in different classes.
     # One pair per elimination block still finds it, in the last block.
-    tc = table_coding(F3)
-    planes = tc.code([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]])
+    coding = ResidueCoding(F3)
+    planes = np.array([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]],
+                      dtype=coding.dtype)
     with pytest.raises(InvariantViolation) as err:
-        ruling_components(tc, planes, 2)
+        ruling_components(coding, planes, 2)
     assert err.value.invariant == "ruling-parity"
     monkeypatch.setattr(lagrangian, "_BLOCK", 1)
     with pytest.raises(InvariantViolation) as err:
-        ruling_components(tc, planes, 2)
+        ruling_components(coding, planes, 2)
     assert err.value.invariant == "ruling-parity"
 
 
 def test_one_ruling_alone_is_refuted():
-    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
-    labels = np.array(ruling_components(tc, subs, 2).labels)
+    coding, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
+    labels = np.array(ruling_components(coding, subs, 2).labels)
     with pytest.raises(InvariantViolation) as err:
-        ruling_components(tc, subs[labels == 0], 2)
+        ruling_components(coding, subs[labels == 0], 2)
     assert err.value.invariant == "ruling-two-classes"
 
 
 def test_rulings_do_not_depend_on_the_block_size(monkeypatch):
-    tc, subs = _coded(QuadraticForm.hyperbolic(F3, 3), 2)
-    labels = ruling_components(tc, subs, 3).labels
+    coding, subs = _coded(QuadraticForm.hyperbolic(F3, 3), 2)
+    labels = ruling_components(coding, subs, 3).labels
     monkeypatch.setattr(lagrangian, "_BLOCK", 1)
-    assert ruling_components(tc, subs, 3).labels == labels
+    assert ruling_components(coding, subs, 3).labels == labels
 
 
 def test_intersection_parity_within_components():
     # planes in one ruling of H(2) meet in dimension 0 or 2; across
     # rulings they meet in dimension 1
     from quadclif.rings import Matrix
-    tc, codes = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
-    labels = ruling_components(tc, codes, 2).labels
-    subs = tc.decode(codes)
+    coding, codes = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
+    labels = ruling_components(coding, codes, 2).labels
+    subs = coding.decode(codes)
     a = [s for s, l in zip(subs, labels) if l == 0]
     b = [s for s, l in zip(subs, labels) if l == 1]
     inter = lambda U, V: 4 - Matrix(F3, [list(r) for r in U + V]).rank()

@@ -424,17 +424,16 @@ def _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch):
 def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
     import random
     import numpy as np
-    from quadclif.pencil import _bilinear
-    from quadclif.rings import table_coding
+    from quadclif.rings import ResidueCoding, bilinear
     field = PrimeField(p)
     rng = random.Random(100 * p + n)
     for _ in range(6):
         q1, q2 = _random_form(rng, field, n), _random_form(rng, field, n)
         forms = _int_forms(q1, q2)
         # lexicographic order: the per-lead tables by descending lead
-        tc = table_coding(field)
-        pts = np.concatenate([tc.points(n, lead) for lead in reversed(range(n))]).astype(np.int64)
-        for head in pts[_bilinear(pts, forms[1][0], pts) % p == 0][:3]:
+        coding = ResidueCoding(field)
+        pts = np.concatenate([coding.points(n, lead) for lead in reversed(range(n))])
+        for head in pts[bilinear(pts, forms[1][0], pts) % p == 0][:3]:
             _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch)
 
 

@@ -7,6 +7,7 @@ never imports it.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,8 @@ from quadclif.rings import (
     rational_roots,
     scalar_str,
     squarefree_decomposition,
-    table_coding,
+    ResidueCoding,
+    bilinear,
 )
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -373,7 +375,7 @@ def _random_entry(rng, field):
     return rng.choice(list(field.elements()))
 
 
-F49 = quadratic_extension(F7)  # beyond TableCoding: Matrix runs on object arrays
+F49 = quadratic_extension(F7)  # Matrix runs on object arrays over an extension
 
 
 @pytest.mark.parametrize("field", [F2, F3, F7, QQ, quadratic_extension(F3), F49],
@@ -444,44 +446,57 @@ def test_matrix_rref_edge_shapes(field):
     assert red.rows == ((z, o, z), (z, z, o), (z, z, z), (z, z, z))
 
 
-@pytest.mark.parametrize("field", [F2, F5, quadratic_extension(F3), quadratic_extension(F5)],
+F4 = quadratic_extension(F2)
+F8 = ExtensionField(F2, Poly.of_ints(F2, "x", [1, 1, 0, 1]))  # x^3 + x + 1
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F4, F8, quadratic_extension(F3),
+                                   quadratic_extension(F5)],
                          ids=lambda f: f.label())
-def test_table_coding_matches_wrapped_arithmetic(field):
-    # one batched elimination over a stack gives the reference
-    # Gauss-Jordan form of each member, and form values agree with
-    # QuadraticForm.evaluate
+def test_residue_coding_matches_wrapped_arithmetic(field):
+    # products, inverses, form and polar values, the Weil restriction of
+    # a matrix, the q-power map, and one batched elimination over a
+    # stack, each against wrapped arithmetic or the reference
+    # Gauss-Jordan form of each member
     from quadclif.quadform import QuadraticForm
 
     rng = random.Random(5)
-    tc = table_coding(field)
-    assert table_coding(field) is tc
-    elems = tc.elems
-    assert tc.decode(tc.code([elems])) == (tuple(elems),)
-    for a in elems:
-        for b in elems:
-            ca, cb = tc.code(a), tc.code(b)
-            assert elems[tc.add(ca, cb)] == a + b
-            assert elems[tc.mul(ca, cb)] == a * b
-        assert elems[tc.neg[tc.code(a)]] == -a
-        if a:
-            assert elems[tc.inv[tc.code(a)]] * a == field.one()
-    for nrows, ncols in ((1, 4), (3, 3), (4, 6), (6, 4)):
-        stack = [_random_rows(rng, field, nrows, ncols) for _ in range(20)]
-        red, rank = tc.rref(tc.code(stack))
-        for rows, got, r in zip(stack, tc.decode(red), rank):
-            want, pivots = gauss_jordan.rref(field, rows)
-            assert r == len(pivots) and list(got) == want
+    coding = ResidueCoding(field)
+    p, e = coding.p, coding.e
+    elems = field.elements()
+    assert coding.decode(coding.array([elems])) == (tuple(elems),)
+    codes = coding.elements_axis(coding.array(elems)).T  # residue axis first
+    products = coding.mul(codes[:, :, None], codes[:, None, :])
+    assert coding.decode(products.T.reshape(len(elems), -1)) \
+        == tuple(tuple(a * b for a in elems) for b in elems)
+    assert coding.decode(coding.inverse(codes[:, 1:]).T.reshape(-1)) \
+        == tuple(field.one() / a for a in elems[1:])
+    if e > 1:
+        assert coding.decode(coding.conjugate(coding.array(elems))) \
+            == tuple(a ** p for a in elems)
     n = 4
     rows = [[rng.choice(elems) if j >= i else field.zero() for j in range(n)] for i in range(n)]
     q = QuadraticForm(field, rows)
     vecs = [[rng.choice(elems) for _ in range(n)] for _ in range(30)]
-    values = tc.form_values(tc.code(rows), tc.code(vecs))
-    assert [elems[v] for v in values] == [q.evaluate(v) for v in vecs]
-    polar = tc.code(q.polar_matrix().rows)
-    pairs = tc.dot(tc.code(vecs[:15]), tc.dot(polar, tc.code(vecs[15:])[:, None, :]))
-    assert [elems[v] for v in pairs] == [q.polar(u, v) for u, v in zip(vecs[:15], vecs[15:])]
-    with pytest.raises(ValueError):
-        table_coding(PrimeField(29))
+    u, v = coding.array(vecs[:15]), coding.array(vecs[15:])
+    every = coding.array(vecs)
+    values = [bilinear(every, g, every) % p for g in coding.gram(q.c)]
+    assert coding.decode(np.stack(values, axis=-1).astype(int).reshape(-1)) \
+        == tuple(q.evaluate(w) for w in vecs)
+    polar = [bilinear(u, g, v) % p for g in coding.gram(q.polar_matrix().rows)]
+    assert coding.decode(np.stack(polar, axis=-1).astype(int).reshape(-1)) \
+        == tuple(q.polar(a, b) for a, b in zip(vecs[:15], vecs[15:]))
+    m = _random_rows(rng, field, n, 3)
+    image = (u @ coding.weil(coding.array(m)) % p).astype(int)
+    assert coding.decode(image) == tuple(
+        tuple(sum((a[i] * m[i][j] for i in range(n)), field.zero()) for j in range(3))
+        for a in vecs[:15])
+    for nrows, ncols in ((1, 4), (3, 3), (4, 6), (6, 4)):
+        stack = [_random_rows(rng, field, nrows, ncols) for _ in range(20)]
+        red, rank = coding.rref(coding.array(stack))
+        for rows, got, r in zip(stack, coding.decode(red), rank):
+            want, pivots = gauss_jordan.rref(field, rows)
+            assert r == len(pivots) and list(got) == want
 
 
 # ---------------------------------------------------------------------------
