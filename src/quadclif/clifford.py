@@ -9,9 +9,12 @@ decodes, for the products that an error message names.  Basis element 0
 is the unit.  T holds residues over F_p, and integers over Q when the form's
 coefficients bound its entries below 2^62, in the narrowest numpy
 integer dtype; otherwise object codes (Fractions, huge integers,
-elements of F_{p^2}).  Contractions run in float64 only where a bound
+elements of F_{p^2}).  Under the same bound the generator steps that
+build T run unreduced in int64, over F_p too, where a row block is
+reduced mod p once.  Contractions run in float64 only where a bound
 proves every partial sum exact, and on the object codes otherwise
-(ArrayCoding.matmul).
+(ArrayCoding.matmul).  Over Q with an integer T the center stays on
+integers up to its final division by one denominator per row.
 
 The even Clifford algebra of a quadratic form q on k^n has one basis
 element per even-cardinality subset S of {1, ..., n}, encoded as a
@@ -86,6 +89,13 @@ class StructuredAlgebra:
         self.verify_associativity()
 
     # -- basic operations ----------------------------------------------
+
+    @property
+    def work_dtype(self):
+        """The dtype for exact integer work on slices of the table: int64
+        when it is numeric (residues over F_p, integers over Q), else
+        object."""
+        return object if self.bound is None else np.int64
 
     def mul_basis(self, i, j):
         return {k: self.coding.decode(c) for k, c in enumerate(self.table[i, j].tolist()) if c}
@@ -203,18 +213,24 @@ def _clifford_table(coding, form, masks):
     Row S peels its fewest lowest indices s1 < ... < sr that leave a basis
     mask S', and e_S e_j = e_s1 (... (e_sr (e_S' e_j))): rows peeling the
     same indices are stepped together, a few at a time, on the full 2^n
-    masks.  Over F_p every step is reduced; over Q the steps run in int64
-    when the integral coefficients c satisfy ((n + 1) max(|c|, 1))^n <
-    2^62, which bounds every entry, and on object codes otherwise.
+    masks.  The steps run in int64, unreduced, when the integer codes c
+    of the form (residues 0..p-1 over F_p, integral coefficients over Q)
+    satisfy ((n + 1) max(|c|, 1))^n < 2^62, which bounds every entry:
+    over Q that is the bound on the table itself, and over F_p a step
+    adds at most n products of an entry with a code to each entry, while
+    a block steps rows of residues (the unit row, when it peels all n
+    generators), so a block is reduced mod p once, after its last step.
+    Otherwise every step is reduced over F_p, and runs on object codes
+    over Q.
     """
     n, d = form.n, len(masks)
     c = [[coding.code(x) for x in row] for row in form.c]
     flat = [x for row in c for x in row]
-    work = coding.dtype
-    if coding.field.kind == "rationals" and all(type(x) is int for x in flat):
+    work, deferred = coding.dtype, False
+    if coding.p or (coding.field.kind == "rationals" and all(type(x) is int for x in flat)):
         big = max(1, max(abs(x) for x in flat))
         if ((n + 1) * big) ** n < 1 << 62:
-            work = np.int64
+            work, deferred = np.int64, True
     maps = _generator_maps(c, n, work)
     index = {mask: i for i, mask in enumerate(masks)}
     groups = {}
@@ -256,8 +272,10 @@ def _clifford_table(coding, form, masks):
                         out[dst[m], r, j] += vals[m, r, j] * coef[m]
                     else:
                         out[dst] += vals * coef[:, None, None]
-                x = coding.reduce(out)
+                x = out if deferred else coding.reduce(out)
                 present = {1 - p for p in present}
+            if deferred:
+                x = coding.reduce(x)
             if np.count_nonzero(x[outside]):
                 raise InvariantViolation("clifford-grading",
                                          "product of basis masks escaped the span")
@@ -354,28 +372,24 @@ def center_basis(algebra):
     algebra's generators (the generating set is enough: commuting with
     generators means commuting with everything they generate).  The
     candidates are coded rows, their commutators with generator g are
-    rows @ (T[g] - T[:, g]), solved by rings.coded_kernel.  Over Q the
-    rows are integers with one denominator each, divided out at the end:
-    scaling a column of a commutator matrix only rescales its reduced
-    echelon kernel basis, so the basis is unchanged.
+    rows @ (T[g] - T[:, g]), solved by rings.coded_kernel.  Over Q with
+    an integer tensor the rows stay integers, int64 while a bound allows
+    it, with one denominator each, divided out at the end: coded_kernel
+    returns integer kernel rows with their scales, and scaling a column
+    of a commutator matrix only rescales its reduced echelon kernel
+    basis, so the basis is unchanged.
     """
     d, coding, t = algebra.dim, algebra.coding, algebra.table
     gens = algebra.gen_indices if algebra.gen_indices is not None else list(range(d))
-    integral = algebra.bound is not None and not coding.p
-
-    def top(a):  # bound on the integer entries of a, for exact numeric products
-        return int(np.abs(a).max(initial=0)) if integral else None
-
-    rows, dens = coding.eye(d), np.ones(d, dtype=object)
+    work = algebra.work_dtype
+    rows, dens = np.eye(d, dtype=work), np.ones(d, dtype=object)
     for g in gens:
         if len(rows) <= 1:
             break
-        diff = t[g].astype(object if algebra.bound is None else np.int64) - t[:, g]
-        comm = coding.matmul(rows, diff, top(rows), top(diff))
-        free, kernel = coded_kernel(coding, coding.codes(comm).T)
-        ints, lcm = coding.integral(kernel, per_row=True)
-        rows = coding.codes(coding.matmul(ints, rows, top(ints), top(rows)))
-        dens = lcm * dens[free]
+        comm = coding.matmul(rows, t[g].astype(work) - t[:, g])
+        free, kernel, scales = coded_kernel(coding, comm.T)
+        rows = coding.matmul(kernel, rows)
+        dens = scales * dens[free]
     return coding.divide_rows(rows, dens)
 
 

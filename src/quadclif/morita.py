@@ -43,13 +43,18 @@ kernel basis of the full system, so the End basis does not depend on
 the splitting.
 
 All matrix work runs on coded numpy arrays (rings.ArrayCoding): int64
-residues over F_p, and object arrays over other fields, where rationals
-are Python ints when integral and Fractions otherwise.  The structure
-constants are read as slices of the algebras' dense structure tensors
-(StructuredAlgebra.table), so nothing is re-coded here.  Where products
-would mix in Fractions, the checks first scale a whole stack of matrices
-by one common denominator, so they run on Python ints.  The End basis
-stays coded from the solve to the bijectivity check; field elements are
+residues over F_p; over Q int64 integers when the structure tensors are
+numeric, and otherwise object arrays, where rationals are Python ints
+when integral and Fractions otherwise, as are the elements of other
+fields.  The structure constants are read as slices of the algebras'
+dense structure tensors (StructuredAlgebra.table).  Products run in
+float64 where a bound proves them exact (ArrayCoding.matmul), and the
+multiplicativity defects are two such products.  Where products would
+mix in Fractions, the checks first scale a whole stack of matrices by
+one common denominator, so they run on integers.  Over Q the End basis
+is kept as coded_kernel returns it, primitive integer matrices with one
+scale each, from the solve to the bijectivity check; only the
+coordinates of the images are scaled back, and field elements are
 decoded only for the witness matrix.
 """
 
@@ -82,25 +87,31 @@ class RightModule:
 
 
 def _product_defects(coding, mats, coefs, right=False):
-    """Multiplicativity defects, one matrix per pair (a, b) in row-major
-    order: mats[a] mats[b] (mats[b] mats[a] for a right action) minus
-    sum_u coefs[a, b, u] mats[u], where coefs[a, b] codes the product of
-    the two basis elements behind mats[a] and mats[b] in the basis behind
-    mats.  The map is multiplicative on a pair exactly when its defect is
-    zero.  Over Q the matrices are first scaled by one common denominator
-    d, so that the products run on Python ints; every defect is then d^2
-    times its value.
+    """Where the multiplicativity defects are nonzero, one boolean matrix
+    per pair (a, b) in row-major order.  The defect of a pair is mats[a]
+    mats[b] (mats[b] mats[a] for a right action) minus sum_u coefs[a, b,
+    u] mats[u], where coefs[a, b] codes the product of the two basis
+    elements behind mats[a] and mats[b] in the basis behind mats; the
+    map is multiplicative on a pair exactly when its defect is zero.
+    Over Q the matrices are first scaled by one common denominator d, so
+    that the products run on integers; every defect is then d^2 times
+    its value.  Both terms are products (ArrayCoding.matmul), in float64
+    on integer arrays whose bounds prove them exact, over blocks of pairs
+    that keep every array near 2^16 entries.
     """
     import numpy as np
 
     ints, den = coding.integral(mats)
-    left, other = ints[:, None], ints[None, :]
-    got = (other @ left if right else left @ other).reshape((-1,) + mats.shape[1:])
-    coefs = coefs.reshape(len(got), -1)
-    at, src = np.nonzero(coefs)
-    if at.size:
-        np.subtract.at(got, at, den * coefs[at, src][:, None, None] * ints[src])
-    return coding.reduce(got)
+    k = len(ints)
+    flat, coefs = ints.reshape(k, -1), den * coefs.reshape(k, k * k)
+    step = max(1, (1 << 16) // (k * flat.shape[1]))
+    out = []
+    for lo in range(0, k, step):
+        part = ints[lo:lo + step, None]
+        got = coding.matmul(ints[None], part) if right else coding.matmul(part, ints[None])
+        spans = coding.matmul(coefs[lo:lo + step].reshape(-1, k), flat)
+        out.append(coding.reduce(got.reshape(spans.shape) - spans) != 0)
+    return np.concatenate(out).reshape((k * k,) + mats.shape[1:])
 
 
 def build_P(qp):
@@ -115,7 +126,7 @@ def build_P(qp):
     even_idx = [i for i, m in enumerate(cp.masks) if _even(m)]
     parity = [0 if _even(m) else 1 for m in cp.masks]
     dim = cp.dim
-    table = coding.codes(cp.table)
+    table = cp.table.astype(cp.work_dtype)
     # action[k, i, b] = T[b, even_idx[k], i]
     action = np.ascontiguousarray(table[:, even_idx].transpose(1, 2, 0))
     unit_pos = even_idx.index(cp.mask_index[0])
@@ -149,7 +160,9 @@ def _commutant(coding, parity, gens):
     diagonal up to a permutation, its pivot columns are the union of the
     blocks' pivot columns, and its reduced echelon kernel basis is the
     union of the blocks' kernel bases, ordered by free position.
-    Returns (free positions, stacked solutions).
+    Returns (free positions, stacked solutions, scales): the basis is
+    the solutions divided by their scales, which are 1 except over Q,
+    where each solution is a primitive integer matrix (coded_kernel).
     """
     import numpy as np
 
@@ -166,62 +179,68 @@ def _commutant(coding, parity, gens):
     for rows in parts:
         for cols in parts:
             a, b = len(rows), len(cols)
-            eqs = [np.kron(coding.eye(a), m[np.ix_(cols, cols)].T)
-                   - np.kron(m[np.ix_(rows, rows)], coding.eye(b)) for m in gens]
+            eqs = [np.kron(np.eye(a, dtype=m.dtype), m[np.ix_(cols, cols)].T)
+                   - np.kron(m[np.ix_(rows, rows)], np.eye(b, dtype=m.dtype)) for m in gens]
             system = coding.reduce(np.concatenate(eqs)) if eqs else coding.zeros((0, a * b))
-            free, kernel = coded_kernel(coding, system)
-            for f, vec in zip(free, kernel):
-                x = coding.zeros((dim, dim))
+            free, kernel, scales = coded_kernel(coding, system)
+            for f, vec, scale in zip(free, kernel, scales):
+                x = np.zeros((dim, dim), dtype=kernel.dtype)
                 x[np.ix_(rows, cols)] = vec.reshape(a, b)
-                found.append((int(rows[f // b]) * dim + int(cols[f % b]), x))
-    found.sort(key=lambda fx: fx[0])
-    return [f for f, _ in found], np.stack([x for _, x in found])
+                found.append((int(rows[f // b]) * dim + int(cols[f % b]), x, scale))
+    found.sort(key=lambda fxs: fxs[0])
+    free, sols, scales = zip(*found)
+    return list(free), np.stack(sols), np.array(scales, dtype=object)
 
 
 def endomorphism_algebra(P):
     """Solve f(x . a) = f(x) . a blindly for a basis of End(P).
 
-    Returns a coded array whose k-th matrix is the k-th basis
-    endomorphism, unit first.  Commuting with the degree-2 elements
-    e_i e_j, which generate the even algebra, is commuting with all of
-    it.  Closure under composition is not checked here:
+    Returns (matrices, scales): the k-th basis endomorphism, unit first,
+    is the k-th coded matrix divided by its scale (1 except over Q).
+    Commuting with the degree-2 elements e_i e_j, which generate the even
+    algebra, is commuting with all of it.  Closure under composition is not checked here:
     morita_witness proves it, since the images of C0 multiply like C0
     and span this basis.
     """
     coding = P.coding
     gens = P.action[[k for k, a in enumerate(P.even_idx)
                      if bin(P.cp.masks[a]).count("1") == 2]]
-    free, sols = _commutant(coding, P.parity, gens)
-    basis = _unit_first_basis(coding, free, sols)
+    basis, scales = _unit_first_basis(coding, *_commutant(coding, P.parity, gens))
     if len(basis) != 2 * P.dim:
         # dim End = 4 . dim C0(q') = dim C0(H | q'), whatever the radical
         raise InvariantViolation(
             "endomorphism-dimension",
             "solved dim %d, expected %d" % (len(basis), 2 * P.dim))
-    return basis
+    return basis, scales
 
 
-def _unit_first_basis(coding, free, sols):
-    """The identity, then the solutions minus the one it replaces.
+def _unit_first_basis(coding, free, sols, scales):
+    """The identity, then the solutions minus the one it replaces, with
+    their scales.
 
-    sols is a reduced echelon basis, so the coordinates of any Y in its
-    span are the entries of Y at the free positions.  The identity has
-    coordinates c in {0, 1}; the solution dropped is the last one with
-    c_k = 1, as inserting the identity first and then every independent
-    solution in order would drop.  Over Q the solutions are scaled to
-    integers once, so the span check runs on Python ints.
+    sols / scales is a reduced echelon basis, so the coordinates of any
+    Y in its span are the entries of Y at the free positions.  The
+    identity has coordinates c in {0, 1}; the solution dropped is the
+    last one with c_k = 1, as inserting the identity first and then
+    every independent solution in order would drop.  Over Q the span
+    check runs on integers: the identity times the lcm L of the scales
+    involved is the sum of the solutions with c_k = 1, each times L over
+    its scale.
     """
     import numpy as np
 
     dim = sols.shape[1]
-    flat, den = coding.integral(sols.reshape(len(sols), -1))
-    ident = coding.eye(dim)
+    ident = np.eye(dim, dtype=sols.dtype)
     c = ident.reshape(-1)[free]
     nz = np.flatnonzero(c)
-    if not coding.equal(c[nz] @ flat[nz], den * ident.reshape(-1)):
+    lcm = np.lcm.reduce(scales[nz], initial=1)
+    if not coding.equal((lcm // scales[nz]) @ sols.reshape(len(sols), -1)[nz],
+                        lcm * ident.reshape(-1)):
         raise InvariantViolation("endomorphism-unit",
                                  "the identity is not among the solved endomorphisms")
-    return np.concatenate([ident[None], np.delete(sols, int(nz[-1]), axis=0)])
+    drop = int(nz[-1])
+    return (np.concatenate([ident[None], np.delete(sols, drop, axis=0)]),
+            np.concatenate([[1], np.delete(scales, drop)]))
 
 
 def _solve_rows(coding, basis, ys):
@@ -264,19 +283,19 @@ def _pair_images(P, n):
     """
     import numpy as np
 
-    cp, coding, dim = P.cp, P.coding, P.dim
+    cp, coding = P.cp, P.coding
     odd = np.array(P.parity) == 1
 
     def left_mult(mask, sign=1):
         # matrix of x -> sign e_mask . x on C(q'): m[i, b] = T[mask, b, i]
-        m = coding.codes(cp.table[cp.mask_index[mask]]).T.copy()
+        m = cp.table[cp.mask_index[mask]].T.astype(cp.work_dtype)
         return m if sign == 1 else coding.reduce(-m)
 
     pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) == (0, 1):
-                img = coding.eye(dim)
+                img = np.eye(P.dim, dtype=cp.work_dtype)
                 img[:, odd] = 0
             elif i == 0:  # e0 e~_j: odd summand -> even, with a sign; kills even
                 img = left_mult(1 << (j - 2), -1)
@@ -296,7 +315,10 @@ def morita_witness(qp):
 
     The generator pairs go to the matrices of _pair_images.  Every other
     basis element is the product of its consecutive generator pairs, so
-    its image is the corresponding matrix product.
+    its image is the corresponding matrix product.  The End basis and
+    the images stay integer matrices over Q (int64 where the table is
+    numeric); the coordinates of an image in the End basis are then
+    scaled back by the basis scales.
     """
     if not any(c for row in qp.c for c in row):
         raise ValueError("complement form is identically zero; nothing to certify")
@@ -305,24 +327,26 @@ def morita_witness(qp):
     field = qp.field
     q = QuadraticForm.hyperbolic(field, 1).direct_sum(qp)
     P = build_P(qp)
-    end_mats = endomorphism_algebra(P)
+    end_mats, end_scales = endomorphism_algebra(P)
     coding, dim = P.coding, P.dim
     checks = []
 
     C = full_clifford(q)
     even_idx = [i for i, m in enumerate(C.masks) if _even(m)]
 
+    # the image of a mask is the pair of its two lowest bits times the
+    # image of the rest, one stacked product per popcount
     pairs = _pair_images(P, q.n)
-    ident = coding.eye(dim)
-    images = []
-    for pos in even_idx:
-        mask = C.masks[pos]
-        bits = [b for b in range(q.n) if mask >> b & 1]
-        img = ident
-        for k in range(0, len(bits), 2):
-            img = coding.reduce(img @ pairs[bits[k], bits[k + 1]])
-        images.append(img)
-    images = np.stack(images)
+    ident = np.eye(dim, dtype=end_mats.dtype)
+    image_of = {0: ident}
+    for size in range(2, q.n + 1, 2):
+        masks = [m for m in C.masks if bin(m).count("1") == size]
+        lows = [[b for b in range(q.n) if m >> b & 1][:2] for m in masks]
+        prods = coding.matmul(np.stack([pairs[i, j] for i, j in lows]),
+                              np.stack([image_of[m ^ (1 << i | 1 << j)]
+                                        for m, (i, j) in zip(masks, lows)]))
+        image_of.update(zip(masks, prods))
+    images = np.stack([image_of[C.masks[pos]] for pos in even_idx])
 
     unit_pos = even_idx.index(C.mask_index[0])
     if not coding.equal(images[unit_pos], ident):
@@ -331,8 +355,8 @@ def morita_witness(qp):
 
     # multiplicativity on every pair of basis elements, all pairs at once
     n_even = len(even_idx)
-    defects = _product_defects(coding, images,
-                               coding.codes(C.table[np.ix_(even_idx, even_idx, even_idx)]))
+    coefs = C.table[np.ix_(even_idx, even_idx, even_idx)].astype(C.work_dtype)
+    defects = _product_defects(coding, images, coefs)
     bad = np.flatnonzero(np.count_nonzero(defects.reshape(len(defects), -1), axis=1))
     if bad.size:
         ka, kb = divmod(int(bad[0]), n_even)
@@ -348,6 +372,8 @@ def morita_witness(qp):
         raise InvariantViolation("witness-into-end",
                                  "an image is not an endomorphism")
     checks.append("lands-in-endomorphism-algebra")
+    if coding.field.kind == "rationals":  # coordinates in the basis end_mats / end_scales
+        rows = np.frompyfunc(coding.code, 1, 1)(rows * end_scales)
     if len(coded_rref(coding, rows)[1]) != n_even:
         raise InvariantViolation("witness-injective", "the candidate map has a kernel")
     checks.append("injective")

@@ -18,7 +18,11 @@ field.  coded_rref is the one single-matrix elimination: it always
 takes the first nonzero pivot candidate, so ranks, kernels, and every
 witness derived from them are deterministic, and Matrix's rref, rank
 and kernel_basis decode its result (Matrix.det keeps its own
-elimination).  ResidueCoding is the finite-field kernel of the batched
+elimination).  Over Q it runs on integers, in int64 while a per-step
+bound proves every update exact and on Python ints after that, and
+makes Fractions only when it divides by the pivots; coded_kernel
+returns primitive integer kernel rows with their scales and makes none.
+ResidueCoding is the finite-field kernel of the batched
 searches: an element of F_{p^e} is its e residues mod p, and a matrix
 over F_{p^e} acts through its Weil restriction to F_p, so form and
 polar values are the stack evaluation bilinear.  It eliminates whole
@@ -1212,7 +1216,8 @@ class Matrix:
     def kernel_basis(self):
         """Deterministic kernel basis: one vector per free column, ascending."""
         coding, a = self._coded()
-        return [tuple(coding.decode(x) for x in v) for v in coded_kernel(coding, a)[1]]
+        _, kernel, scales = coded_kernel(coding, a)
+        return [tuple(coding.decode(x, s) for x in v) for v, s in zip(kernel.tolist(), scales)]
 
     def __repr__(self):
         return "Matrix(%s)" % ("; ".join(" ".join(scalar_str(a) for a in r) for r in self.rows))
@@ -1237,7 +1242,10 @@ class ArrayCoding:
     two residues stay below 2^32, so sums of up to 2^31 of them are
     exact, and reduce() brings them back mod p.  Over Q an element is a
     Python int when it is integral and stays a Fraction otherwise, in an
-    object array; over any other field it is the element itself, in an
+    object array; integer work over Q (a numeric structure tensor, the
+    elimination, integer kernel rows) may hold the integers in int64
+    arrays instead, which integral() returns untouched and matmul()
+    bounds itself.  Over any other field an element is itself, in an
     object array.  Coding is an injective ring map, so two coded
     matrices agree after reduce() exactly when the matrices agree.
     """
@@ -1264,7 +1272,7 @@ class ArrayCoding:
         if field.kind == "rationals":
             # a float here would be a bug upstream; Fraction would hide it
             if den != 1:
-                return Fraction(x.__index__(), den)
+                return Fraction(x.__index__(), den.__index__())
             return x if type(x) is Fraction else Fraction(x.__index__())
         return field.from_int(x) if isinstance(x, int) else x
 
@@ -1288,8 +1296,17 @@ class ArrayCoding:
         return np.eye(n, dtype=self.dtype)
 
     def reduce(self, a):
-        """Canonical codes of an array of sums and products."""
-        return a % self.p if self.p else a
+        """Canonical codes of an array of sums and products.  Over F_p an
+        array is reduced as a - (a // p) p = a % p, in place on one
+        temporary: numpy divides an integer array by a scalar without a
+        hardware division, which % does not, and large temporaries cost
+        page faults."""
+        if not self.p:
+            return a
+        out = a // self.p
+        out *= -self.p
+        out += a
+        return out
 
     def equal(self, a, b):
         import numpy as np
@@ -1299,11 +1316,12 @@ class ArrayCoding:
     def integral(self, a, per_row=False):
         """(d * a, d) with d the least common denominator of the entries
         of a over Q (of each row of a matrix a when per_row), so that
-        d * a has Python int entries; d = 1 over other fields."""
+        d * a has Python int entries; an array of an integer dtype comes
+        back untouched, with d = 1, as does any array over other fields."""
         import numpy as np
 
-        if self.field.kind != "rationals" or not a.size:
-            return a.copy(), 1
+        if self.field.kind != "rationals" or not a.size or a.dtype != object:
+            return a, 1
         den = np.frompyfunc(_denominator, 1, 1)(a)
         if per_row:
             d = np.lcm.reduce(den, axis=1)
@@ -1320,7 +1338,7 @@ class ArrayCoding:
         import numpy as np
 
         if self.p:
-            a, m = np.asarray(a) % self.p, self.p - 1
+            a, m = self.reduce(np.asarray(a)), self.p - 1
         elif a.dtype == object:
             return a, None
         else:
@@ -1333,14 +1351,19 @@ class ArrayCoding:
 
     def matmul(self, a, b, amax=None, bmax=None):
         """Exact a @ b of coded arrays, reduced.  Integers bounded by amax
-        and bmax (residues over F_p, bounded by p - 1) are multiplied in
-        float64 when no partial sum can reach 2^53, and come back as
-        int64; other products run on the object codes, multiplying only
-        pairs of nonzero entries."""
+        and bmax (residues over F_p, bounded by p - 1; an array of an
+        integer dtype bounds itself when its bound is not given) are
+        multiplied in float64 when no partial sum can reach 2^53, and
+        come back as int64; other products run on the object codes,
+        multiplying only pairs of nonzero entries."""
         import numpy as np
 
         if self.p:
             amax = bmax = self.p - 1
+        if amax is None and a.dtype != object:
+            amax = int(np.abs(a).max(initial=0))
+        if bmax is None and b.dtype != object:
+            bmax = int(np.abs(b).max(initial=0))
         if amax is not None and bmax is not None and a.shape[-1] * amax * bmax < 1 << 53:
             # one row of a per product: OpenBLAS keeps products that small
             # on the calling thread; its worker threads can stall on a
@@ -1355,7 +1378,7 @@ class ArrayCoding:
         import numpy as np
 
         if self.p:
-            return rows % self.p
+            return self.reduce(rows)
         if self.field.kind == "rationals":
             g = np.gcd.reduce(rows, axis=1)
             g[g == 0] = 1
@@ -1363,14 +1386,17 @@ class ArrayCoding:
         return rows
 
     def scale(self, a, c):
-        """Codes of c * a, for a coded array a and a field element c."""
+        """Codes of c * a, for a coded array a and a field element c; only
+        the nonzero entries are multiplied."""
         import numpy as np
 
         if self.p:
-            return a * c.v % self.p
-        out = a * c
+            return self.reduce(a * c.v)
+        out = a.astype(object)
+        nz = np.nonzero(out)
+        out[nz] = out[nz] * c
         if self.field.kind == "rationals":
-            out = np.frompyfunc(self.code, 1, 1)(out)  # integral Fractions back to ints
+            out[nz] = np.frompyfunc(self.code, 1, 1)(out[nz])  # integral Fractions back to ints
         return out
 
     def divide_rows(self, rows, divisors):
@@ -1380,7 +1406,7 @@ class ArrayCoding:
         if self.p:
             p = self.p
             inv = np.array([pow(int(v), p - 2, p) for v in divisors], dtype=np.int64)
-            return rows * inv[:, None] % p
+            return self.reduce(rows * inv[:, None])
         one, out = self.field.one(), rows.astype(object)
         for r, v in enumerate(divisors):
             out[r] = self.scale(rows[r], one / self.decode(v))
@@ -1410,59 +1436,115 @@ def _object_matmul(a, b):
     return out.reshape(batch + (m, n))
 
 
-def coded_rref(coding, a):
-    """(reduced row echelon rows, pivot columns) of a coded matrix.
+def _fraction_free(coding, a):
+    """(pivot rows, pivot columns) of a coded matrix after fraction-free
+    Gauss-Jordan elimination, the rows not yet divided by their pivots.
 
-    The one exact single-matrix elimination for every field; Matrix.rref,
-    rank and kernel_basis decode its result.  Each pivot step updates
-    every other row with a nonzero entry in the pivot column at once, as
-    pivot * row - entry * pivot_row (fraction free), and the pivot rows
-    are divided by their pivots at the end.  Over F_p rows are reduced
-    mod p after each step; over Q they are first scaled to integers and
-    then kept primitive, so entries stay small Python ints until the
-    final division.
+    Each pivot step updates every other row with a nonzero entry in the
+    pivot column at once, as pivot * row - entry * pivot_row.  Over F_p
+    the rows are reduced mod p after each step.  Over Q the rows are
+    first scaled to integers and then kept primitive; they run in int64
+    while the row maxima bound every update, |pivot * row - entry *
+    pivot_row| <= 2 max|pivot_row| max|row| < 2^63, and the same loop
+    goes on with Python ints once a step cannot be bounded.
     """
     import numpy as np
 
-    a = coding.reduce(coding.integral(a, per_row=True)[0])
+    top = None  # per-row maxima of |entry|, kept while a runs in int64 over Q
+    if coding.p:
+        a = np.asarray(a, dtype=np.int64) % coding.p
+    elif coding.field.kind == "rationals":
+        a = coding.integral(a, per_row=True)[0]
+        if int(np.abs(a).max(initial=0)) < 1 << 63:
+            a = a.astype(np.int64)
+            top = np.abs(a).max(axis=1, initial=0)
+        else:
+            a = a.astype(object)
+    else:
+        a = a.copy()
     m, n = a.shape
     pivots = []
     r = 0
     for col in range(n):
         if r == m:
             break
-        nz = np.flatnonzero(a[r:, col])
+        nz = a[r:, col].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        hits = np.flatnonzero(a[:, col])
+            if top is not None:
+                top[[r, i]] = top[[i, r]]
+        hits = a[:, col].nonzero()[0]
         hits = hits[hits != r]
         if hits.size:
-            a[hits] = coding._primitive(a[r, col] * a[hits] - np.outer(a[hits, col], a[r]))
+            if top is not None and 2 * int(top[r]) * int(top[hits].max()) >= 1 << 63:
+                a, top = a.astype(object), None
+            new = coding._primitive(a[r, col] * a[hits] - np.outer(a[hits, col], a[r]))
+            a[hits] = new
+            if top is not None:
+                top[hits] = np.abs(new).max(axis=1)
         pivots.append(col)
         r += 1
-    return coding.divide_rows(a[:r], [a[k, c] for k, c in enumerate(pivots)]), pivots
+    return a[:r], pivots
+
+
+def coded_rref(coding, a):
+    """(reduced row echelon rows, pivot columns) of a coded matrix.
+
+    The one exact single-matrix elimination for every field: Matrix.rref
+    and rank decode it, and coded_kernel reads its kernel off the same
+    fraction-free pass (_fraction_free).  The fraction-free pivot rows are
+    divided by their pivots at the end, the only step over Q that makes
+    Fractions, and only from nonzero entries.
+    """
+    rows, pivots = _fraction_free(coding, a)
+    return coding.divide_rows(rows, [rows[k, c] for k, c in enumerate(pivots)]), pivots
 
 
 def coded_kernel(coding, a):
-    """(free columns, kernel basis) of a coded matrix with n columns.
+    """(free columns, kernel rows, scales) of a coded matrix with n columns.
 
-    One basis vector per free column, in ascending order, with a 1 there
-    and 0 at the other free columns: the reduced echelon kernel basis.
+    The reduced echelon kernel basis has one vector per free column, in
+    ascending order, with a 1 there and 0 at the other free columns; it
+    is kernel / scales, row by row.  Over Q each kernel row is that
+    vector times the least common denominator of its entries, a
+    primitive integer row (int64 when it fits, Python ints otherwise),
+    read off the fraction-free pivot rows without making a Fraction.
+    Over other fields the rows are the codes of the basis and every
+    scale is 1.  scales is an object array of Python ints.
     """
     import numpy as np
 
     n = a.shape[1]
-    red, pivots = coded_rref(coding, a)
+    rows, pivots = _fraction_free(coding, a)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    kernel = coding.zeros((len(free), n))
-    kernel[np.arange(len(free)), free] = 1
+    if coding.field.kind != "rationals":
+        red = coding.divide_rows(rows, [rows[k, c] for k, c in enumerate(pivots)])
+        kernel = coding.zeros((len(free), n))
+        kernel[np.arange(len(free)), free] = 1
+        if pivots:
+            kernel[:, pivots] = coding.reduce(-red[:, free].T)
+        return free, kernel, np.ones(len(free), dtype=object)
+    # the basis vector of free column f has -rows[i, f] / pivot_i at the
+    # pivot column of row i; in lowest terms num / den, it is scaled by
+    # the lcm L of the column's denominators, at most their product
+    piv = rows[np.arange(len(pivots)), pivots]
+    sign = np.where(piv < 0, -1, 1).astype(rows.dtype)
+    num = -rows[:, free] * sign[:, None]
+    g = np.gcd(num, (piv * sign)[:, None])
+    num, den = num // g, (piv * sign)[:, None] // g
+    if num.dtype != object and (np.log2(den).sum(axis=0, initial=0).max(initial=0)
+                                + np.log2(np.abs(num).max(initial=0) + 1) >= 62):
+        num, den = num.astype(object), den.astype(object)
+    lcm = np.lcm.reduce(den, axis=0, initial=1)
+    kernel = np.zeros((len(free), n), dtype=num.dtype)
+    kernel[np.arange(len(free)), free] = lcm
     if pivots:
-        kernel[:, pivots] = coding.reduce(-red[:, free].T)
-    return free, kernel
+        kernel[:, pivots] = (num * (lcm // den)).T
+    return free, kernel, lcm.astype(object)
 
 
 def bilinear(u, m, v):

@@ -29,6 +29,7 @@ from quadclif.quadform import QuadraticForm
 from quadclif.rings import QQ, InvariantViolation, PrimeField, quadratic_extension
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
+F65521 = PrimeField(65521)
 
 
 def test_dimensions_and_labels():
@@ -395,6 +396,8 @@ def _seeded_form(rng, field, n, kind):
             if kind == "huge":  # near 10^12, and past int64 at 10^30
                 return Fraction(rng.choice([10 ** 12, -10 ** 30]) - rng.randint(0, 9))
             return Fraction(rng.randint(-3, 3))
+        if field.kind == "prime":  # rng.choice(field.elements()) without the list
+            return field.from_int(rng.randrange(field.p))
         return rng.choice(list(field.elements()))
 
     skip = 1 if kind == "degenerate" else 0
@@ -408,6 +411,9 @@ REFERENCE_CORPUS = (
      for kind in ("regular", "degenerate")]
     + [(F9, n, "regular") for n in range(1, 5)]
     + [(QQ, n, kind) for n in range(1, 5) for kind in ("fraction", "huge")]
+    # both sides of the bound under which F_p tables are reduced once per
+    # block: inside it at F7 rank 7, outside it at F65521
+    + [(F7, 7, "regular")] + [(F65521, n, "regular") for n in range(5, 8)]
 )
 
 
@@ -433,6 +439,9 @@ def test_tensor_matches_word_rewriting(field, n, kind, monkeypatch):
             assert a.table.dtype == object and a.bound is None
         elif field is QQ and kind in ("regular", "degenerate"):
             assert a.table.dtype.kind == "i" and a.bound == int(np.abs(a.table).max())
+    if field in (F7, F65521):
+        top = max(1, max(c.v for row in q.c for c in row))
+        assert (((n + 1) * top) ** n < 1 << 62) == (field is F7)
 
 
 def _fault_form(field, n, seed):
@@ -499,15 +508,19 @@ def _reference_center(a):
     """(kind, delta, idempotents) as the center report derives them, on
     wrapped scalars: the center is the echelon kernel of every commutator
     with a basis element, and w^2 = alpha + beta w is solved by
-    Gauss-Jordan."""
+    Gauss-Jordan.  The commutator rows are row-reduced after each basis
+    element, which keeps their row space and so the echelon kernel."""
     field, d, mul = a.field, a.dim, _wrapped_mul(a)
     zero, one = field.zero(), field.one()
     unit = tuple(one if k == 0 else zero for k in range(d))
+    products = [[a.mul_basis(i, j) for j in range(d)] for i in range(d)]
     rows = []
     for j in range(d):
-        comm = [tuple(a.mul_basis(i, j).get(k, zero) - a.mul_basis(j, i).get(k, zero)
+        comm = [tuple(products[i][j].get(k, zero) - products[j][i].get(k, zero)
                       for k in range(d)) for i in range(d)]
-        rows += [[comm[i][k] for i in range(d)] for k in range(d)]
+        red, pivots = gauss_jordan.rref(field, rows + [[comm[i][k] for i in range(d)]
+                                                       for k in range(d)], d)
+        rows = red[:len(pivots)]
     basis = gauss_jordan.kernel_basis(field, rows, d)
     if len(basis) != 2:
         return ("trivial" if len(basis) == 1 else "big"), None, None
@@ -584,6 +597,13 @@ CENTER_CASES = [
     (F9, QuadraticForm.diagonal(F9, [1, F9.gen(), 0, 1])),
     (F2, QuadraticForm.hyperbolic(F2, 2)),
     (F2, QuadraticForm.of_ints(F2, [[1, 1], [0, 1]])),
+] + [
+    # Q at ranks 5 and 6, regular and with a radical line; the regular
+    # rank-6 seed has a nonsplit center (the wrapped Peirce fibers of a
+    # split one take about 18 s)
+    (QQ, _seeded_form(random.Random("center/%d/%s/%d" % (n, kind, seed)), QQ, n, kind))
+    for n, kind, seed in ((5, "regular", 0), (5, "degenerate", 0),
+                          (6, "regular", 1), (6, "degenerate", 0))
 ]
 
 

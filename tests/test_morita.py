@@ -141,21 +141,21 @@ def test_module_and_end_dimensions():
     # rest = <1>: module of dim 2 over the ground field, End is 2x2
     P = build_P(QuadraticForm.diagonal(QQ, [1]))
     assert P.dim == 2
-    assert len(endomorphism_algebra(P)) == 4
+    assert len(endomorphism_algebra(P)[0]) == 4
 
     # rest = xy: module dim 4, End dim 8
     P = build_P(QuadraticForm.hyperbolic(F5, 1))
     assert P.dim == 4
-    assert len(endomorphism_algebra(P)) == 8
+    assert len(endomorphism_algebra(P)[0]) == 8
 
     # rest = diag(1,1): End dim 8 again
     P = build_P(QuadraticForm.diagonal(QQ, [1, 1]))
-    assert len(endomorphism_algebra(P)) == 8
+    assert len(endomorphism_algebra(P)[0]) == 8
 
     # rest = diag(1,1,1): module dim 8 over the quaternion even part
     P = build_P(QuadraticForm.diagonal(F5, [1, 1, 1]))
     assert P.dim == 8
-    assert len(endomorphism_algebra(P)) == 16
+    assert len(endomorphism_algebra(P)[0]) == 16
 
 
 def test_module_rank_cap():
@@ -255,16 +255,17 @@ def test_end_basis_is_the_echelon_kernel_of_the_full_system(qp):
     want = _full_kernel_basis(P)
     # the parity-block solve, on every even element or only on the
     # degree-2 generators, gives the same matrices in the same order
-    free, sols = morita._commutant(P.coding, P.parity, P.action)
-    decoded = [tuple(tuple(P.coding.decode(e) for e in row) for row in m) for m in sols]
+    free, sols, scales = morita._commutant(P.coding, P.parity, P.action)
+    decoded = [tuple(tuple(P.coding.decode(e, s) for e in row) for row in m.tolist())
+               for m, s in zip(sols, scales)]
     assert decoded == want
     assert len(free) == len(want)
     field = qp.field
     ident = tuple(tuple(field.one() if i == j else field.zero() for j in range(P.dim))
                   for i in range(P.dim))
-    # the End basis comes back coded
-    end = [tuple(tuple(P.coding.decode(e) for e in row) for row in m)
-           for m in endomorphism_algebra(P)]
+    # the End basis comes back coded, as matrices over their scales
+    end = [tuple(tuple(P.coding.decode(e, s) for e in row) for row in m.tolist())
+           for m, s in zip(*endomorphism_algebra(P))]
     assert end == _unit_first(field, ident, want)
 
 
@@ -338,8 +339,8 @@ def test_commutant_without_the_identity_is_refused(monkeypatch):
     real = morita._commutant
 
     def zeroed(coding, parity, gens):
-        free, sols = real(coding, parity, gens)
-        return free, coding.reduce(0 * sols)
+        free, sols, scales = real(coding, parity, gens)
+        return free, coding.reduce(0 * sols), scales
 
     monkeypatch.setattr(morita, "_commutant", zeroed)
     with pytest.raises(InvariantViolation) as err:

@@ -4,6 +4,7 @@ sympy is used here as an independent oracle only; the package itself
 never imports it.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -378,34 +379,101 @@ def _random_entry(rng, field):
 F49 = quadratic_extension(F7)  # Matrix runs on object arrays over an extension
 
 
+def _check_elimination(field, rows, ncols):
+    # coded_rref, coded_kernel and the Matrix methods that decode them
+    # against the reference Gauss-Jordan echelon form and kernel
+    coding = ArrayCoding(field)
+    want_red, want_pivots = gauss_jordan.rref(field, rows, ncols)
+    want_kernel = gauss_jordan.kernel_basis(field, rows, ncols)
+    coded = coding.array(rows) if rows else coding.zeros((0, ncols))
+    red, pivots = coded_rref(coding, coded)
+    free, kernel, scales = coded_kernel(coding, coded)
+    assert tuple(pivots) == want_pivots
+    assert free == [c for c in range(ncols) if c not in want_pivots]
+    assert [tuple(coding.decode(x) for x in row) for row in red] == want_red[:len(pivots)]
+    decoded = [tuple(coding.decode(x, s) for x in v) for v, s in zip(kernel.tolist(), scales)]
+    assert decoded == want_kernel
+    assert all(type(x) is type(field.one()) for v in decoded for x in v)
+    assert all(type(s) is int for s in scales)
+    if field is QQ:  # primitive integer rows, scaled by their denominators
+        assert all(math.gcd(*v) == 1 for v in kernel.tolist())
+        assert list(scales) == [math.lcm(*(x.denominator for x in v)) for v in want_kernel]
+    else:
+        assert list(scales) == [1] * len(free)
+    if not rows:
+        return
+    m = Matrix(field, rows)
+    assert m.rref() == (Matrix(field, want_red), want_pivots)
+    assert m.rank() == len(want_pivots)
+    assert m.kernel_basis() == want_kernel
+    assert all(type(x) is type(field.one()) for row in m.rref()[0].rows for x in row)
+
+
 @pytest.mark.parametrize("field", [F2, F3, F7, QQ, quadratic_extension(F3), F49],
                          ids=lambda f: f.label())
 def test_coded_elimination_matches_matrix(field):
-    # coded_rref, coded_kernel and the Matrix methods that decode them
-    # give the reference Gauss-Jordan echelon form and kernel, in the
-    # same order, on every field
+    # the same echelon form and kernel, in the same order, on every field
     rng = random.Random(7)
-    coding = ArrayCoding(field)
     for _ in range(12):
         nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
         rows = _random_rows(rng, field, nrows, ncols) if nrows else []
-        want_red, want_pivots = gauss_jordan.rref(field, rows, ncols)
-        want_kernel = gauss_jordan.kernel_basis(field, rows, ncols)
-        coded = coding.array(rows) if rows else coding.zeros((0, ncols))
-        red, pivots = coded_rref(coding, coded)
-        free, kernel = coded_kernel(coding, coded)
-        assert tuple(pivots) == want_pivots
-        assert free == [c for c in range(ncols) if c not in want_pivots]
-        assert [tuple(coding.decode(x) for x in row) for row in red] == want_red[:len(pivots)]
-        assert [tuple(coding.decode(x) for x in v) for v in kernel] == want_kernel
-        assert all(type(coding.decode(x)) is type(field.one()) for v in kernel for x in v)
-        if not rows:
+        _check_elimination(field, rows, ncols)
+
+
+def _fraction_free_updates(rows):
+    """The largest |pivot * row - entry * pivot_row| of each pivot step of
+    fraction-free Gauss-Jordan on Python ints: first nonzero pivot, every
+    updated row divided by its content."""
+    m, out, r = [list(row) for row in rows], [], 0
+    for col in range(len(m[0])):
+        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if i is None:
             continue
-        m = Matrix(field, rows)
-        assert m.rref() == (Matrix(field, want_red), want_pivots)
-        assert m.rank() == len(want_pivots)
-        assert m.kernel_basis() == want_kernel
-        assert all(type(x) is type(field.one()) for row in m.rref()[0].rows for x in row)
+        m[r], m[i] = m[i], m[r]
+        step = 0
+        for k in range(len(m)):
+            if k != r and m[k][col]:
+                new = [m[r][col] * a - m[k][col] * b for a, b in zip(m[k], m[r])]
+                step = max(step, max(abs(a) for a in new))
+                g = math.gcd(*new)
+                m[k] = [a // g for a in new] if g else new
+        out.append(step)
+        r += 1
+    return out
+
+
+@pytest.mark.parametrize("bits", [30, 31, 40])
+def test_coded_elimination_is_exact_at_the_int64_edge(bits):
+    # integer entries near 2^bits, with dependent rows so that kernels
+    # remain: the int64 updates pass 2^63 within a step or two, and the
+    # elimination goes on with Python ints
+    rng = random.Random(bits)
+    for _ in range(8):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 6)
+        rows = [[rng.choice([-1, 1]) * rng.randint(1 << (bits - 1), 1 << bits)
+                 if rng.random() < 0.8 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2:
+            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+        _check_elimination(QQ, [[Fraction(a) for a in row] for row in rows], ncols)
+
+
+def test_second_fraction_free_update_passes_int64():
+    # the first update fits in int64, the second does not
+    big = 1 << 30
+    rows = [[big + 3, big - 5, 7, 1], [-(big - 1), big + 11, big, 2],
+            [big - 7, -(big + 1), big + 13, 3]]
+    first, second = _fraction_free_updates(rows)[:2]
+    assert first < 1 << 63 <= second
+    _check_elimination(QQ, [[Fraction(a) for a in row] for row in rows], 4)
+
+
+def test_kernel_scale_passes_int64():
+    # no update at all, but the kernel row of the last column is scaled by
+    # the product of three coprime pivots near 2^25
+    p1, p2, p3 = 33554393, 33554383, 33554371
+    rows = [[p1, 0, 0, 1], [0, p2, 0, 1], [0, 0, p3, 1]]
+    assert p1 * p2 * p3 >= 1 << 63
+    _check_elimination(QQ, [[Fraction(a) for a in row] for row in rows], 4)
 
 
 def test_coded_rref_over_an_extension_returns_no_float():
