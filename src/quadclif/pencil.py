@@ -20,26 +20,37 @@ The common-zero search is the zero search of splitting.find_isotropic
 run on both forms: exhaustive over every finite field, a height sweep
 over Q.  The degenerate members over F_q come from the one
 factorization of the discriminant: its linear factors are the rational
-points, the others the extension points.  The witness search and the
-Amer-Brumer check take their points from rings.ResidueCoding.points and
-their forms from rings.ArrayCoding, both coding F_p by residues, and
-evaluate them with rings.bilinear.  The rank-6 plane search is one step of
-lagrangian.common_isotropic_subspaces over both forms.
+points, the others the extension points.  The rank-6 plane search is one
+step of lagrangian.common_isotropic_subspaces over both forms.
+
+The witness search and the Amer-Brumer check code F_p by residues: their
+points are the frozen rings.ResidueCoding.points tables, their forms
+int64 coefficient and polar matrices read off the coefficients, and
+rings.bilinear evaluates them.  Amer-Brumer (Brumer, C. R. Acad. Sci.
+Paris 286, 1978): q1 and q2 have a common zero over k exactly when
+x*q1 + q2 is isotropic over k(x), so a witness search past degree 0
+never finds a witness and always runs to exhaustion; that exhaustive
+path is what the search is built for.  Below each zero of q2 (a head) the
+coefficient vectors of a witness form a tree, level k fixed up to the
+span of a kernel by the coefficient of x^k; the search evaluates every
+level as terms of its distinct parent rows times terms of the span, one
+small float32 product per level, exact under the bounds at _run_levels,
+and checks every degree in one descent.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 from .rings import (
-    ArrayCoding,
     BinaryForm,
     ExtensionField,
     InvariantViolation,
     Poly,
     PrimeField,
     ResidueCoding,
+    _mod,
     bilinear,
     irreducible_factors,
     scalar_str,
@@ -368,168 +379,341 @@ def common_isotropic_vector(q1, q2, budget=DEFAULT_BUDGET):
 
 
 def _int_forms(q1, q2):
-    """(coefficient matrix, polar matrix, shift) of q1 and q2 as int64
-    arrays, the shift being the power of x that multiplies the form in
-    x*q1 + q2."""
-    coding = ArrayCoding(q1.field)
-    return tuple((coding.array(q.c), coding.array(q.polar_matrix().rows), shift)
-                 for q, shift in ((q1, 1), (q2, 0)))
-
-
-def _coefficient(vs, k, forms, p):
-    """Coefficient of x^k in x*q1(v) + q2(v) mod p, for every row of the
-    batch v = sum vs[a] x^a, in the dtype of the batch times the forms;
-    coefficient vectors past vs are zero."""
+    """((coefficient matrix, polar matrix) of q1, the same of q2) as int64
+    residues; the polar matrix is C + C^T of the upper triangular C."""
     import numpy as np
-    top = len(vs) - 1
-    acc = np.zeros(len(vs[-1]), dtype=np.result_type(vs[-1], forms[0][0]))
-    for c, b, shift in forms:
-        kk = k - shift
-        if kk < 0:
-            continue
-        if kk % 2 == 0 and kk // 2 <= top:
-            acc += bilinear(vs[kk // 2], c, vs[kk // 2])
-        for a in range(max(0, kk - top), (kk + 1) // 2):
-            acc += bilinear(vs[a], b, vs[kk - a])
-    return acc % p
+    p = q1.field.p
+    out = []
+    for q in (q1, q2):
+        c = np.array([[a.v for a in row] for row in q.c], dtype=np.int64)
+        out.append((c, (c + c.T) % p))
+    return tuple(out)
 
 
-# leaves evaluated per batch at the top level, which bounds memory
+@functools.lru_cache(maxsize=None)
+def _all_vectors(p, m):
+    """The p^m vectors of F_p^m in lexicographic order, as rows, frozen."""
+    import numpy as np
+    out = np.indices((p,) * m).reshape(m, -1).T.copy()
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_at(p, n):
+    """(n, p^(n-1), n): row j the vectors of F_p^n with coordinate j zero,
+    in lexicographic order, frozen."""
+    import numpy as np
+    out = np.stack([np.insert(_all_vectors(p, n - 1), j, 0, axis=1) for j in range(n)])
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _projective_points(p, n, lexicographic):
+    """The projective points of F_p^n, first nonzero coordinate 1, as one
+    frozen stack of the ResidueCoding.points tables: by descending lead in
+    lexicographic order, by ascending lead in the canonical one."""
+    import numpy as np
+    coding = ResidueCoding(PrimeField(p))
+    leads = reversed(range(n)) if lexicographic else range(n)
+    out = np.concatenate([coding.points(n, lead) for lead in leads])
+    out.setflags(write=False)
+    return out
+
+
+# leaves evaluated per block at the top level, which bounds memory
 _LEAF_BLOCK = 1 << 15
 
 
-def _head_span(forms, p, head):
-    """What the witness search below one head shares across degrees:
-    (pivot, inv, span, span_part, q_e).
+@dataclass(frozen=True)
+class _HeadRun:
+    """The kernel spans of a run of consecutive heads of one kind.
 
-    Every level solves ell(v) = r for ell = B2(head, .).  With a pivot,
-    ell[pivot] != 0 with inverse inv, the solutions are r*inv*e_piv plus
-    the rows of span, the kernel of ell; without one (characteristic 2 or
-    a radical head) pivot and inv are None, span is all of F_p^n and
-    e_piv reads 0.  The rows of span follow itertools.product over the
-    kernel basis, so span[0] = 0.  span_part has one float32 column per
-    row s of span, (s, 1, B1(e_piv, s), B2(e_piv, s), q1(s), q2(s)) mod p,
-    and q_e = (q1(e_piv), q2(e_piv)).
+    Every level of the search below a head h solves ell(v) = r for
+    ell = B2(h, .).  With a pivot, ell[pivot] != 0, the solutions are
+    c e_piv + s, c = r ell[pivot]^-1, s in the kernel of ell; the heads
+    of a pivot run are its g slots, one row each.  A head without one (in
+    the radical of B2) keeps a row only where r = 0, and then every
+    vector of F_p^n solves: a radical run is one slot whose rows are its
+    heads, all sharing that span, and its e_piv reads 0.
+
+    heads: (g, rows, n) residues; pivot: (g,) columns, 0 for a radical
+    run; neg_inv: (g,) the residue of -ell[pivot]^-1; e: (g, n) e_piv;
+    q_e: (g, 2) q1(e_piv), q2(e_piv); span: (g, w, n) the solutions s,
+    in the order of itertools.product over the kernel basis, so that
+    span[:, 0] = 0; part: (g, w, n + 5) float32 rows
+    (s, 1, B1(e_piv, s), B2(e_piv, s), q1(s), q2(s)) mod p.
     """
+
+    radical: bool
+    heads: object
+    pivot: object
+    neg_inv: object
+    e: object
+    q_e: object
+    span: object
+    part: object
+
+    def slots(self, lo, hi):
+        """The run of slots lo..hi-1."""
+        pick = slice(lo, hi)
+        return _HeadRun(self.radical, self.heads[pick], self.pivot[pick],
+                        self.neg_inv[pick], self.e[pick], self.q_e[pick],
+                        self.span[pick], self.part[pick])
+
+
+def _head_runs(forms, p, heads):
+    """The heads (h, n) as maximal runs of consecutive heads with a pivot
+    and without one, in order (see _HeadRun), the kernel spans and span
+    parts of all pivot heads built in one batched pass."""
     import numpy as np
-    n = len(head)
-    ell = head @ forms[1][1] % p
-    pivots = np.flatnonzero(ell)
-    e = np.zeros(n, dtype=np.int64)
-    if len(pivots):
-        pivot = pivots[0]
-        e[pivot] = 1
-        inv = pow(int(ell[pivot]), p - 2, p)
-        kernel = np.delete(np.eye(n, dtype=np.int64), pivot, axis=0)
-        kernel[:, pivot] = (-ell[np.arange(n) != pivot] * inv) % p
-    else:
-        pivot = inv = None
-        kernel = np.eye(n, dtype=np.int64)
-    combos = np.array(list(itertools.product(range(p), repeat=len(kernel))),
-                      dtype=np.int64)
-    span = (combos @ kernel) % p
-    (c1, b1, _), (c2, b2, _) = forms
-    span_part = np.column_stack([
-        span, np.ones(len(span), dtype=np.int64), span @ (b1 @ e), span @ (b2 @ e),
-        bilinear(span, c1, span), bilinear(span, c2, span)]).T % p
-    return pivot, inv, span, span_part.astype(np.float32), (e @ c1 @ e, e @ c2 @ e)
+    (c1, b1), (c2, b2) = forms
+    h, n = heads.shape
+    if not h:
+        return []
+    heads = heads.astype(np.int64)
+    ell = heads @ b2 % p
+    has = ell.any(axis=1)
+    pos = np.flatnonzero(has)
+    if len(pos):
+        piv = (ell[pos] != 0).argmax(axis=1)
+        e = np.eye(n, dtype=np.int64)[piv]
+        inv = ell[pos, piv] ** (p - 2) % p  # ell[piv]^-1, by Fermat
+        # the kernel of ell is spanned by the rows i != piv of
+        # I - (ell^T ell[piv]^-1) e_piv, whose row piv reads 0: the vectors
+        # with 0 at piv, in lexicographic order of the rest, times it give
+        # the span in the order of itertools.product over that basis
+        basis = np.eye(n, dtype=np.int64) - (ell[pos] * inv[:, None])[:, :, None] * e[:, None]
+        span = _zero_at(p, n)[piv] @ basis % p
+        pivots = _HeadRun(
+            radical=False, heads=heads[pos, None], pivot=piv, neg_inv=(p - inv) % p, e=e,
+            q_e=np.stack([c1[piv, piv], c2[piv, piv]], axis=1), span=span,
+            part=_span_part(forms, p, span, e))
+    if len(pos) < h:
+        span = _all_vectors(p, n)[None]
+        zero = np.zeros((1, n), dtype=np.int64)
+        radical = _HeadRun(
+            radical=True, heads=None, pivot=np.zeros(1, dtype=np.int64),
+            neg_inv=np.zeros(1, dtype=np.int64), e=zero, q_e=np.zeros((1, 2)), span=span,
+            part=_span_part(forms, p, span, zero))
+    rank = np.cumsum(has) - 1
+    cuts = [0, *(np.flatnonzero(np.diff(has)) + 1).tolist(), h]
+    return [pivots.slots(rank[lo], rank[lo] + hi - lo) if has[lo]
+            else replace(radical, heads=heads[None, lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _head_search(forms, p, head, d, space):
-    """Exhaustive search for v = head + v_1 x + ... + v_d x^d with v_d != 0
-    and x*q1(v) + q2(v) = 0, head a zero of q2 and d >= 1; space is
-    _head_span(forms, p, head).
+def _span_part(forms, p, span, e):
+    """The rows (s, 1, B1(e, s), B2(e, s), q1(s), q2(s)) mod p of every
+    span row s, as float32 (g, w, n + 5), for e the (g, n) e_piv."""
+    import numpy as np
+    (c1, b1), (c2, b2) = forms
+    n = span.shape[2]
+    part = np.empty(span.shape[:2] + (n + 5,), dtype=np.float32)
+    part[..., :n] = span
+    part[..., n] = 1
+    part[..., n + 1:n + 3] = span @ np.stack([e @ b1, e @ b2], axis=2) % p
+    part[..., n + 3] = bilinear(span, c1, span) % p
+    part[..., n + 4] = bilinear(span, c2, span) % p
+    return part
+
+
+def _head_search(forms, p, runs, degrees):
+    """Exhaustive search, for each d in degrees (ascending, d >= 1) and
+    then head by head in the order of runs (_head_runs), for
+    v = head + v_1 x + ... + v_d x^d with v_d != 0 and
+    x*q1(v) + q2(v) = 0, every head a zero of q2.
 
     Returns (vs, leaves): vs the coefficient vectors of the first solution
-    in enumeration order, or None, and leaves the number of candidate
-    tuples (head, v_1, ..., v_d) counted up to it.  The coefficient of
-    x^k is B2(head, v_k) plus terms in v_0..v_{k-1}, so level k < d keeps
-    every partial tuple as one batch of rows and gives each row the
-    solutions v_k of that linear condition: a particular solution plus
-    the span of _head_span.  Without a pivot a row survives only if its
-    condition is already met.  Rows come out in the order of a
-    depth-first walk over the kernel combinations, level 1 outermost.
+    in that order, or None, and leaves the number of candidate tuples
+    (head, v_1, ..., v_d) of the searched degrees counted up to it.
+    Within a degree and a head the enumeration is a depth-first walk,
+    level 1 outermost, over the solutions v_k of the linear condition on
+    the coefficient of x^k (see _HeadRun).  The slots of a run are
+    searched in batches whose level max(degrees) - 1 stays within
+    _LEAF_BLOCK rows, each batch by one descent (_run_levels) that checks
+    every degree on its way down; after a solution at degree d the later
+    batches descend to degree d - 1 only.
+    """
+    first, last = degrees[0], degrees[-1]
+    counted = dict.fromkeys(degrees, 0)  # leaves of the batches so far
+    hits = {}  # degree: (leaves up to the first solution, its vectors)
+    for run in runs:
+        g, w = run.span.shape[:2]
+        lo = 0
+        while lo < g and last >= first:
+            size = max(1, _LEAF_BLOCK // w ** (last - 1))
+            for d, vs, count in _run_levels(forms, p, run.slots(lo, lo + size), first, last):
+                if vs is not None:
+                    # later batches come after this solution at degree d
+                    hits[d] = (counted[d] + count, vs)
+                    last = d - 1
+                counted[d] += count
+            lo += size
+    if not hits:
+        return None, sum(counted.values())
+    d = min(hits)
+    return hits[d][1], sum(counted[k] for k in degrees if k < d) + hits[d][0]
 
-    Level d is never built as leaf vectors.  Row r of the batch gives
-    v_d = c_r e_piv + span_s, and the coefficient of x^k, d < k <= 2d+1,
-    splits into a row part and a span part:
-      C_k[r] + c_r L_k[r][piv] + L_k[r] . span_s
-    with C_k the terms free of v_d and L_k = B2(v_{k-d}, .) + B1(v_{k-1-d}, .)
-    over the indices below d, plus q1(v_d) for k = 2d+1 and q2(v_d) for
-    k = 2d, where q(v_d) = c_r^2 q(e_piv) + c_r B(e_piv, span_s) + q(span_s).
-    So every coefficient is a row vector dotted with a span_part column,
-    and one matrix product evaluates all d+1 of them on a block of
-    _LEAF_BLOCK leaves, (row, combination) in C order.  It runs in
-    float32, exact here: with p <= 5 and n <= 5 every value is an
-    integer below 2^12.  The zero leaf (c_r = 0 with span[0]) is
-    dropped.  A leaf counts once its conditions have been evaluated in
-    a block; the count stops at the first solution in C order.
+
+def _run_levels(forms, p, run, first, last):
+    """The search of _head_search on the slots of one run, for the
+    degrees first..last, as one descent: yields (d, vs, count) for each
+    degree d in order, vs the first solution of degree d or None and count
+    the leaves up to it, and stops after the first d with a solution.
+    Every level is evaluated as terms of the distinct parent rows times
+    terms of the span.
+
+    The coefficient of x^j in x*q1(v) + q2(v) is the sum of
+    B2(v_a, v_b) over a < b, a + b = j, of B1(v_a, v_b) over a < b,
+    a + b = j - 1, and of q2(v_{j/2}) and q1(v_{(j-1)/2}).  For a row
+    (v_0, ..., v_{m-1}) of level m - 1 let K_j be the part of it that
+    these vectors already fix.  The condition at x^m is
+    B2(v_0, v_m) + K_m = 0, so the children are v_m = c e_piv + s with
+    c = -K_m ell[pivot]^-1 and s in the span, and a child adds to K_j, for
+    m + 1 <= j <= 2m + 1 (no other j gains a term at level m),
+      L_j . v_m + [j = 2m] q2(v_m) + [j = 2m + 1] q1(v_m),
+    L_j = B1 v_{j-m-1} + B2 v_{j-m}, the indices below m.  With
+    q(c e + s) = c^2 q(e) + c B(e, s) + q(s) that is, for K_j of the child,
+      (L_j, K_j + c L_j[piv] + c^2 q(e), c, c, 1, 1) . part[s]
+    (each of the last four only where its j is), a row vector of the
+    parent dotted with a span row: one product (w, n + 5) @ (n + 5, rows)
+    per level gives every K_j of every child.  A child of level m has all
+    of v_0..v_m, so its K_j for j = m + 1..2m + 1 are the whole
+    coefficients of x*q1(v) + q2(v) of degree above m when it is the last
+    vector: the same product is the degree-m leaf test, and the search of
+    every degree is one descent.  The last level is evaluated block by
+    block over _LEAF_BLOCK leaves without building them.  The L_j of all
+    rows come from one product of [B1; B2] with the stacked rows
+    [v_0 | ... | v_{m-1}].  Parent terms are computed once per parent row
+    and span terms once per span column; only the stack of vectors itself
+    is copied to the children.
+
+    All of it runs in float32 and is exact: the residues are below p <= 5
+    and n <= 5, so an entry of L_j is at most 2n(p-1)^2 = 160, the
+    constant at most (p-1)(1 + 160 + (p-1)^2) = 708, and a value at most
+    n 160 (p-1) + 708 + 2(p-1)^2 < 2^12, far below 2^24 (2^23 + 2^12 at
+    the last level, see _LEAF_OFFSET).  Each K_j is reduced mod p before
+    it is used.  The zero leaf (c = 0 with span[0] = 0) is dropped.  A
+    leaf counts once its conditions have been evaluated; the count stops
+    at the first solution in C order over (slot, row, span column).
     """
     import numpy as np
-    pivot, inv, span, span_part, q_e = space
-    n = len(head)
-    width = len(span)
-
-    vs = [head[None, :]]  # v_0, then one (rows, n) array per level
-    for k in range(1, d + 1):
-        rhs = (-_coefficient(vs, k, forms, p)) % p
-        if pivot is None:
-            keep = rhs == 0
-            vs = vs[:1] + [v[keep] for v in vs[1:]]
-            base = np.zeros((int(keep.sum()), n), dtype=np.int64)
-        else:
-            base = np.zeros((len(rhs), n), dtype=np.int64)
-            base[:, pivot] = (rhs * inv) % p
-        if k < d:
-            vs = vs[:1] + [np.repeat(v, width, axis=0) for v in vs[1:]]
-            vs.append(((base[:, None, :] + span[None]) % p).reshape(-1, n))
-
-    # level d: row r of vs has the particular solution base[r] = c_r e_piv
-    rows = len(base)
     f32 = np.float32
-    c = base[:, pivot] if pivot is not None else np.zeros(rows, dtype=np.int64)
-    forms32 = [(cm.astype(f32), bm.astype(f32), shift) for cm, bm, shift in forms]
-    b1, b2 = forms32[0][1], forms32[1][1]
-    step = max(1, _LEAF_BLOCK // width)
-    for lo in range(0, rows, step):
-        hi = min(rows, lo + step)
-        block = [v.astype(f32) for v in vs[:1] + [v[lo:hi] for v in vs[1:]]]
-        cb = c[lo:hi].astype(f32)
-        # row parts, one (rows, n + 5) slab per k = 2d+1, ..., d+1
-        row_part = np.zeros((d + 1, hi - lo, n + 5), dtype=f32)
-        for k, part in zip(range(2 * d + 1, d, -1), row_part):
-            for a, b in ((k - d, b2), (k - 1 - d, b1)):
-                if 0 <= a < d:
-                    part[:, :n] += block[a] @ b
-            if pivot is not None:
-                part[:, n] = part[:, pivot] * cb
-            if k < 2 * d:
-                part[:, n] += _coefficient(block, k, forms32, p)
-            else:
-                j = 2 * d + 1 - k  # 0: q1(v_d) in x^(2d+1), 1: q2(v_d) in x^(2d)
-                part[:, n] += cb * cb * q_e[j]
-                part[:, n + 1 + j] = cb
-                part[:, n + 3 + j] = 1
-        values = row_part.reshape(-1, n + 5) @ span_part
-        ok = _divisible(values, p).reshape(d + 1, hi - lo, width).all(axis=0)
-        ok[cb == 0, 0] = False  # the zero leaf
+    (c1, b1), (c2, b2) = forms
+    g, rows, n = run.heads.shape
+    w = run.span.shape[1]
+    # every array keeps its rows on the last axis, so that numpy's inner
+    # loops run over rows rather than over n or n + 5 entries
+    both = np.concatenate([b1, b2]).astype(f32)  # (B1 v; B2 v) = both @ v
+    at = np.arange(g)
+    e = run.e.T.astype(f32)  # (n, g)
+    span = run.span.transpose(2, 0, 1).astype(f32)  # (n, g, w)
+    neg_inv = run.neg_inv[:, None].astype(f32)
+    q_e = run.q_e.astype(f32)
+    vs = run.heads.transpose(2, 0, 1)[:, :, None].astype(f32)  # (n, g, m, rows)
+    known = (bilinear(run.heads, c1, run.heads) % p)[:, None].astype(f32)  # K_1
+
+    def solution(ok, a=0, lo=0):
+        """(vectors, leaves up to it) of the first leaf that passes in ok,
+        (slot, row, column) from slot a and row lo on."""
+        index = int(ok.argmax())
+        slot, r, col = np.unravel_index(index, ok.shape)
+        slot, r = a + slot, lo + r
+        top = (c[slot, r] * e[:, slot] + span[:, slot, col]) % p
+        return list(vs[:, slot, :, r].T.astype(np.int64)) + [top.astype(np.int64)], index + 1
+
+    for m in range(1, last + 1):
+        # vs holds v_0..v_{m-1} of every row; known (g, m, rows) the K_j of
+        # every row for j = m..2m-1
+        if run.radical:
+            keep = known[0, 0] == 0
+            vs, known = vs[..., keep], known[..., keep]
+            c = np.zeros((1, vs.shape[3]), dtype=f32)
+        else:
+            c = _mod(known[:, 0] * neg_inv, p)
+        rows = vs.shape[3]
+        # the row vectors of j = m+1..2m+1, (g, n + 5, m + 1, rows)
+        row = np.zeros((g, n + 5, m + 1, rows), dtype=f32)
+        lin = (both @ vs.reshape(n, -1)).reshape(2, n, g, m, rows).transpose(0, 2, 1, 3, 4)
+        row[:, :n, :m] = lin[0]
+        row[:, :n, :m - 1] += lin[1, :, :, 1:]
+        row[:, n, :m - 1] = known[:, 1:]
+        row[:, n] += c[:, None] * row[at, run.pivot]
+        cc = c * c
+        row[:, n, m - 1] += cc * q_e[:, 1, None]
+        row[:, n, m] += cc * q_e[:, 0, None]
+        row[:, n + 1, m] = c
+        row[:, n + 2, m - 1] = c
+        row[:, n + 3, m] = 1
+        row[:, n + 4, m - 1] = 1
+        if m == last:
+            break
+        values = run.part @ row.reshape(g, n + 5, -1)  # (g, w, (m + 1) rows)
+        known = _mod(values, p).reshape(g, w, m + 1, rows).transpose(0, 2, 3, 1) \
+            .reshape(g, m + 1, rows * w)
+        if m >= first:
+            ok = ~known.any(axis=1).reshape(g, rows, w)
+            ok[:, :, 0] &= c != 0  # the zero leaf
+            if ok.any():
+                yield (m, *solution(ok))
+                return
+            yield m, None, ok.size
+        grown = np.empty((n, g, m + 1, rows, w), dtype=f32)
+        grown[:, :, :m] = vs[..., None]
+        grown[:, :, m] = _mod(e[:, :, None, None] * c[:, :, None] + span[:, :, None], p)
+        vs = grown.reshape(n, g, m + 1, rows * w)
+
+    # the last level: blocks of whole slots while a slot's leaves fit in a
+    # block, else blocks of the rows of one slot
+    row[:, n] += _LEAF_OFFSET
+    per = max(1, _LEAF_BLOCK // w)
+    if rows <= per:
+        step = per // max(rows, 1)
+        blocks = [(a, min(a + step, g), 0, rows) for a in range(0, g, step)]
+    else:
+        blocks = [(a, a + 1, lo, min(lo + per, rows))
+                  for a in range(g) for lo in range(0, rows, per)]
+    counted = 0
+    for a, b, lo, hi in blocks:
+        values = run.part[a:b] @ row[a:b, :, :, lo:hi].reshape(b - a, n + 5, -1)
+        ok = _leaves_divisible(values.reshape(b - a, w, m + 1, hi - lo), p)
+        ok[:, 0] &= c[a:b, lo:hi] != 0  # the zero leaf
         if ok.any():
-            at = int(ok.argmax())
-            r, s = divmod(at, width)
-            top = (base[lo + r] + span[s]) % p
-            return [head] + [v[lo + r] for v in vs[1:]] + [top], lo * width + at + 1
-    return None, rows * width
+            # ok is (slot, span column, row); leaves count in (slot, row, column) order
+            vecs, index = solution(ok.transpose(0, 2, 1), a, lo)
+            yield m, vecs, counted + index
+            return
+        counted += ok.size
+    yield m, None, counted
 
 
-def _divisible(x, p):
-    """x % p == 0, elementwise, for integers 0 <= x < 2^32 in any numeric
-    dtype.  For odd p, multiplication by p^-1 mod 2^32 maps the multiples
-    of p onto [0, (2^32 - 1) // p] and every other value above it."""
+# added to the constant of every leaf condition, so that a value v < 2^12
+# comes out of the float32 product as 2^23 + v, whose bits read
+# 0x4B000000 + v as uint32: 0x4B000000 = 75 * 2^24 is divisible by 2, 3
+# and 5, so those bits are divisible by p exactly when v is
+_LEAF_OFFSET = 1 << 23
+
+
+def _leaves_divisible(values, p):
+    """Whether values[:, :, j] % p == 0 for every j, for the float32 leaf
+    values 2^23 + v of _run_levels (0 <= v < 2^12), read as their uint32
+    bits, which are divisible by p exactly when v is.  For odd p,
+    multiplication by p^-1 mod 2^32 maps the multiples of p onto
+    [0, (2^32 - 1) // p] and every other value above it; for p = 2,
+    multiplication by 2^31 maps the even values onto 0 and the odd ones
+    onto 2^31.  So the largest image over j decides.  The values are
+    overwritten."""
     import numpy as np
-    x = x.astype(np.uint32)
+    bits = values.view(np.uint32)
     if p == 2:
-        return (x & 1) == 0
-    return x * np.uint32(pow(p, -1, 1 << 32)) <= np.uint32(((1 << 32) - 1) // p)
+        bits *= np.uint32(1 << 31)
+        bound = 0
+    else:
+        bits *= np.uint32(pow(p, -1, 1 << 32))
+        bound = ((1 << 32) - 1) // p
+    return bits.max(axis=2) <= np.uint32(bound)
 
 
 def _witness_polys(q1, q2, vs):
@@ -568,14 +752,20 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
     coefficient vector v_0 runs over the projective zeros of q2
     (coefficient of x^0), first nonzero coordinate 1, in lexicographic
     order; a degree-0 witness is exactly a common zero of the two forms.
-    For d >= 1 each head is searched by _head_search on integer-coded
-    batches, with the head's kernel span and the span part of its leaf
-    conditions computed once by _head_span for all degrees; the leaves
-    of degree d are evaluated as row parts times span parts, block by
-    block, without building them.  With p odd and B2(v_0, .) != 0 for
-    every head, an exhausted search counts
+    For d >= 1 the heads are searched by _head_search, with the kernel
+    spans of all heads and the span terms of their conditions built once,
+    in one batched pass, by _head_runs; every level is evaluated as terms
+    of its distinct parent rows times span terms, in exact float32
+    products (bounds at _run_search).  With p odd and B2(v_0, .) != 0
+    for every head, an exhausted search counts
     #heads * sum_{d=1}^{max_degree} p^((n-1)d) leaves.  The witness is
     checked over the wrapped field before it is returned.
+
+    By the Amer-Brumer theorem a pencil whose forms have no common zero
+    is anisotropic over k(x), so a search that gets past degree 0 finds
+    nothing and always runs to exhaustion: the early exit of higher
+    degrees is kept for correctness, and the exhaustive path is the one
+    the search is built for.
     """
     import numpy as np
     if q1.field is not q2.field or q1.n != q2.n:
@@ -587,22 +777,16 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
         raise ValueError("witness search kept to rank <= 5")
     p = field.p
     forms = _int_forms(q1, q2)
-    coding = ResidueCoding(field)
-    pts = np.concatenate([coding.points(n, lead) for lead in reversed(range(n))])
+    pts = _projective_points(p, n, True)
     heads = pts[bilinear(pts, forms[1][0], pts) % p == 0]
 
     common = np.flatnonzero(bilinear(heads, forms[0][0], heads) % p == 0)
     if max_degree >= 0 and len(common):
         return _witness_polys(q1, q2, [heads[common[0]]]), 0
-    leaves = 0
-    spaces = [_head_span(forms, p, head) for head in heads]
-    for d in range(1, max_degree + 1):
-        for head, space in zip(heads, spaces):
-            vs, count = _head_search(forms, p, head, d, space)
-            leaves += count
-            if vs is not None:
-                return _witness_polys(q1, q2, vs), leaves
-    return None, leaves
+    if max_degree < 1 or not len(heads):
+        return None, 0
+    vs, leaves = _head_search(forms, p, _head_runs(forms, p, heads), range(1, max_degree + 1))
+    return (None if vs is None else _witness_polys(q1, q2, vs)), leaves
 
 
 @dataclass(frozen=True)
@@ -637,9 +821,8 @@ def amer_brumer_check(q1, q2, max_degree=3):
     if n > 5:
         raise ValueError("rank capped at 5")
     p = field.p
-    (c1, _, _), (c2, b2, _) = _int_forms(q1, q2)
-    coding = ResidueCoding(field)
-    pts = np.concatenate([coding.points(n, lead) for lead in range(n)])
+    (c1, _), (c2, b2) = _int_forms(q1, q2)
+    pts = _projective_points(p, n, False)
     on_q2 = bilinear(pts, c2, pts) % p == 0
     zeros = pts[on_q2 & (bilinear(pts, c1, pts) % p == 0)]
     witness, leaves = pencil_isotropy_witness(q1, q2, max_degree)

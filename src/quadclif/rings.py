@@ -1296,17 +1296,9 @@ class ArrayCoding:
         return np.eye(n, dtype=self.dtype)
 
     def reduce(self, a):
-        """Canonical codes of an array of sums and products.  Over F_p an
-        array is reduced as a - (a // p) p = a % p, in place on one
-        temporary: numpy divides an integer array by a scalar without a
-        hardware division, which % does not, and large temporaries cost
-        page faults."""
-        if not self.p:
-            return a
-        out = a // self.p
-        out *= -self.p
-        out += a
-        return out
+        """Canonical codes of an array of sums and products: over F_p the
+        residues _mod gives."""
+        return _mod(a, self.p) if self.p else a
 
     def equal(self, a, b):
         import numpy as np
@@ -1547,6 +1539,32 @@ def coded_kernel(coding, a):
     return free, kernel, lcm.astype(object)
 
 
+def _mod(a, p):
+    """a % p for an array a of integers, of an integer or object dtype or
+    of a float dtype whose entries are exact integers, computed as
+    a - floor(a / p) p in place on one temporary: numpy divides an integer
+    array by a scalar without a hardware division, which % does not, and
+    divides floats and rounds them down far faster than % or fmod (timeit
+    on one core of a shared 2-CPU x86_64 VM, numpy 2.4, 2^18 entries,
+    p = 3: int64 0.46 ms against 0.91 ms for %, int8 0.04 against
+    0.55 ms, float32 0.17 against 5.0 ms).  Exact for floats while
+    |a| < 2^mantissa: an a / p that rounds up to the next integer would need
+    a quotient within half an ulp of it, and it is at least 1/p away.  An
+    integer array must leave room for floor(a / p) p in its dtype, which
+    holds for the residue stacks here: they are sums of products and
+    differences of residues, nonnegative or above -p."""
+    import numpy as np
+
+    if a.dtype.kind == "f":
+        out = a / p
+        np.floor(out, out=out)
+    else:
+        out = a // p
+    out *= -p
+    out += a
+    return out
+
+
 def bilinear(u, m, v):
     """u_r^T m v_r for every row r of the stacks u and v, broadcast: the
     one stack evaluation of forms (the form value when u = v and m is a
@@ -1554,6 +1572,31 @@ def bilinear(u, m, v):
     import numpy as np
 
     return np.einsum("...i,...i->...", u @ m, v)
+
+
+def _residue_dtype(p, e):
+    """The narrowest integer dtype in which a product of two elements of
+    F_{p^e}, as residues, is exact."""
+    import numpy as np
+
+    return np.min_scalar_type(-e * e * p ** 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _point_table(p, e, n, lead):
+    """ResidueCoding.points, built once per key and frozen.  The
+    enumerations that read the tables keep them small (at most 9^5 rows,
+    lagrangian.enumeration_in_budget), so the cache is not bounded."""
+    import numpy as np
+
+    count = p ** ((n - lead - 1) * e)
+    pts = np.zeros((count, n * e), dtype=_residue_dtype(p, e))
+    pts[:, lead * e] = 1
+    tails = np.arange(count)
+    for j in range(n * e - 1, (lead + 1) * e - 1, -1):
+        pts[:, j], tails = tails % p, tails // p
+    pts.setflags(write=False)
+    return pts
 
 
 class ResidueCoding:
@@ -1577,7 +1620,7 @@ class ResidueCoding:
         self.field = field
         p = self.p = base.p
         e = self.e = field.degree if field.kind == "extension" else 1
-        self.dtype = np.min_scalar_type(-e * e * p ** 3)
+        self.dtype = _residue_dtype(p, e)
         powers = np.eye(e, dtype=int).tolist() + [
             [c.v for c in row] for row in getattr(field, "_xpow", ())]
         self.mult = np.array([[powers[x + y] for y in range(e)] for x in range(e)],
@@ -1622,17 +1665,9 @@ class ResidueCoding:
         """Residue rows of the vectors of length n, zero before lead and
         one at lead, tails in lexicographic order: the projective points
         with that leading column.  By ascending lead the tables give the
-        canonical order, by descending lead the lexicographic one."""
-        import numpy as np
-
-        e, p = self.e, self.p
-        count = p ** ((n - lead - 1) * e)
-        pts = np.zeros((count, n * e), dtype=self.dtype)
-        pts[:, lead * e] = 1
-        tails = np.arange(count)
-        for j in range(n * e - 1, (lead + 1) * e - 1, -1):
-            pts[:, j], tails = tails % p, tails // p
-        return pts
+        canonical order, by descending lead the lexicographic one.  The
+        table is built once per (p, e, n, lead) and shared, read-only."""
+        return _point_table(self.p, self.e, n, lead)
 
     def weil(self, m):
         """Weil restriction of a stack m (..., r, c*e) of residue rows: the
@@ -1641,7 +1676,7 @@ class ResidueCoding:
 
         m, p = self.elements_axis(m), self.p
         real = np.float32 if m.shape[-3] * self.e * p * p < 1 << 24 else np.float64
-        out = np.einsum("...ija,xak->...ixjk", m, self.mult, dtype=real) % p
+        out = _mod(np.einsum("...ija,xak->...ixjk", m, self.mult, dtype=real), p)
         return out.reshape(m.shape[:-3] + (m.shape[-3] * self.e, m.shape[-2] * self.e))
 
     def gram(self, rows):
@@ -1652,18 +1687,20 @@ class ResidueCoding:
         e, n, p = self.e, len(rows), self.p
         lin = self.weil(self.array(rows)).reshape(n * e, n, e)
         real = np.float32 if (n * e) ** 2 * p ** 3 < 1 << 24 else np.float64
-        out = np.einsum("ajz,zyk->kajy", lin, self.mult, dtype=real) % p
+        out = _mod(np.einsum("ajz,zyk->kajy", lin, self.mult, dtype=real), p)
         return out.reshape(e, n * e, n * e)
 
     def reduce(self, x):
         """Residues of integers, such as exact float Weil products."""
         import numpy as np
 
-        return (x.astype(np.int64) % self.p).astype(self.dtype)
+        if x.dtype.kind != "f":
+            x = x.astype(np.int64, copy=False)
+        return _mod(x, self.p).astype(self.dtype)
 
     def conjugate(self, a):
         """The q-power map on residue rows (..., n*e) of an extension."""
-        return (self.elements_axis(a) @ self.frobenius % self.p).reshape(a.shape)
+        return _mod(self.elements_axis(a) @ self.frobenius, self.p).reshape(a.shape)
 
     def mul(self, a, b):
         """Products of elements stacked residue axis first, (e, ...)."""
@@ -1671,8 +1708,8 @@ class ResidueCoding:
 
         e, mult = self.e, self.mult
         prods = [(x, y, a[x] * b[y]) for x in range(e) for y in range(e)]
-        return np.stack([sum(mult[x, y, k] * t for x, y, t in prods if mult[x, y, k])
-                         for k in range(e)]) % self.p
+        return _mod(np.stack([sum(mult[x, y, k] * t for x, y, t in prods if mult[x, y, k])
+                              for k in range(e)]), self.p)
 
     def inverse(self, a):
         """Inverses of elements stacked residue axis first, 0 for 0: with
@@ -1684,9 +1721,9 @@ class ResidueCoding:
         inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=self.dtype)
         conj = image = a
         for k in range(1, self.e):
-            image = np.tensordot(self.frobenius, image, axes=(0, 0)) % p
+            image = _mod(np.tensordot(self.frobenius, image, axes=(0, 0)), p)
             conj = image if k == 1 else self.mul(conj, image)
-        return inv[a] if self.e == 1 else conj * inv[self.mul(a, conj)[0]] % p
+        return inv[a] if self.e == 1 else _mod(conj * inv[self.mul(a, conj)[0]], p)
 
     def rref(self, a):
         """(reduced row echelon forms, ranks) of a stack a (count, r, c*e)
@@ -1719,7 +1756,7 @@ class ResidueCoding:
             factor = a[:, :, col].copy()
             np.put_along_axis(factor, dst[0], 0, axis=1)
             a -= self.mul(factor[:, :, None], top)
-            a %= self.p
+            a = _mod(a, self.p)
             rank += has
         return a.transpose(3, 1, 2, 0).reshape(count, nr, width), rank
 

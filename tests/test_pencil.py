@@ -2,12 +2,15 @@
 correspondence searches."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gauss_jordan
+from witness_corpus import witness_corpus
 from quadclif.rings import (
     QQ, InvariantViolation, Poly, PrimeField, quadratic_extension, scalar_str)
 from quadclif.quadform import QuadraticForm
@@ -27,7 +30,7 @@ from quadclif.pencil import (
     gaussian_binomial,
     pencil_isotropy_witness,
 )
-from quadclif.pencil import _head_search, _head_span, _int_forms, _witness_polys
+from quadclif.pencil import _head_runs, _head_search, _int_forms, _witness_polys
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -344,7 +347,7 @@ def test_head_search_finds_a_witness_of_each_degree(c1, c2, z, d, want, leaves):
     import numpy as np
     q1, q2 = diag(F3, c1), diag(F3, c2)
     forms, head = _int_forms(q1, q2), np.array(z)
-    vs, count = _head_search(forms, 3, head, d, _head_span(forms, 3, head))
+    vs, count = _head_search(forms, 3, _head_runs(forms, 3, head[None]), range(d, d + 1))
     assert [[int(a) for a in v] for v in vs] == want
     assert count == leaves
     polys = _witness_polys(q1, q2, vs)
@@ -356,7 +359,7 @@ def _loop_coefficient(forms, vs, k, p):
     # B(v_a, v_b) where a < b and a + b = kk
     n = len(vs[0])
     acc = 0
-    for c, b, shift in forms:
+    for (c, b), shift in zip(forms, (1, 0)):
         for a, b_ in itertools.combinations_with_replacement(range(len(vs)), 2):
             if a + b_ == k - shift:
                 m = c if a == b_ else b
@@ -405,35 +408,59 @@ def _loop_head_search(forms, p, head, d):
     return walk([[int(a) for a in head]]), leaves
 
 
-def _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch):
+def _loop_search(forms, p, heads, degrees):
+    """The loop version of _head_search: degree by degree, then head by
+    head, the leaves of every walk counted up to the first solution."""
+    total = 0
+    for d in degrees:
+        for head in heads:
+            got, leaves = _loop_head_search(forms, p, head, d)
+            total += leaves
+            if got:
+                return got, total
+    return None, total
+
+
+def _assert_search_matches_the_loop(forms, p, heads, degrees, monkeypatch):
+    import numpy as np
     import quadclif.pencil as pencil_mod
-    want, want_leaves = _loop_head_search(forms, p, head, d)
-    # blocks of one row (7 leaves) and of several rows (64 leaves), so
-    # that rows straddle block boundaries
-    for block in (7, 64):
+    heads = np.array(heads)
+    want, want_leaves = _loop_search(forms, p, heads, degrees)
+    # blocks of one row (7 leaves), of several rows (64 leaves) and of
+    # whole heads, so that rows and heads straddle block boundaries
+    for block in (7, 64, 1 << 15):
         monkeypatch.setattr(pencil_mod, "_LEAF_BLOCK", block)
-        vs, leaves = _head_search(forms, p, head, d, _head_span(forms, p, head))
+        vs, leaves = _head_search(forms, p, _head_runs(forms, p, heads), degrees)
         assert leaves == want_leaves
         assert (None if vs is None else [[int(a) for a in v] for v in vs]) == want
     return want, want_leaves
+
+
+def _lexicographic_heads(field, forms):
+    """The zeros of q2 in lexicographic order: the per-lead point tables
+    by descending lead."""
+    import numpy as np
+    from quadclif.rings import ResidueCoding, bilinear
+    n, p = len(forms[0][0]), field.p
+    coding = ResidueCoding(field)
+    pts = np.concatenate([coding.points(n, lead) for lead in reversed(range(n))])
+    return pts[bilinear(pts, forms[1][0], pts) % p == 0]
+
+
+def _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch):
+    return _assert_search_matches_the_loop(forms, p, [head], range(d, d + 1), monkeypatch)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2),
                                    (3, 4, 2), (5, 2, 2), (3, 5, 1), (5, 3, 2),
                                    (3, 4, 3)])
 def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
-    import random
-    import numpy as np
-    from quadclif.rings import ResidueCoding, bilinear
     field = PrimeField(p)
     rng = random.Random(100 * p + n)
     for _ in range(6):
         q1, q2 = _random_form(rng, field, n), _random_form(rng, field, n)
         forms = _int_forms(q1, q2)
-        # lexicographic order: the per-lead tables by descending lead
-        coding = ResidueCoding(field)
-        pts = np.concatenate([coding.points(n, lead) for lead in reversed(range(n))])
-        for head in pts[bilinear(pts, forms[1][0], pts) % p == 0][:3]:
+        for head in _lexicographic_heads(field, forms)[:3]:
             _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch)
 
 
@@ -468,6 +495,59 @@ def test_head_search_skips_a_row_whose_only_solution_is_the_zero_leaf(monkeypatc
                                                         monkeypatch)
     assert want == [head, [0, 0, 1], [2, 0, 0]]
     assert leaves == 10  # the first leaf of the second row of 9
+
+
+@pytest.mark.parametrize("p,n,degrees", [(2, 3, range(1, 4)), (2, 4, range(1, 3)),
+                                         (3, 2, range(1, 4)), (3, 3, range(1, 3)),
+                                         (3, 3, range(2, 4)), (5, 2, range(1, 4))])
+def test_head_search_over_all_heads_matches_the_loop_version(p, n, degrees, monkeypatch):
+    # every head of a pair in one call, degree by degree: the pivot heads
+    # batched into slots, and in every other pair e_0 in the radical of q2
+    # and a zero of q1, so that a head without a pivot keeps rows and
+    # splits the pivot heads into two runs
+    field = PrimeField(p)
+    rng = random.Random(1000 * p + 10 * n + degrees.start)
+    for k in range(4):
+        rows = [[[rng.randrange(p) if j >= i else 0 for j in range(n)] for i in range(n)]
+                for _ in range(2)]
+        if k % 2:
+            rows[0][0][0] = 0
+            rows[1][0] = [0] * n
+        forms = _int_forms(*(QuadraticForm.of_ints(field, r) for r in rows))
+        heads = _lexicographic_heads(field, forms)
+        if k % 2:
+            assert any(run.radical for run in _head_runs(forms, p, heads))
+        _assert_search_matches_the_loop(forms, p, heads, degrees, monkeypatch)
+
+
+# answers of amer_brumer_check on the corpus of tests/witness_corpus.py,
+# written by the witness search that built every level below the last
+# from repeated rows (one batch of rows per level, each level repeating
+# all earlier coefficient vectors)
+PINNED_SEARCHES = json.loads(
+    (Path(__file__).parent / "data" / "witness_search.json").read_text())
+
+
+def test_witness_search_matches_the_pinned_answers():
+    corpus = witness_corpus()
+    assert [[p, q1, q2, d] for p, q1, q2, d in corpus] \
+        == [[pin["p"], pin["q1"], pin["q2"], pin["max_degree"]] for pin in PINNED_SEARCHES]
+    kinds = set()
+    for (p, a, b, d), pin in zip(corpus, PINNED_SEARCHES):
+        field = PrimeField(p)
+        q1, q2 = QuadraticForm.of_ints(field, a), QuadraticForm.of_ints(field, b)
+        r = amer_brumer_check(q1, q2, d)
+        witness = None if r.witness is None else [[c.v for c in f.coeffs] for f in r.witness]
+        assert (r.common_zero_count, witness, r.witness_degree, r.leaves) \
+            == (pin["common_zero_count"], pin["witness"], pin["witness_degree"], pin["leaves"])
+        forms = _int_forms(q1, q2)
+        radical = any(run.radical for run in _head_runs(forms, p, _lexicographic_heads(field, forms)))
+        kinds.add((p, len(a), r.common_zero_count > 0, radical and not r.common_zero_count))
+    # both kinds at every field and rank below 5, and heads without a pivot
+    assert {(p, n, zero) for p, n, zero, _ in kinds} \
+        == {(p, n, z) for p in (2, 3, 5) for n in (2, 3, 4, 5) for z in (True, False)
+            if z or n < 5}
+    assert {p for p, _, _, radical in kinds if radical} == {2, 3, 5}
 
 
 def test_witness_polys_rejects_a_non_witness():

@@ -32,6 +32,7 @@ from quadclif.rings import (
     scalar_str,
     squarefree_decomposition,
     ResidueCoding,
+    _mod,
     bilinear,
 )
 
@@ -516,6 +517,30 @@ def test_matrix_rref_edge_shapes(field):
 
 F4 = quadratic_extension(F2)
 F8 = ExtensionField(F2, Poly.of_ints(F2, "x", [1, 1, 0, 1]))  # x^3 + x + 1
+
+
+@pytest.mark.parametrize("p,dtype", [
+    (p, dtype) for p in (2, 3, 5, 7, 65521)
+    for dtype in (np.int8, np.int16, np.int64, np.float32, np.float64, object)
+    if p < 128 or dtype not in (np.int8, np.int16)])
+def test_mod_matches_the_remainder_operator(p, dtype):
+    # the one reduction of ArrayCoding and ResidueCoding against numpy's %,
+    # on integers from -p up to the dtype's range (2^24 for float32)
+    rng = np.random.default_rng(p)
+    top = {np.int8: 127, np.int16: 32767, np.float32: 1 << 24}.get(dtype, 1 << 40)
+    a = np.concatenate([np.arange(-p, min(p, 100)), rng.integers(-p, top, 1000)])
+    a = a.astype(dtype)
+    got = _mod(a, p)
+    assert got.dtype == a.dtype and (got == a % p).all()
+
+
+def test_point_tables_are_built_once_and_frozen():
+    coding = ResidueCoding(F5)
+    table = coding.points(4, 1)
+    assert ResidueCoding(F5).points(4, 1) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F4, F8, quadratic_extension(F3),
