@@ -632,8 +632,15 @@ def build_parser():
 
 
 def jobspec_from_args(args):
-    """The JobSpec of the parsed flags; a subcommand without a flag gives None."""
+    """The JobSpec of the parsed flags; a subcommand without a flag gives None.
+
+    argparse reads an option value of exactly '--' (--form=--) as the
+    empty list, which no flag accepts; --check appends it to its list."""
     values = {f.name: getattr(args, f.name, None) for f in fields(JobSpec)}
+    flags = {"budget_height": "budget-height", "fault": "fault-inject", "checks": "check"}
+    for name, value in values.items():
+        if value == [] or (name == "checks" and value and [] in value):
+            raise CliInputError("--%s needs a value other than '--'" % flags.get(name, name))
     for name in ("field", "form", "pencil"):
         values[name] = _expand_at(values[name])
     values["checks"] = tuple(values["checks"]) if values["checks"] else None
@@ -655,13 +662,20 @@ def _emit(report, spec, extras, out):
                      sum(1 for r in extras if not r.passed)))
 
 
+# the parser, built by the first main() call of the process
+_PARSER = None
+
+
 def main(argv=None):
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--selftest" in argv:
         argv.remove("--selftest")
         argv.insert(0, "selftest")
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         spec = jobspec_from_args(args)
         report, code, extras = run_job(spec)
     except CliInputError as e:

@@ -4,8 +4,11 @@ members, discriminant covers, and isotropy correspondences.
 A pencil is the line of forms s*q1 + t*q2 through two forms of the same
 rank.  Its discriminant is a binary form of degree n in (s, t) whose
 roots mark the degenerate members; the analysis here computes that form
-exactly, locates every root over the coefficient field and (for finite
-fields) over all extension fields that can carry one, and checks the
+exactly, from the determinants of n + 1 integer matrices B1 + k*B2 (the
+polar matrices scaled or lifted to integers) interpolated over Z,
+locates every root over the coefficient field (over Q by the divisor
+test on the primitive integer model) and (for finite fields) over all
+extension fields that can carry one, and checks the
 radical rank of each degenerate member.  A pencil degenerates simply
 when every member has radical rank at most 1, which the multiplicity
 bound (root multiplicity >= radical rank, by a Smith form argument over
@@ -35,16 +38,21 @@ coefficient vectors of a witness form a tree, level k fixed up to the
 span of a kernel by the coefficient of x^k; the search evaluates every
 level as terms of its distinct parent rows times terms of the span, one
 small float32 product per level, exact under the bounds at _run_levels,
-and checks every degree in one descent.
+and checks every degree in one descent.  A witness it returns is
+checked once more, x*q1(v) + q2(v) = 0 by one einsum on int64 residues,
+apart from the search's float32 products.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .rings import (
     BinaryForm,
+    ExtElem,
     ExtensionField,
     InvariantViolation,
     Poly,
@@ -92,57 +100,128 @@ class Pencil:
                       self.q2.map_field(target, embed))
 
 
-def _poly_det(entries):
-    """Determinant of a square matrix of Poly entries, minor expansion
-    down the first column with memoization on surviving row sets."""
-    n = len(entries)
-    field = entries[0][0].field
-    var = entries[0][0].var
-    cache = {}
-
-    def minor(rows, col):
-        if len(rows) == 1:
-            return entries[rows[0]][col]
-        key = (rows, col)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = Poly(field, var, ())
-        sign = 1
-        for k, r in enumerate(rows):
-            e = entries[r][col]
-            if e:
-                sub = minor(rows[:k] + rows[k + 1:], col + 1)
-                term = e * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        cache[key] = acc
-        return acc
-
-    return minor(tuple(range(n)), 0)
-
-
 def discriminant_form(pencil):
-    """The degree-n binary form det(s*B1 + t*B2), halved for odd rank.
+    """The degree-n binary form det(s*B1 + t*B2), halved for odd rank,
+    over Q or a finite field F_p[w]/(g) (g = w for a prime field).
 
-    Matches QuadraticForm.discriminant of every member exactly, with no
-    leftover normalization unit.
+    Computed on integers: over Q the coefficient matrices are scaled by
+    their common denominator D, over a finite field every entry is
+    lifted to its residues 0..p-1, an integer polynomial in w of degree
+    below deg g.  Then det(B1 + t*B2) is an integer polynomial in t and
+    w; the determinants of B1 + k*B2 at w = 0..n(deg g - 1), k = 0..n,
+    come from one fraction-free pass (_int_dets), and its coefficients
+    from their exact interpolation over Z (_interpolate), first in t,
+    then in w.  They are divided by D^n and halved for odd rank over Q,
+    reduced mod p and g over a finite field.  Matches
+    QuadraticForm.discriminant of every member exactly, with no leftover
+    normalization unit.
     """
+    import numpy as np
     field = pencil.field
     n = pencil.n
     if n % 2 and field.characteristic == 2:
         raise ValueError("odd-rank discriminants are not defined in characteristic 2")
-    b1 = pencil.q1.polar_matrix().rows
-    b2 = pencil.q2.polar_matrix().rows
-    # chart s = 1: entries b1[i][j] + t*b2[i][j], so the t-coefficients of
-    # the determinant are the (s, t)-coefficients of the homogeneous form
-    entries = [[Poly(field, "t", (b1[i][j], b2[i][j]))
-                for j in range(n)] for i in range(n)]
-    det = _poly_det(entries)
-    if n % 2:
-        half = field.one() / field.from_int(2)
-        det = det * Poly(field, "t", (half,))
-    return BinaryForm(field, n, [det.coeff(i) for i in range(n + 1)])
+    rows = (pencil.q1.c, pencil.q2.c)
+    den = 1
+    if field.kind == "rationals":
+        den = math.lcm(*(c.denominator for q in rows for row in q for c in row))
+        lifts = [[[[c.numerator * (den // c.denominator)] for c in row] for row in q] for q in rows]
+    elif field.kind == "prime":
+        lifts = [[[[c.v] for c in row] for row in q] for q in rows]
+    elif field.kind == "extension" and field.base.kind == "prime":
+        lifts = [[[[a.v for a in c.c] for c in row] for row in q] for q in rows]
+    else:
+        raise ValueError("no discriminant form over %s" % field.label())
+    c = np.array(lifts, dtype=object).reshape(2, n, n, -1)
+    b = c + c.transpose(0, 2, 1, 3)  # the polar matrices, entries as polynomials in w
+    e = b.shape[3]
+    at_w = np.arange(n * (e - 1) + 1, dtype=object)[:, None] ** np.arange(e)
+    b1, b2 = np.moveaxis(np.tensordot(b, at_w, axes=([3], [1])), 3, 1)  # (w, n, n)
+    stack = b1[:, None] + np.arange(n + 1, dtype=object)[:, None, None] * b2[:, None]
+    dets = np.array(_int_dets(stack.reshape(-1, n, n)), dtype=object).reshape(len(at_w), n + 1)
+    in_t = [_interpolate(row) for row in dets]
+    coeffs = [_interpolate(col) for col in zip(*in_t)]  # in w, for each power of t
+    scale = den ** n * (2 if n % 2 else 1)
+    if field.kind == "rationals":
+        return BinaryForm(field, n, [Fraction(a[0], scale) for a in coeffs])
+    base = field.base if field.kind == "extension" else field
+    inv = pow(scale, -1, base.p)
+    if field.kind == "prime":
+        return BinaryForm(field, n, [field.from_int(a[0] * inv) for a in coeffs])
+    reduced = [Poly(base, field.modulus.var, [base.from_int(x * inv) for x in a]) % field.modulus
+               for a in coeffs]
+    return BinaryForm(field, n, [ExtElem(field, tuple(r.coeff(i) for i in range(e)))
+                                 for r in reduced])
+
+
+def _int_dets(stack):
+    """The determinants, as Python ints, of a stack (k, n, n) of integer
+    matrices (an object array), by one fraction-free (Bareiss) elimination
+    of the whole stack.
+
+    Step j swaps the first row at or below j with a nonzero entry in
+    column j into place (a matrix without one is singular, and its
+    trailing block is set to prev * I so that the steps leave it alone)
+    and replaces every entry below and right of the pivot by
+    (pivot * x - left * top) / prev, an exact division with prev the
+    pivot of step j - 1.  The stack runs in int64 while its largest
+    entry m bounds every product, 2 m^2 < 2^63, and on Python ints from
+    the first step where it does not.
+    """
+    import numpy as np
+    k, n, _ = stack.shape
+    m = int(np.abs(stack).max(initial=0))
+    a = stack.astype(np.int64) if m < 1 << 62 else stack.copy()
+    sign = np.ones(k, dtype=np.int64)
+    singular = np.zeros(k, dtype=bool)
+    prev = np.ones(k, dtype=a.dtype)
+    at = np.arange(k)
+    for j in range(n - 1):
+        nz = a[:, j:, j] != 0
+        piv = j + nz.argmax(axis=1)
+        dead = ~nz.any(axis=1)
+        if dead.any():
+            singular |= dead
+            a[dead, j:, j:] = prev[dead, None, None] * np.eye(n - j, dtype=np.int64)
+            piv[dead] = j
+            m = max(m, int(np.abs(prev[dead]).max()))
+        swap = at[piv != j]
+        if len(swap):
+            a[swap, j], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, j].copy()
+            sign[swap] = -sign[swap]
+        if a.dtype != object and 2 * m * m >= 1 << 63:
+            a, prev = a.astype(object), prev.astype(object)
+        pivot = a[:, j, j].copy()
+        a[:, j + 1:, j + 1:] = (pivot[:, None, None] * a[:, j + 1:, j + 1:]
+                                - a[:, j + 1:, j, None] * a[:, j, None, j + 1:]) // prev[:, None, None]
+        prev = pivot
+        if a.dtype != object:
+            m = int(np.abs(a[:, j + 1:, j + 1:]).max(initial=0))
+    dets = a[:, n - 1, n - 1] * sign if n else np.ones(k, dtype=np.int64)
+    return [0 if dead else int(d) for d, dead in zip(dets, singular)]
+
+
+def _interpolate(values):
+    """The integer coefficients, ascending, of the polynomial f of degree
+    below len(values) with f(k) = values[k], for f with integer
+    coefficients: Newton's forward differences, each divided by j!
+    (exact, since the j-th difference of t^i at 0 is j! times a Stirling
+    number), expanded along the falling factorials t(t-1)...(t-j+1)."""
+    diffs = list(values)
+    coeffs = [0] * len(values)
+    falling = [1]  # t(t-1)...(t-j+1), ascending coefficients
+    fact = 1
+    for j in range(len(values)):
+        newton, rest = divmod(diffs[0], fact)
+        if rest:
+            raise InvariantViolation(
+                "pencil-discriminant", "difference %d is not divisible by %d!" % (j, j))
+        for i, c in enumerate(falling):
+            coeffs[i] += newton * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        fact *= j + 1
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -718,27 +797,28 @@ def _leaves_divisible(values, p):
 
 def _witness_polys(q1, q2, vs):
     """The polynomial coordinates of v = sum vs[a] x^a, after checking
-    x*q1(v) + q2(v) = 0 in the wrapped field."""
+    x*q1(v) + q2(v) = 0 on int64 residues.
+
+    With C the upper triangular coefficient matrix of a form q, the
+    coefficient of x^k in q(v) is the sum of vs[a] . C vs[b] over
+    a + b = k: one einsum over the (degree + 1, n) coefficients gives
+    those terms for both forms, independently of the float32 products of
+    the search.  The Polys are built once the check has passed."""
+    import numpy as np
     field, n = q1.field, q1.n
-    polys = tuple(
-        Poly(field, "x", tuple(field.from_int(int(vs[a][i])) for a in range(len(vs))))
-        for i in range(n))
-    xq1 = Poly(field, "x", (field.zero(), field.one()))
-    total = Poly(field, "x", ())
-    qs = [(q1, xq1), (q2, Poly(field, "x", (field.one(),)))]
-    for q, mult in qs:
-        val = Poly(field, "x", ())
-        for i in range(n):
-            if q.c[i][i]:
-                val = val + polys[i] * polys[i] * Poly(field, "x", (q.c[i][i],))
-            for j in range(i + 1, n):
-                if q.c[i][j]:
-                    val = val + polys[i] * polys[j] * Poly(field, "x", (q.c[i][j],))
-        total = total + mult * val
-    if total:
+    p = field.p
+    v = np.array(vs, dtype=np.int64).reshape(-1, n) % p
+    (c1, _), (c2, _) = _int_forms(q1, q2)
+    terms = np.einsum("ai,fij,bj->fab", v, np.stack([c1, c2]), v)
+    degree = np.add.outer(np.arange(len(v)), np.arange(len(v)))
+    total = np.zeros(2 * len(v), dtype=np.int64)
+    np.add.at(total, degree + 1, terms[0])  # x*q1(v)
+    np.add.at(total, degree, terms[1])  # q2(v)
+    if (total % p).any():
         raise InvariantViolation("pencil-witness",
                                  "claimed witness fails the identity")
-    return polys
+    return tuple(Poly(field, "x", tuple(field.from_int(int(a)) for a in v[:, i]))
+                 for i in range(n))
 
 
 def pencil_isotropy_witness(q1, q2, max_degree=3):

@@ -950,51 +950,60 @@ def irreducible_factors(f):
 def rational_roots(f):
     """Rational roots with multiplicities, plus the rootless cofactor.
 
-    Candidates come from the classical divisor test on the primitive
-    integer model, so this is exact, not a search heuristic.
+    Runs on the primitive integer model of f: candidates a/b come from
+    the classical divisor test (a divides the trailing coefficient, b
+    the leading one), so this is exact, not a search heuristic.  A
+    candidate is a root when the homogeneous form sum c_i a^i b^(d-i)
+    vanishes, evaluated in Python ints, and each root is divided out of
+    the integer coefficients (by b t - a, exact by Gauss's lemma) as
+    often as it vanishes.  Fractions are made only for the report.
     """
     if f.field.kind != "rationals":
         raise ValueError("rational root extraction expects coefficients in Q")
     if not f:
         raise ValueError("the zero polynomial vanishes everywhere")
     den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den) for c in f.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
     g = math.gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
+    ints = [c // g for c in ints]
     # strip powers of t so the trailing coefficient is nonzero
-    shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        shift += 1
-    roots = []
-    if shift:
-        roots.append((Fraction(0), shift))
-    candidates = set()
-    if ints:
-        for pn in _divisors(abs(ints[0])):
-            for pd in _divisors(abs(ints[-1])):
-                candidates.add(Fraction(pn, pd))
-                candidates.add(Fraction(-pn, pd))
-    work = f
-    if shift:
-        work = Poly(f.field, f.var, f.coeffs[shift:])
-    for r in sorted(candidates):
-        if work.degree() == 0:
+    shift = next(i for i, c in enumerate(ints) if c)
+    ints = ints[shift:]
+    roots = [(Fraction(0), shift)] if shift else []
+    candidates = {(sign * a, b) for a in _divisors(abs(ints[0]))
+                  for b in _divisors(abs(ints[-1])) for sign in (1, -1)
+                  if math.gcd(a, b) == 1}
+    for a, b in candidates:  # in any order: every root is divided out in full
+        if len(ints) == 1:
             break
-        if not work.evaluate(r):
-            mult = 0
-            lin = Poly(f.field, f.var, (-r, Fraction(1)))
-            while True:
-                q, rem = divmod(work, lin)
-                if rem:
-                    break
-                work = q
-                mult += 1
-            if mult:
-                roots.append((r, mult))
+        mult = 0
+        while len(ints) > 1 and not _homogeneous_value(ints, a, b):
+            ints = _deflate(ints, a, b)
+            mult += 1
+        if mult:
+            roots.append((Fraction(a, b), mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, work.monic()
+    return roots, Poly(f.field, f.var, tuple(Fraction(c, ints[-1]) for c in ints))
+
+
+def _homogeneous_value(ints, a, b):
+    """sum ints[i] a^i b^(d-i), d = len(ints) - 1, by Horner's rule."""
+    acc, scale = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+def _deflate(ints, a, b):
+    """The integer coefficients (ascending) of f / (b t - a), for f with
+    integer coefficients ints and f(a/b) = 0, from the top down."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        out[i - 1] = (ints[i] + carry) // b
+        carry = a * out[i - 1]
+    return out
 
 
 def _divisors(n):

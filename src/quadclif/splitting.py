@@ -11,8 +11,12 @@ pencil.common_isotropic_vector on the two forms of a pencil.
   runs over any finite field;
 * the rationals: integer vectors swept by increasing height (maximum
   absolute coordinate), primitive and sign-normalized, up to the height
-  budget, and evaluated on the terms of the forms scaled to integers
-  (ArrayCoding.integral), so None is merely inconclusive.
+  budget, so None is merely inconclusive.  Each height shell is
+  generated in blocks of at most 2^15 vectors with positive first
+  nonzero coordinate, in lexicographic order, and every form, scaled to
+  integers (ArrayCoding.integral), is scored on a whole block at once:
+  int64 arrays while a bound holds, object arrays of Python ints above
+  it, one code path.
 
 Splitting follows the classical construction: an isotropic v with
 b(v, w0) nonzero for some basis vector w0 is completed to a hyperbolic
@@ -25,6 +29,7 @@ original coordinates and check them by restriction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,50 +93,119 @@ def _first_common_zero(forms, budget):
     forms share a field and a rank.  Over a finite field the first in
     canonical_points order, over Q the first primitive integer vector
     with positive first nonzero coordinate by height, then
-    lexicographically, up to budget.height."""
+    lexicographically, up to budget.height.
+
+    Over Q each form is scaled to integers, q(v) = v . C v with C its
+    upper triangular coefficient matrix, and each height shell is scored
+    block by block (_shell_blocks): every form on every vector of a block
+    at once, in int64 while n^2 max|C| h^2 < 2^62 bounds every value, on
+    Python ints in object arrays above that bound.  Only the zeros of a
+    block are tested for a common divisor."""
+    import numpy as np
+
     field, n = forms[0].field, forms[0].n
     if field.size() is not None:
         return next((v for v in canonical_points(field, n)
                      if not any(q.evaluate(v) for q in forms)), None)
     if field.kind != "rationals":
         raise ValueError("no isotropy search over %s" % field.label())
-    # each form scaled to integers as its nonzero terms c x_i x_j
     coding = ArrayCoding(QQ)
-    terms = [[(i, j, c) for i, row in enumerate(coding.integral(coding.array(q.c))[0].tolist())
-              for j, c in enumerate(row) if c] for q in forms]
+    mats = np.stack([coding.integral(coding.array(q.c))[0] for q in forms])
+    top = int(np.abs(mats).max(initial=0))
     for h in range(1, budget.height + 1):
-        for v in _height_shell(h, n):
-            first = next((c for c in v if c), None)
-            if first is None or first < 0:
-                continue
-            if math.gcd(*v) != 1:
-                continue
-            if all(sum(c * v[i] * v[j] for i, j, c in t) == 0 for t in terms):
-                return tuple(Fraction(c) for c in v)
+        exact = n * n * top * h * h < 1 << 62
+        c = mats.astype(np.int64 if exact else object)
+        for block in _shell_blocks(h, n):
+            if not exact:
+                block = block.astype(object)
+            zero = ~((block @ c) * block).sum(axis=2).any(axis=0)
+            for v in block[zero].tolist():
+                if math.gcd(*v) == 1:
+                    return tuple(Fraction(a) for a in v)
     return None
 
 
-def _height_shell(h, n):
+# vectors of a height shell scored at once, which bounds memory
+_SHELL_BLOCK = 1 << 15
+
+
+def _cube(h, m):
+    """The integer vectors of length m and height at most h, in the
+    lexicographic order of itertools.product(range(-h, h + 1), repeat=m),
+    as (2h + 1)^m int64 rows."""
+    import numpy as np
+
+    return np.indices((2 * h + 1,) * m).reshape(m, -1).T - h if m else np.zeros((1, 0), np.int64)
+
+
+def _lead(rows):
+    """The first nonzero coordinate of every row, 0 for a zero row."""
+    import numpy as np
+
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype=np.int64)
+    return rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+
+
+def _shell_blocks(h, n):
     """The integer vectors of length n and height exactly h (maximum
-    absolute coordinate), in the lexicographic order of
-    itertools.product(range(-h, h + 1), repeat=n).
+    absolute coordinate) whose first nonzero coordinate is positive, in
+    the lexicographic order of itertools.product(range(-h, h + 1),
+    repeat=n), as int64 blocks of at most _SHELL_BLOCK rows, each a
+    run of prefixes of _shell_plan, every prefix repeated along its
+    tails."""
+    import numpy as np
 
-    A vector lies in the shell when its first coordinate of absolute
-    value h follows a prefix of smaller ones; each such prefix with its
-    extreme coordinate (both signs at once in the last place) is one
-    block, a product over the free tail."""
-    full = range(-h, h + 1)
+    tails, groups = _shell_plan(h, n, _SHELL_BLOCK)
+    for prefixes, kinds, sizes in groups:
+        head = np.repeat(prefixes, sizes, axis=0)
+        yield np.concatenate([head, np.concatenate([tails[t] for t in kinds])],
+                             axis=1, dtype=np.int64)
 
-    def blocks(prefix, k):
-        if k == 1:
-            yield prefix + ((-h, h),)
-        elif k:
-            yield prefix + ((-h,),) + (full,) * (k - 1)
-            for c in range(1 - h, h):
-                yield from blocks(prefix + ((c,),), k - 1)
-            yield prefix + ((h,),) + (full,) * (k - 1)
 
-    return itertools.chain.from_iterable(itertools.product(*b) for b in blocks((), n))
+@functools.lru_cache(maxsize=32)
+def _shell_plan(h, n, block):
+    """(tails, groups) of the shell of height h in length n, in the
+    narrowest integer dtype that holds -h..h, frozen.
+
+    A vector is a prefix of k coordinates and a tail of n - k, with k the
+    least for which the (2h + 1)^(n - k) tails fit in one block.  In
+    lexicographic order of the prefixes: a prefix with a coordinate of
+    absolute value h takes every tail (kind 2), a prefix with positive
+    first nonzero coordinate only the tails of height h (kind 1), the
+    zero prefix only the tails of height h with positive first nonzero
+    coordinate (kind 0), and a prefix with negative first nonzero
+    coordinate (kind -1) none.  tails holds the three stacks of tails by kind;
+    groups the runs of consecutive kept prefixes whose tails fit in one
+    block, each as (prefixes, kinds, number of tails of each)."""
+    import numpy as np
+
+    k = 0
+    while (2 * h + 1) ** (n - k) > block:
+        k += 1
+    cube = _cube(h, n - k)
+    shell = cube[np.abs(cube).max(axis=1, initial=0) == h]
+    tails = (shell[_lead(shell) > 0], shell, cube)
+    prefixes = _cube(h, k)
+    lead = _lead(prefixes)
+    extreme = np.abs(prefixes).max(axis=1, initial=0) == h
+    kind = np.select([lead < 0, lead == 0, extreme], [-1, 0, 2], 1)
+    sizes = np.array([0, *(len(t) for t in tails)])[kind + 1]
+    keep = np.flatnonzero(sizes)
+    sizes = sizes[keep]
+    dtype = np.min_scalar_type(-h)
+    groups = []
+    lo = 0
+    while lo < len(keep):
+        hi = lo + 1
+        while hi < len(keep) and sizes[lo:hi + 1].sum() <= block:
+            hi += 1
+        groups.append((prefixes[keep[lo:hi]].astype(dtype), kind[keep[lo:hi]], sizes[lo:hi]))
+        lo = hi
+    tails = tuple(t.astype(dtype) for t in tails)
+    for a in tails + tuple(a for g in groups for a in g):
+        a.setflags(write=False)
+    return tails, tuple(groups)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -197,6 +198,69 @@ def test_internal_error_is_not_an_input_error(monkeypatch):
     assert code == EXIT_INTERNAL == 4 and not out
     assert err.startswith("internal error: ValueError: an internal bug\n")
     assert "Traceback" in err  # kept for the bug report
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "--pencil=--"],
+    ["analyze", "--form=--"],
+    ["analyze", "--form", "field=Q; q=diag(1,1)", "--field=--"],
+    ["reduce", "--form", "q=diag(1,-1)", "--field=--"],
+    ["selftest", "--check", "c07-function-field-witness", "--check=--"],
+    ["reduce", "--form", "field=Q; q=diag(1,-1)", "--budget-height=--"],
+])
+def test_an_option_value_of_two_dashes_is_an_input_error(argv):
+    # argparse hands '--' over as an empty list
+    code, out, err = run_cli(argv)
+    assert code == 2 and not out
+    assert err.startswith("input error: --") and err.endswith("needs a value other than '--'\n")
+
+
+def test_the_parser_is_built_once_and_answers_as_a_fresh_one(monkeypatch):
+    import quadclif.cli as cli_mod
+    jobs = [
+        ["selftest", "--check", "c07-function-field-witness", "--check", "c10-rank4-triviality"],
+        ["analyze", "--form", "field=F3; q=diag(1,2,1)"],
+        ["selftest", "--check", "c10-rank4-triviality"],
+        ["reduce", "--form", "q=diag(1,-1,2)", "--field", "Q", "--budget-height", "3"],
+        ["pencil", "--scenario", "delpezzo"],
+        ["selftest", "--check", "c07-function-field-witness"],
+        ["analyze", "--form", "field=Q; q=H(1)"],
+    ]
+    cached = [run_cli(argv + ["--format", "machine"]) for argv in jobs]
+    parser = cli_mod._PARSER
+    assert parser is not None
+    fresh = []
+    for argv in jobs:
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        fresh.append(run_cli(argv + ["--format", "machine"]))
+    assert cached == fresh
+    # no list of an append option survives into the next call
+    checks = [json.loads(out)["input"]["checks"] for code, out, _ in cached if out
+              and json.loads(out)["command"] == "selftest"]
+    assert checks == [["c07-function-field-witness", "c10-rank4-triviality"],
+                      ["c10-rank4-triviality"], ["c07-function-field-witness"]]
+    # nor a value of an option the next call does not give
+    assert [json.loads(cached[k][1])["input"]["field"] for k in (1, 3, 6)] == [None, "Q", None]
+    assert [json.loads(cached[k][1])["input"]["budget_height"] for k in (3, 6)] == [3, 10]
+    assert all(code in (0, 1) for code, _, _ in cached)
+
+
+# exit code, stdout and stderr of every command line of tests/cli_corpus.py,
+# written before the discriminant and the sweep over Q ran on integer arrays
+PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "cli_reports.json").read_text())
+
+
+def test_cli_reports_match_the_pinned_answers():
+    from cli_corpus import cli_corpus, run
+    assert [pin["argv"] for pin in PINNED_REPORTS] == cli_corpus()
+    for pin in PINNED_REPORTS:
+        assert run(pin["argv"]) == (pin["code"], pin["stdout"], pin["stderr"]), pin["argv"]
+    commands = {(pin["argv"][0], pin["argv"][2] if pin["argv"][1] == "--scenario" else None,
+                 pin["code"]) for pin in PINNED_REPORTS}
+    assert commands >= {("analyze", None, 0), ("reduce", None, 0), ("reduce", None, 1),
+                        ("pencil", None, 0), ("pencil", "elliptic", 0),
+                        ("pencil", "elliptic", 1), ("pencil", "elliptic", 2),
+                        ("pencil", "delpezzo", 0), ("pencil", "fourfold", 0)}
 
 
 def test_rank8_pencil_skips_the_center_cover_comparison():

@@ -35,6 +35,8 @@ from quadclif.pencil import _head_runs, _head_search, _int_forms, _witness_polys
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F4 = quadratic_extension(F2)
+F9 = quadratic_extension(F3)
 
 
 def diag(field, entries):
@@ -105,6 +107,66 @@ def test_discriminant_matches_members_everywhere_f3(a, b):
 def test_odd_rank_char2_rejected():
     with pytest.raises(ValueError):
         discriminant_form(Pencil(diag(F2, [1, 1, 1]), diag(F2, [1, 1, 1])))
+
+
+def _reference_pencils():
+    """Pencils over Q (integral, fractional, and with entries that push
+    the elimination past int64), F2 and F4 at even ranks and F3, F5, F9
+    at ranks 1-7, plus identically degenerate ones."""
+    from fractions import Fraction
+    rng = random.Random(1968)
+
+    def rows(n, entry, zero=Fraction(0)):
+        return [[entry() if j >= i and rng.random() < 0.8 else zero for j in range(n)]
+                for i in range(n)]
+
+    entries = {
+        "integral": lambda: Fraction(rng.randint(-3, 3)),
+        "fractional": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+        "wide": lambda: Fraction(rng.randint(-10 ** 9, 10 ** 9)),
+    }
+    out = []
+    for n in range(1, 8):
+        for entry in entries.values():
+            for _ in range(2):
+                out.append(Pencil(QuadraticForm(QQ, rows(n, entry)), QuadraticForm(QQ, rows(n, entry))))
+        for field in (F2, F3, F5, F4, F9):
+            if field.characteristic == 2 and n % 2:
+                continue
+            elems = field.elements()
+            for _ in range(3 if field.kind == "prime" else 1):
+                out.append(Pencil(*(QuadraticForm(field, rows(n, lambda: rng.choice(elems),
+                                                              field.zero()))
+                                    for _ in range(2))))
+    for field in (QQ, F3):
+        q = QuadraticForm.of_ints(field, [[1, 2, 0], [0, 1, 0], [0, 0, 0]])
+        out.append(Pencil(q, q))
+        out.append(Pencil(QuadraticForm.zero_form(field, 4), QuadraticForm.zero_form(field, 4)))
+    return out
+
+
+def test_discriminant_form_matches_the_minor_expansion_reference():
+    from references import poly_det_discriminant
+    pencils = _reference_pencils()
+    zero = 0
+    for pen in pencils:
+        got, want = discriminant_form(pen), poly_det_discriminant(pen)
+        assert got == want, (pen, got, want)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+        zero += got.is_zero()
+    assert zero >= 4
+
+
+def test_int_dets_leave_int64_when_the_entries_grow():
+    # 3^38 < 2^62 starts the stack in int64; the first step's products
+    # do not fit, so it goes on with Python ints
+    import numpy as np
+    from quadclif.pencil import _int_dets
+    m = np.array([[[3 ** 38, 1, 0], [1, 3 ** 38, 1], [0, 1, 3 ** 38]],
+                  [[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+                  [[1, 2, 3], [2, 4, 6], [0, 0, 0]]], dtype=object)
+    # a^3 - 2a for the tridiagonal one, a row swap, and a singular one
+    assert _int_dets(m) == [3 ** 114 - 2 * 3 ** 38, -2, 0]
 
 
 def test_char2_even_rank_is_a_square():
@@ -554,6 +616,38 @@ def test_witness_polys_rejects_a_non_witness():
     with pytest.raises(InvariantViolation) as err:
         _witness_polys(diag(F3, [1, 1]), diag(F3, [1, 2]), [[1, 1], [1, 0]])
     assert err.value.invariant == "pencil-witness"
+
+
+def test_corrupting_one_witness_coordinate_is_refused():
+    # v_0 (1 + c x) is a witness for every common zero v_0; changing any
+    # one coordinate of either coefficient must fail the int64 check
+    # exactly when the wrapped-field identity fails
+    from references import wrapped_witness_identity
+    rng = random.Random(18)
+    refused = 0
+    for p, a, b, _ in witness_corpus():
+        field, n = PrimeField(p), len(a)
+        q1, q2 = QuadraticForm.of_ints(field, a), QuadraticForm.of_ints(field, b)
+        witness, _ = pencil_isotropy_witness(q1, q2, 0)
+        if witness is None:
+            continue
+        head = [f.coeff(0).v for f in witness]
+        c = rng.randrange(1, p)
+        vs = [head, [c * h % p for h in head]]
+        assert not wrapped_witness_identity(q1, q2, _witness_polys(q1, q2, vs))
+        for k in range(2):
+            for i in range(n):
+                bad = [list(row) for row in vs]
+                bad[k][i] = (bad[k][i] + rng.randrange(1, p)) % p
+                polys = tuple(Poly.of_ints(field, "x", [bad[0][j], bad[1][j]]) for j in range(n))
+                if wrapped_witness_identity(q1, q2, polys):
+                    with pytest.raises(InvariantViolation) as err:
+                        _witness_polys(q1, q2, bad)
+                    assert err.value.invariant == "pencil-witness"
+                    refused += 1
+                else:
+                    assert _witness_polys(q1, q2, bad) == polys
+    assert refused >= 100
 
 
 def test_witness_rejects_big_fields():

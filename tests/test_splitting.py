@@ -14,13 +14,15 @@ from quadclif.quadform import QuadraticForm
 from quadclif.splitting import (
     DEFAULT_BUDGET,
     SearchBudget,
-    _height_shell,
+    _first_common_zero,
+    _shell_blocks,
     find_isotropic,
     hyperbolic_complement,
     reduce_fully,
     search_is_exhaustive,
     split_hyperbolic,
 )
+from references import height_shell, sweep_first_common_zero
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -93,12 +95,79 @@ def test_budget_is_respected_over_q():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_height_shells_are_the_filtered_product(n):
-    # the sweep over Q visits the shells of height exactly h in the
+    # the reference sweep visits the shells of height exactly h in the
     # lexicographic order of the full product, lower shells left out
     for h in (1, 2, 3):
         want = [v for v in itertools.product(range(-h, h + 1), repeat=n)
                 if max(abs(c) for c in v) == h]
-        assert list(_height_shell(h, n)) == want
+        assert list(height_shell(h, n)) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, 1 << 15])
+def test_shell_blocks_are_the_shell_with_positive_lead(monkeypatch, block):
+    # the blocks the sweep over Q scores are the shell in product order
+    # with the vectors of negative first nonzero coordinate left out, cut
+    # at prefix boundaries into blocks that fit
+    import quadclif.splitting as splitting
+    monkeypatch.setattr(splitting, "_SHELL_BLOCK", block)
+    for n in range(1, 6):
+        for h in (1, 2, 4):
+            want = [v for v in height_shell(h, n) if next(c for c in v if c) > 0]
+            blocks = list(_shell_blocks(h, n))
+            assert [tuple(v) for b in blocks for v in b.tolist()] == want
+            assert all(0 < len(b) <= block for b in blocks)
+
+
+def _diag_q(entries):
+    return QuadraticForm.diagonal(QQ, entries)
+
+
+# (forms, height budget): anisotropic forms of ranks 1-5, zeros found at
+# and just past the budget height, fractional and radical forms, pairs,
+# and coefficients that push the scores past int64 onto Python ints
+SWEEP_CASES = [
+    ([_diag_q([1])], 4),
+    ([_diag_q([1, 1])], 6),
+    ([_diag_q([1, 1, 1])], 10),
+    ([_diag_q([1, 1, -3])], 10),
+    ([_diag_q([1, 1, 1, 1])], 5),
+    ([_diag_q([1, 2, 3, 5, 7])], 3),
+    ([_diag_q([1, -25])], 5),
+    ([_diag_q([1, -25])], 4),
+    ([_diag_q([1, 1, -49])], 7),
+    ([QuadraticForm(QQ, [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-7, 6)]])], 6),
+    ([QuadraticForm(QQ, [[Fraction(1, 3), 0, 0], [0, Fraction(2, 5), 0], [0, 0, -1]])], 6),
+    ([QuadraticForm(QQ, [[Fraction(1, 2), Fraction(1, 2)], [0, Fraction(-1)]])], 2),
+    ([QuadraticForm.of_ints(QQ, [[0, 0, 0], [0, 1, 0], [0, 0, -2]])], 3),
+    ([_diag_q([1, 1, -1, -1]), _diag_q([1, 2, -1, -2])], 4),
+    ([_diag_q([1, 1, 1, 1]), _diag_q([1, 2, 3, 5])], 3),
+    ([_diag_q([10 ** 17, 10 ** 17, 3 * 10 ** 16])], 6),
+    ([_diag_q([10 ** 17, -4 * 10 ** 17])], 3),
+    ([_diag_q([1, -(10 ** 18)]), _diag_q([0, 0])], 2),
+]
+
+
+@pytest.mark.parametrize("forms, height", SWEEP_CASES)
+def test_sweep_over_q_matches_the_per_vector_reference(forms, height):
+    assert _first_common_zero(forms, SearchBudget(height)) \
+        == sweep_first_common_zero(forms, height)
+
+
+def test_sweep_over_q_matches_the_reference_on_random_forms():
+    rng = random.Random(31)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return Fraction(rng.randint(-4, 4))
+
+    for _ in range(120):
+        n, k = rng.randint(1, 4), rng.randint(1, 2)
+        forms = [QuadraticForm(QQ, [[entry() if j >= i and rng.random() < 0.6 else Fraction(0)
+                                     for j in range(n)] for i in range(n)]) for _ in range(k)]
+        height = rng.randint(1, 4)
+        assert _first_common_zero(forms, SearchBudget(height)) \
+            == sweep_first_common_zero(forms, height)
 
 
 # ------------------------------------------------------- splitting a plane
