@@ -473,12 +473,8 @@ def center_report(algebra):
         # inseparable: nilpotent iff alpha is a square (then (w - r)^2 = 0)
         kind = "dual" if field.sqrt(alpha) is not None else "field"
         return CenterReport(2, kind, None, None, False)
-    if field.size() is None:
-        raise NotImplementedError(
-            "separable rank-2 center over an infinite characteristic-2 field"
-        )
-    # split iff x^2 + beta x + alpha has a root; search the finite field
-    # (signs are immaterial in characteristic 2)
+    # split iff x^2 + beta x + alpha has a root; search the field, finite
+    # as every field of characteristic 2 here is (signs are immaterial)
     for r in field.elements():
         if not (r * r + beta * r + alpha):
             # e = (w - r) / beta satisfies e^2 = e

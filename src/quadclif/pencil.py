@@ -31,23 +31,26 @@ points are the frozen rings.ResidueCoding.points tables, their forms
 int64 coefficient and polar matrices read off the coefficients, and
 rings.bilinear evaluates them.  Amer-Brumer (Brumer, C. R. Acad. Sci.
 Paris 286, 1978): q1 and q2 have a common zero over k exactly when
-x*q1 + q2 is isotropic over k(x), so a witness search past degree 0
-never finds a witness and always runs to exhaustion; that exhaustive
-path is what the search is built for.  Below each zero of q2 (a head) the
-coefficient vectors of a witness form a tree, level k fixed up to the
-span of a kernel by the coefficient of x^k; the search evaluates every
-level as terms of its distinct parent rows times terms of the span, one
-small float32 product per level, exact under the bounds at _run_levels,
-and checks every degree in one descent.  A witness it returns is
-checked once more, x*q1(v) + q2(v) = 0 by one einsum on int64 residues,
-apart from the search's float32 products.
+x*q1 + q2 is isotropic over k(x).  A common zero is a degree-0 witness;
+without one, the search past degree 0 is the Amer-Brumer check: it runs
+to exhaustion, counts every leaf, and raises
+InvariantViolation("amer-brumer") on any leaf that passes.  Below each
+zero h of q2 with B2(h, .) != 0 (a head; a zero in the radical of B2 has
+no child without a common zero, since the coefficient of x^1 then reads
+q1(h)) the coefficient vectors of a witness form a tree, level k fixed
+up to the span of a kernel by the coefficient of x^k; the search
+evaluates every level as terms of its distinct parent rows times terms
+of the span, one small float32 product per level, exact under the
+bounds at _run_levels, and checks every degree in one descent.  A
+degree-0 witness is checked once more, x*q1(v) + q2(v) = 0 by one einsum
+on int64 residues.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rings import (
@@ -507,25 +510,19 @@ _LEAF_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class _HeadRun:
-    """The kernel spans of a run of consecutive heads of one kind.
+    """The kernel spans of a run of consecutive heads, one slot each.
 
     Every level of the search below a head h solves ell(v) = r for
-    ell = B2(h, .).  With a pivot, ell[pivot] != 0, the solutions are
-    c e_piv + s, c = r ell[pivot]^-1, s in the kernel of ell; the heads
-    of a pivot run are its g slots, one row each.  A head without one (in
-    the radical of B2) keeps a row only where r = 0, and then every
-    vector of F_p^n solves: a radical run is one slot whose rows are its
-    heads, all sharing that span, and its e_piv reads 0.
+    ell = B2(h, .), which has a pivot, ell[pivot] != 0: the solutions are
+    c e_piv + s, c = r ell[pivot]^-1, s in the kernel of ell.
 
-    heads: (g, rows, n) residues; pivot: (g,) columns, 0 for a radical
-    run; neg_inv: (g,) the residue of -ell[pivot]^-1; e: (g, n) e_piv;
-    q_e: (g, 2) q1(e_piv), q2(e_piv); span: (g, w, n) the solutions s,
-    in the order of itertools.product over the kernel basis, so that
-    span[:, 0] = 0; part: (g, w, n + 5) float32 rows
-    (s, 1, B1(e_piv, s), B2(e_piv, s), q1(s), q2(s)) mod p.
+    heads: (g, n) residues; pivot: (g,) columns; neg_inv: (g,) the residue
+    of -ell[pivot]^-1; e: (g, n) e_piv; q_e: (g, 2) q1(e_piv), q2(e_piv);
+    span: (g, w, n) the solutions s, in the order of itertools.product
+    over the kernel basis, so that span[:, 0] = 0; part: (g, w, n + 5)
+    float32 rows (s, 1, B1(e_piv, s), B2(e_piv, s), q1(s), q2(s)) mod p.
     """
 
-    radical: bool
     heads: object
     pivot: object
     neg_inv: object
@@ -537,50 +534,36 @@ class _HeadRun:
     def slots(self, lo, hi):
         """The run of slots lo..hi-1."""
         pick = slice(lo, hi)
-        return _HeadRun(self.radical, self.heads[pick], self.pivot[pick],
-                        self.neg_inv[pick], self.e[pick], self.q_e[pick],
-                        self.span[pick], self.part[pick])
+        return _HeadRun(self.heads[pick], self.pivot[pick], self.neg_inv[pick],
+                        self.e[pick], self.q_e[pick], self.span[pick], self.part[pick])
 
 
-def _head_runs(forms, p, heads):
-    """The heads (h, n) as maximal runs of consecutive heads with a pivot
-    and without one, in order (see _HeadRun), the kernel spans and span
-    parts of all pivot heads built in one batched pass."""
+def _head_run(forms, p, zeros):
+    """The heads among the zeros (z, n) of q2, those h with
+    B2(h, .) != 0, in order, as one run (see _HeadRun), the kernel spans
+    and span parts of all of them built in one batched pass.  A zero in
+    the radical of B2 is dropped: below it the coefficient of x^1 reads
+    q1(h), so it has no child unless it is a common zero."""
     import numpy as np
     (c1, b1), (c2, b2) = forms
-    h, n = heads.shape
-    if not h:
-        return []
-    heads = heads.astype(np.int64)
-    ell = heads @ b2 % p
+    n = zeros.shape[1]
+    zeros = zeros.astype(np.int64)
+    ell = zeros @ b2 % p
     has = ell.any(axis=1)
-    pos = np.flatnonzero(has)
-    if len(pos):
-        piv = (ell[pos] != 0).argmax(axis=1)
-        e = np.eye(n, dtype=np.int64)[piv]
-        inv = ell[pos, piv] ** (p - 2) % p  # ell[piv]^-1, by Fermat
-        # the kernel of ell is spanned by the rows i != piv of
-        # I - (ell^T ell[piv]^-1) e_piv, whose row piv reads 0: the vectors
-        # with 0 at piv, in lexicographic order of the rest, times it give
-        # the span in the order of itertools.product over that basis
-        basis = np.eye(n, dtype=np.int64) - (ell[pos] * inv[:, None])[:, :, None] * e[:, None]
-        span = _zero_at(p, n)[piv] @ basis % p
-        pivots = _HeadRun(
-            radical=False, heads=heads[pos, None], pivot=piv, neg_inv=(p - inv) % p, e=e,
-            q_e=np.stack([c1[piv, piv], c2[piv, piv]], axis=1), span=span,
-            part=_span_part(forms, p, span, e))
-    if len(pos) < h:
-        span = _all_vectors(p, n)[None]
-        zero = np.zeros((1, n), dtype=np.int64)
-        radical = _HeadRun(
-            radical=True, heads=None, pivot=np.zeros(1, dtype=np.int64),
-            neg_inv=np.zeros(1, dtype=np.int64), e=zero, q_e=np.zeros((1, 2)), span=span,
-            part=_span_part(forms, p, span, zero))
-    rank = np.cumsum(has) - 1
-    cuts = [0, *(np.flatnonzero(np.diff(has)) + 1).tolist(), h]
-    return [pivots.slots(rank[lo], rank[lo] + hi - lo) if has[lo]
-            else replace(radical, heads=heads[None, lo:hi])
-            for lo, hi in zip(cuts, cuts[1:])]
+    heads, ell = zeros[has], ell[has]
+    piv = (ell != 0).argmax(axis=1)
+    e = np.eye(n, dtype=np.int64)[piv]
+    inv = ell[np.arange(len(piv)), piv] ** (p - 2) % p  # ell[piv]^-1, by Fermat
+    # the kernel of ell is spanned by the rows i != piv of
+    # I - (ell^T ell[piv]^-1) e_piv, whose row piv reads 0: the vectors
+    # with 0 at piv, in lexicographic order of the rest, times it give
+    # the span in the order of itertools.product over that basis
+    basis = np.eye(n, dtype=np.int64) - (ell * inv[:, None])[:, :, None] * e[:, None]
+    span = _zero_at(p, n)[piv] @ basis % p
+    return _HeadRun(
+        heads=heads, pivot=piv, neg_inv=(p - inv) % p, e=e,
+        q_e=np.stack([c1[piv, piv], c2[piv, piv]], axis=1), span=span,
+        part=_span_part(forms, p, span, e))
 
 
 def _span_part(forms, p, span, e):
@@ -598,51 +581,45 @@ def _span_part(forms, p, span, e):
     return part
 
 
-def _head_search(forms, p, runs, degrees):
-    """Exhaustive search, for each d in degrees (ascending, d >= 1) and
-    then head by head in the order of runs (_head_runs), for
-    v = head + v_1 x + ... + v_d x^d with v_d != 0 and
-    x*q1(v) + q2(v) = 0, every head a zero of q2.
+def _head_search(forms, p, run, max_degree):
+    """The Amer-Brumer check below the heads of run (_head_run): an
+    exhaustive search, for every degree d = 1..max_degree and every head
+    h, for v = h + v_1 x + ... + v_d x^d with v_d != 0 and
+    x*q1(v) + q2(v) = 0.
 
-    Returns (vs, leaves): vs the coefficient vectors of the first solution
-    in that order, or None, and leaves the number of candidate tuples
-    (head, v_1, ..., v_d) of the searched degrees counted up to it.
-    Within a degree and a head the enumeration is a depth-first walk,
-    level 1 outermost, over the solutions v_k of the linear condition on
-    the coefficient of x^k (see _HeadRun).  The slots of a run are
-    searched in batches whose level max(degrees) - 1 stays within
+    Returns the number of leaves, the candidate tuples (h, v_1, ..., v_d)
+    of every degree, all of them evaluated; it runs only on pairs without
+    a common zero, so a leaf that passes raises (_no_witness).  Below a
+    head the enumeration is a tree, level k the solutions v_k of the
+    linear condition on the coefficient of x^k (see _HeadRun), so every
+    head has sum_{d=1}^{max_degree} p^((n-1)d) leaves.  The slots are
+    searched in batches whose level max_degree - 1 stays within
     _LEAF_BLOCK rows, each batch by one descent (_run_levels) that checks
-    every degree on its way down; after a solution at degree d the later
-    batches descend to degree d - 1 only.
+    every degree on its way down.
     """
-    first, last = degrees[0], degrees[-1]
-    counted = dict.fromkeys(degrees, 0)  # leaves of the batches so far
-    hits = {}  # degree: (leaves up to the first solution, its vectors)
-    for run in runs:
-        g, w = run.span.shape[:2]
-        lo = 0
-        while lo < g and last >= first:
-            size = max(1, _LEAF_BLOCK // w ** (last - 1))
-            for d, vs, count in _run_levels(forms, p, run.slots(lo, lo + size), first, last):
-                if vs is not None:
-                    # later batches come after this solution at degree d
-                    hits[d] = (counted[d] + count, vs)
-                    last = d - 1
-                counted[d] += count
-            lo += size
-    if not hits:
-        return None, sum(counted.values())
-    d = min(hits)
-    return hits[d][1], sum(counted[k] for k in degrees if k < d) + hits[d][0]
+    g, w = run.span.shape[:2]
+    size = max(1, _LEAF_BLOCK // w ** (max_degree - 1))
+    return sum(_run_levels(forms, p, run.slots(lo, lo + size), max_degree)
+               for lo in range(0, g, size))
 
 
-def _run_levels(forms, p, run, first, last):
+def _no_witness(ok, d):
+    """The number of leaves of degree d in the mask ok of those that pass,
+    after checking that none does: by Amer-Brumer, x*q1 + q2 is
+    anisotropic over k(x) when q1 and q2 have no common zero."""
+    if ok.any():
+        raise InvariantViolation(
+            "amer-brumer",
+            "a degree-%d leaf solves x*q1(v) + q2(v) = 0, but q1 and q2 have "
+            "no common zero" % d)
+    return ok.size
+
+
+def _run_levels(forms, p, run, last):
     """The search of _head_search on the slots of one run, for the
-    degrees first..last, as one descent: yields (d, vs, count) for each
-    degree d in order, vs the first solution of degree d or None and count
-    the leaves up to it, and stops after the first d with a solution.
-    Every level is evaluated as terms of the distinct parent rows times
-    terms of the span.
+    degrees 1..last, as one descent: returns the number of leaves, each
+    checked by _no_witness.  Every level is evaluated as terms of the
+    distinct parent rows times terms of the span.
 
     The coefficient of x^j in x*q1(v) + q2(v) is the sum of
     B2(v_a, v_b) over a < b, a + b = j, of B1(v_a, v_b) over a < b,
@@ -674,14 +651,13 @@ def _run_levels(forms, p, run, first, last):
     constant at most (p-1)(1 + 160 + (p-1)^2) = 708, and a value at most
     n 160 (p-1) + 708 + 2(p-1)^2 < 2^12, far below 2^24 (2^23 + 2^12 at
     the last level, see _LEAF_OFFSET).  Each K_j is reduced mod p before
-    it is used.  The zero leaf (c = 0 with span[0] = 0) is dropped.  A
-    leaf counts once its conditions have been evaluated; the count stops
-    at the first solution in C order over (slot, row, span column).
+    it is used.  The zero leaf (c = 0 with span[0] = 0) is no witness and
+    is masked out of the test, but counts as a leaf.
     """
     import numpy as np
     f32 = np.float32
     (c1, b1), (c2, b2) = forms
-    g, rows, n = run.heads.shape
+    g, n = run.heads.shape
     w = run.span.shape[1]
     # every array keeps its rows on the last axis, so that numpy's inner
     # loops run over rows rather than over n or n + 5 entries
@@ -691,27 +667,13 @@ def _run_levels(forms, p, run, first, last):
     span = run.span.transpose(2, 0, 1).astype(f32)  # (n, g, w)
     neg_inv = run.neg_inv[:, None].astype(f32)
     q_e = run.q_e.astype(f32)
-    vs = run.heads.transpose(2, 0, 1)[:, :, None].astype(f32)  # (n, g, m, rows)
-    known = (bilinear(run.heads, c1, run.heads) % p)[:, None].astype(f32)  # K_1
-
-    def solution(ok, a=0, lo=0):
-        """(vectors, leaves up to it) of the first leaf that passes in ok,
-        (slot, row, column) from slot a and row lo on."""
-        index = int(ok.argmax())
-        slot, r, col = np.unravel_index(index, ok.shape)
-        slot, r = a + slot, lo + r
-        top = (c[slot, r] * e[:, slot] + span[:, slot, col]) % p
-        return list(vs[:, slot, :, r].T.astype(np.int64)) + [top.astype(np.int64)], index + 1
-
+    vs = run.heads.T[:, :, None, None].astype(f32)  # (n, g, m, rows)
+    known = (bilinear(run.heads, c1, run.heads) % p)[:, None, None].astype(f32)  # K_1
+    counted = 0
     for m in range(1, last + 1):
         # vs holds v_0..v_{m-1} of every row; known (g, m, rows) the K_j of
         # every row for j = m..2m-1
-        if run.radical:
-            keep = known[0, 0] == 0
-            vs, known = vs[..., keep], known[..., keep]
-            c = np.zeros((1, vs.shape[3]), dtype=f32)
-        else:
-            c = _mod(known[:, 0] * neg_inv, p)
+        c = _mod(known[:, 0] * neg_inv, p)
         rows = vs.shape[3]
         # the row vectors of j = m+1..2m+1, (g, n + 5, m + 1, rows)
         row = np.zeros((g, n + 5, m + 1, rows), dtype=f32)
@@ -732,13 +694,9 @@ def _run_levels(forms, p, run, first, last):
         values = run.part @ row.reshape(g, n + 5, -1)  # (g, w, (m + 1) rows)
         known = _mod(values, p).reshape(g, w, m + 1, rows).transpose(0, 2, 3, 1) \
             .reshape(g, m + 1, rows * w)
-        if m >= first:
-            ok = ~known.any(axis=1).reshape(g, rows, w)
-            ok[:, :, 0] &= c != 0  # the zero leaf
-            if ok.any():
-                yield (m, *solution(ok))
-                return
-            yield m, None, ok.size
+        ok = ~known.any(axis=1).reshape(g, rows, w)
+        ok[:, :, 0] &= c != 0  # the zero leaf
+        counted += _no_witness(ok, m)
         grown = np.empty((n, g, m + 1, rows, w), dtype=f32)
         grown[:, :, :m] = vs[..., None]
         grown[:, :, m] = _mod(e[:, :, None, None] * c[:, :, None] + span[:, :, None], p)
@@ -749,23 +707,17 @@ def _run_levels(forms, p, run, first, last):
     row[:, n] += _LEAF_OFFSET
     per = max(1, _LEAF_BLOCK // w)
     if rows <= per:
-        step = per // max(rows, 1)
+        step = per // rows
         blocks = [(a, min(a + step, g), 0, rows) for a in range(0, g, step)]
     else:
         blocks = [(a, a + 1, lo, min(lo + per, rows))
                   for a in range(g) for lo in range(0, rows, per)]
-    counted = 0
     for a, b, lo, hi in blocks:
         values = run.part[a:b] @ row[a:b, :, :, lo:hi].reshape(b - a, n + 5, -1)
         ok = _leaves_divisible(values.reshape(b - a, w, m + 1, hi - lo), p)
         ok[:, 0] &= c[a:b, lo:hi] != 0  # the zero leaf
-        if ok.any():
-            # ok is (slot, span column, row); leaves count in (slot, row, column) order
-            vecs, index = solution(ok.transpose(0, 2, 1), a, lo)
-            yield m, vecs, counted + index
-            return
-        counted += ok.size
-    yield m, None, counted
+        counted += _no_witness(ok, m)
+    return counted
 
 
 # added to the constant of every leaf condition, so that a value v < 2^12
@@ -822,30 +774,24 @@ def _witness_polys(q1, q2, vs):
 
 
 def pencil_isotropy_witness(q1, q2, max_degree=3):
-    """Search for a vector of polynomials v(x), not identically zero, with
-    x*q1(v) + q2(v) = 0 identically and degree <= max_degree.
+    """A constant vector v, not zero, with x*q1(v) + q2(v) = 0, that is a
+    common zero of q1 and q2, or the Amer-Brumer check that no vector of
+    polynomials of degree <= max_degree is one.
 
-    Returns (witness, leaves): the witness as polynomial coordinates, or
-    None, and the number of candidate coefficient tuples of degree >= 1
-    whose conditions were evaluated before the search stopped.  The
-    search is exhaustive for each degree d in ascending order.  The head
-    coefficient vector v_0 runs over the projective zeros of q2
-    (coefficient of x^0), first nonzero coordinate 1, in lexicographic
-    order; a degree-0 witness is exactly a common zero of the two forms.
-    For d >= 1 the heads are searched by _head_search, with the kernel
-    spans of all heads and the span terms of their conditions built once,
-    in one batched pass, by _head_runs; every level is evaluated as terms
-    of its distinct parent rows times span terms, in exact float32
-    products (bounds at _run_search).  With p odd and B2(v_0, .) != 0
-    for every head, an exhausted search counts
-    #heads * sum_{d=1}^{max_degree} p^((n-1)d) leaves.  The witness is
-    checked over the wrapped field before it is returned.
-
-    By the Amer-Brumer theorem a pencil whose forms have no common zero
-    is anisotropic over k(x), so a search that gets past degree 0 finds
-    nothing and always runs to exhaustion: the early exit of higher
-    degrees is kept for correctness, and the exhaustive path is the one
-    the search is built for.
+    Returns (witness, leaves).  The candidates for the coefficient v_0 of
+    x^0 are the projective zeros of q2, first nonzero coordinate 1, in
+    lexicographic order.  The first of them that q1 also vanishes on is
+    the witness, as polynomial coordinates of degree 0, checked by
+    _witness_polys, and leaves is 0.  Without one the witness is None, and
+    by the Amer-Brumer theorem x*q1 + q2 is anisotropic over k(x): the
+    search of degrees 1..max_degree (_head_search) runs to exhaustion below
+    every zero h of q2 with B2(h, .) != 0, the kernel spans of all of them
+    and the span terms of their conditions built once, in one batched
+    pass, by _head_run; every level is evaluated as terms of its distinct
+    parent rows times span terms, in exact float32 products (bounds at
+    _run_levels).  leaves is the number of candidate coefficient tuples
+    it evaluated, #heads * sum_{d=1}^{max_degree} p^((n-1)d), and a tuple
+    that passes raises InvariantViolation("amer-brumer").
     """
     import numpy as np
     if q1.field is not q2.field or q1.n != q2.n:
@@ -858,15 +804,14 @@ def pencil_isotropy_witness(q1, q2, max_degree=3):
     p = field.p
     forms = _int_forms(q1, q2)
     pts = _projective_points(p, n, True)
-    heads = pts[bilinear(pts, forms[1][0], pts) % p == 0]
+    zeros = pts[bilinear(pts, forms[1][0], pts) % p == 0]
 
-    common = np.flatnonzero(bilinear(heads, forms[0][0], heads) % p == 0)
+    common = np.flatnonzero(bilinear(zeros, forms[0][0], zeros) % p == 0)
     if max_degree >= 0 and len(common):
-        return _witness_polys(q1, q2, [heads[common[0]]]), 0
-    if max_degree < 1 or not len(heads):
+        return _witness_polys(q1, q2, [zeros[common[0]]]), 0
+    if max_degree < 1 or not len(zeros):
         return None, 0
-    vs, leaves = _head_search(forms, p, _head_runs(forms, p, heads), range(1, max_degree + 1))
-    return (None if vs is None else _witness_polys(q1, q2, vs)), leaves
+    return None, _head_search(forms, p, _head_run(forms, p, zeros), max_degree)
 
 
 @dataclass(frozen=True)
@@ -885,14 +830,13 @@ def amer_brumer_check(q1, q2, max_degree=3):
     function field.
 
     Side A evaluates both forms on every projective point; side B runs
-    the bounded witness search.  A common zero must reappear as a
-    degree-0 witness, and a witness without a common zero falsifies the
-    correspondence, so either direction failing raises instead of
-    reporting.  An exhausted search over an odd prime field whose heads
-    all have B2(head, .) != 0 must have counted exactly its closed-form
-    number of leaves.
+    the witness search, which raises on any witness of degree >= 1.  A
+    common zero must reappear as a degree-0 witness, and a witness
+    without a common zero falsifies the correspondence, so either
+    direction failing raises instead of reporting.  An exhausted search
+    must have counted exactly its closed-form number of leaves,
+    #(zeros h of q2 with B2(h, .) != 0) * sum_{d=1}^{max_degree} p^((n-1)d).
     """
-    import numpy as np
     if q1.field is not q2.field or q1.n != q2.n:
         raise ValueError("forms must share a field and a rank")
     field, n = q1.field, q1.n
@@ -911,20 +855,13 @@ def amer_brumer_check(q1, q2, max_degree=3):
         raise InvariantViolation(
             "isotropy-correspondence",
             "common zero exists but no constant witness was produced")
-    if len(zeros):
-        deg = max(c.degree() for c in witness)
-        if deg != 0:
-            raise InvariantViolation(
-                "isotropy-correspondence",
-                "common zero exists but the first witness has degree %d" % deg)
     if witness is not None and not len(zeros):
         raise InvariantViolation(
             "isotropy-correspondence",
-            "function-field witness at degree <= %d without any common zero"
-            % max_degree)
-    heads = pts[on_q2]
-    if witness is None and p % 2 and (heads @ b2 % p).any(axis=1).all():
-        want = len(heads) * sum(p ** ((n - 1) * d) for d in range(1, max_degree + 1))
+            "constant witness without any common zero")
+    if witness is None:
+        heads = int((pts[on_q2] @ b2 % p).any(axis=1).sum())
+        want = heads * sum(p ** ((n - 1) * d) for d in range(1, max_degree + 1))
         if leaves != want:
             raise InvariantViolation(
                 "witness-coverage",

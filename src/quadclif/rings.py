@@ -364,21 +364,12 @@ class ExtensionField(FieldContext):
         f = cls._cache.get(key)
         if f is not None:
             return f
+        if base.size() is None:
+            raise ValueError("extension fields need a finite base, not %s" % base.label())
         if modulus.degree() < 2 or modulus.lc() != base.one():
             raise ValueError("modulus must be monic of degree >= 2")
-        if base.size() is not None:
-            if not poly_is_irreducible(modulus):
-                raise ValueError("modulus %s is reducible" % (modulus,))
-        else:
-            # infinite base: only quadratics, certified irreducible by the
-            # discriminant being a nonsquare (characteristic not 2)
-            if modulus.degree() != 2:
-                raise ValueError("over an infinite base only quadratic extensions are supported")
-            if base.characteristic == 2:
-                raise ValueError("quadratic extensions of infinite characteristic-2 fields are out of scope")
-            b, c = modulus.coeff(1), modulus.coeff(0)
-            if base.is_square(b * b - 4 * c):
-                raise ValueError("modulus %s has a root in %s" % (modulus, base.label()))
+        if not poly_is_irreducible(modulus):
+            raise ValueError("modulus %s is reducible" % (modulus,))
         f = super().__new__(cls)
         f.base = base
         f.modulus = modulus
@@ -414,8 +405,7 @@ class ExtensionField(FieldContext):
         return self.base.characteristic
 
     def size(self):
-        b = self.base.size()
-        return None if b is None else b ** self.degree
+        return self.base.size() ** self.degree
 
     def elements(self):
         base_elems = list(self.base.elements())
@@ -456,18 +446,12 @@ class ExtensionField(FieldContext):
 
     def frobenius(self, a):
         """The base-size power map, generates Gal over the base."""
-        q = self.base.size()
-        if q is None:
-            raise TypeError("Frobenius needs a finite base field")
-        return a ** q
+        return a ** self.base.size()
 
     def is_square(self, a):
-        q = self.size()
-        if q is None:
-            raise NotImplementedError("square testing in an infinite extension")
         if not a or self.characteristic == 2:
             return True
-        return a ** ((q - 1) // 2) == self.one()
+        return a ** ((self.size() - 1) // 2) == self.one()
 
     def non_square(self):
         if self.characteristic == 2:

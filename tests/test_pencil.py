@@ -30,7 +30,7 @@ from quadclif.pencil import (
     gaussian_binomial,
     pencil_isotropy_witness,
 )
-from quadclif.pencil import _head_runs, _head_search, _int_forms, _witness_polys
+from quadclif.pencil import _head_run, _head_search, _int_forms, _witness_polys
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -386,11 +386,13 @@ def test_rank5_f3_always_finds_degree_zero():
     assert w is not None and max(c.degree() for c in w) == 0
 
 
-# By Amer-Brumer a full search never returns a witness of degree >= 1,
-# so the leaf check of the degree-d level is tested head by head: a
-# common zero z of the two forms is a head, and z*(x+1)^d is a witness
-# of exact degree d with that head.  The expected vectors are the first
-# solutions of a depth-first walk over the kernel combinations.
+# Without a common zero the search below the heads never meets a leaf
+# that passes (Amer-Brumer), and one that does is refused.  The refusal
+# is tested where there is a witness: a common zero z of the two forms
+# is a head, and z*(x+1)^d is a witness of exact degree d with that head.
+# The vectors are the first witness of degree d of a depth-first walk
+# over the kernel combinations (_loop_head_search), after the given
+# number of leaves of degree d.
 HEAD_SEARCH_CASES = [
     ([1, 2, 1], [1, 1, 2], [0, 1, 1], 1, [[0, 1, 1], [0, 1, 1]], 2),
     ([1, 2, 1], [1, 1, 2], [0, 1, 1], 2, [[0, 1, 1], [0, 0, 0], [0, 1, 1]], 2),
@@ -404,16 +406,21 @@ HEAD_SEARCH_CASES = [
 ]
 
 
+def _refused(search):
+    with pytest.raises(InvariantViolation) as err:
+        search()
+    assert err.value.invariant == "amer-brumer"
+
+
 @pytest.mark.parametrize("c1,c2,z,d,want,leaves", HEAD_SEARCH_CASES)
 def test_head_search_finds_a_witness_of_each_degree(c1, c2, z, d, want, leaves):
+    # the search of degrees up to d below z finds a witness and refuses it
     import numpy as np
     q1, q2 = diag(F3, c1), diag(F3, c2)
     forms, head = _int_forms(q1, q2), np.array(z)
-    vs, count = _head_search(forms, 3, _head_runs(forms, 3, head[None]), range(d, d + 1))
-    assert [[int(a) for a in v] for v in vs] == want
-    assert count == leaves
-    polys = _witness_polys(q1, q2, vs)
-    assert max(c.degree() for c in polys) == d
+    assert _loop_head_search(forms, 3, head, d) == (want, leaves)
+    assert max(c.degree() for c in _witness_polys(q1, q2, want)) == d
+    _refused(lambda: _head_search(forms, 3, _head_run(forms, 3, head[None]), d))
 
 
 def _loop_coefficient(forms, vs, k, p):
@@ -431,8 +438,9 @@ def _loop_coefficient(forms, vs, k, p):
 
 
 def _loop_head_search(forms, p, head, d):
-    """Depth-first loop version of _head_search, the reference for its
-    enumeration order and leaf count."""
+    """Depth-first loop version of the search of degree d below one head,
+    the reference for _head_search: (the first witness or None, the
+    leaves counted up to it)."""
     n = len(head)
     ell = [sum(int(head[i]) * int(forms[1][1][i][j]) for i in range(n)) % p
            for j in range(n)]
@@ -470,32 +478,43 @@ def _loop_head_search(forms, p, head, d):
     return walk([[int(a) for a in head]]), leaves
 
 
-def _loop_search(forms, p, heads, degrees):
+def _has_pivot(forms, p, head):
+    return bool((head @ forms[1][1] % p).any())
+
+
+def _loop_search(forms, p, zeros, max_degree):
     """The loop version of _head_search: degree by degree, then head by
-    head, the leaves of every walk counted up to the first solution."""
+    head over the zeros with a pivot (_head_run drops the others), the
+    leaves of every walk counted up to the first witness; (whether there
+    is one, the leaves)."""
     total = 0
-    for d in degrees:
-        for head in heads:
-            got, leaves = _loop_head_search(forms, p, head, d)
-            total += leaves
-            if got:
-                return got, total
-    return None, total
+    for d in range(1, max_degree + 1):
+        for head in zeros:
+            if _has_pivot(forms, p, head):
+                got, leaves = _loop_head_search(forms, p, head, d)
+                total += leaves
+                if got:
+                    return True, total
+    return False, total
 
 
-def _assert_search_matches_the_loop(forms, p, heads, degrees, monkeypatch):
+def _assert_search_matches_the_loop(forms, p, zeros, max_degree, monkeypatch):
+    """The search refuses exactly when the loop finds a witness, and
+    otherwise counts the loop's leaves; returns the loop's answer."""
     import numpy as np
     import quadclif.pencil as pencil_mod
-    heads = np.array(heads)
-    want, want_leaves = _loop_search(forms, p, heads, degrees)
+    zeros = np.array(zeros)
+    found, want_leaves = _loop_search(forms, p, zeros, max_degree)
     # blocks of one row (7 leaves), of several rows (64 leaves) and of
     # whole heads, so that rows and heads straddle block boundaries
     for block in (7, 64, 1 << 15):
         monkeypatch.setattr(pencil_mod, "_LEAF_BLOCK", block)
-        vs, leaves = _head_search(forms, p, _head_runs(forms, p, heads), degrees)
-        assert leaves == want_leaves
-        assert (None if vs is None else [[int(a) for a in v] for v in vs]) == want
-    return want, want_leaves
+        run = _head_run(forms, p, zeros)
+        if found:
+            _refused(lambda: _head_search(forms, p, run, max_degree))
+        else:
+            assert _head_search(forms, p, run, max_degree) == want_leaves
+    return found, want_leaves
 
 
 def _lexicographic_heads(field, forms):
@@ -509,10 +528,6 @@ def _lexicographic_heads(field, forms):
     return pts[bilinear(pts, forms[1][0], pts) % p == 0]
 
 
-def _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch):
-    return _assert_search_matches_the_loop(forms, p, [head], range(d, d + 1), monkeypatch)
-
-
 @pytest.mark.parametrize("p,n,d", [(2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2),
                                    (3, 4, 2), (5, 2, 2), (3, 5, 1), (5, 3, 2),
                                    (3, 4, 3)])
@@ -523,52 +538,49 @@ def test_head_search_matches_the_loop_version(p, n, d, monkeypatch):
         q1, q2 = _random_form(rng, field, n), _random_form(rng, field, n)
         forms = _int_forms(q1, q2)
         for head in _lexicographic_heads(field, forms)[:3]:
-            _assert_head_search_matches_the_loop(forms, p, head, d, monkeypatch)
+            _assert_search_matches_the_loop(forms, p, [head], d, monkeypatch)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_head_search_in_the_radical_of_q2_over_f3(d, monkeypatch):
     # e_0 spans the radical of q2, so B2(head, .) = 0 and no level has a
-    # pivot: v_d runs over all of F_3^3, and a row survives only when its
-    # condition already holds, which starts with q1(head) = 0
+    # pivot; q1(e_0) = 1, so the condition at x^1 fails for every v_1 and
+    # the head has no child, and _head_run drops it
     import numpy as np
-    q1 = QuadraticForm.of_ints(F3, [[0, 1, 0], [0, 2, 1], [0, 0, 1]])
+    q1 = QuadraticForm.of_ints(F3, [[1, 1, 0], [0, 2, 1], [0, 0, 1]])
     q2 = diag(F3, [0, 1, 2])
     forms = _int_forms(q1, q2)
     head = np.array([1, 0, 0])
-    assert not (head @ forms[1][1] % 3).any()
-    want, leaves = _assert_head_search_matches_the_loop(forms, 3, head, d, monkeypatch)
-    # head * x^d, at combination (1, 0, 0) of the first row
-    assert want == [[1, 0, 0]] + [[0, 0, 0]] * (d - 1) + [[1, 0, 0]]
-    assert leaves == 10
+    assert not _has_pivot(forms, 3, head)
+    assert _loop_head_search(forms, 3, head, d) == (None, 0)
+    assert len(_head_run(forms, 3, head[None]).heads) == 0
+    assert _assert_search_matches_the_loop(forms, 3, [head], d, monkeypatch) == (False, 0)
 
 
 def test_head_search_skips_a_row_whose_only_solution_is_the_zero_leaf(monkeypatch):
-    import numpy as np
-    q1 = QuadraticForm.of_ints(F3, [[0, 1, 0], [0, 2, 1], [0, 0, 1]])
-    q2 = QuadraticForm.of_ints(F3, [[0, 2, 1], [0, 1, 1], [0, 0, 2]])
+    # h is a zero of q1 but not of q2, so it is no head of a real search;
+    # below it c = 0 at every level, and the zero leaf (h, 0, ..., 0)
+    # meets every condition of degree 1..3 while no other leaf does
+    q1 = QuadraticForm.of_ints(F3, [[2, 1, 2], [0, 1, 2], [0, 0, 2]])
+    q2 = QuadraticForm.of_ints(F3, [[2, 2, 0], [0, 1, 0], [0, 0, 2]])
     forms = _int_forms(q1, q2)
     head = [1, 0, 1]
-    # the first row, v_1 = (2, 0, 0), meets every condition of degree 2
-    # only with v_2 = 0; the search must go on to the second row
-    assert all(_loop_coefficient(forms, [head, [2, 0, 0], [0, 0, 0]], k, 3) == 0
-               for k in (3, 4, 5))
-    want, leaves = _assert_head_search_matches_the_loop(forms, 3, np.array(head), 2,
-                                                        monkeypatch)
-    assert want == [head, [0, 0, 1], [2, 0, 0]]
-    assert leaves == 10  # the first leaf of the second row of 9
+    for d in (1, 2, 3):
+        assert all(_loop_coefficient(forms, [head] + [[0, 0, 0]] * d, k, 3) == 0
+                   for k in range(1, 2 * d + 2))
+    found, leaves = _assert_search_matches_the_loop(forms, 3, [head], 3, monkeypatch)
+    assert not found and leaves == 9 + 9 ** 2 + 9 ** 3
 
 
 @pytest.mark.parametrize("p,n,degrees", [(2, 3, range(1, 4)), (2, 4, range(1, 3)),
                                          (3, 2, range(1, 4)), (3, 3, range(1, 3)),
-                                         (3, 3, range(2, 4)), (5, 2, range(1, 4))])
+                                         (3, 3, range(1, 4)), (5, 2, range(1, 4))])
 def test_head_search_over_all_heads_matches_the_loop_version(p, n, degrees, monkeypatch):
-    # every head of a pair in one call, degree by degree: the pivot heads
-    # batched into slots, and in every other pair e_0 in the radical of q2
-    # and a zero of q1, so that a head without a pivot keeps rows and
-    # splits the pivot heads into two runs
+    # every zero of q2 of a pair in one call, the heads batched into
+    # slots, and in every other pair e_0 in the radical of q2 and a zero
+    # of q1, a common zero that _head_run drops
     field = PrimeField(p)
-    rng = random.Random(1000 * p + 10 * n + degrees.start)
+    rng = random.Random(1000 * p + 10 * n + degrees[-1])
     for k in range(4):
         rows = [[[rng.randrange(p) if j >= i else 0 for j in range(n)] for i in range(n)]
                 for _ in range(2)]
@@ -576,10 +588,10 @@ def test_head_search_over_all_heads_matches_the_loop_version(p, n, degrees, monk
             rows[0][0][0] = 0
             rows[1][0] = [0] * n
         forms = _int_forms(*(QuadraticForm.of_ints(field, r) for r in rows))
-        heads = _lexicographic_heads(field, forms)
+        zeros = _lexicographic_heads(field, forms)
         if k % 2:
-            assert any(run.radical for run in _head_runs(forms, p, heads))
-        _assert_search_matches_the_loop(forms, p, heads, degrees, monkeypatch)
+            assert not all(_has_pivot(forms, p, z) for z in zeros)
+        _assert_search_matches_the_loop(forms, p, zeros, degrees[-1], monkeypatch)
 
 
 # answers of amer_brumer_check on the corpus of tests/witness_corpus.py,
@@ -590,26 +602,79 @@ PINNED_SEARCHES = json.loads(
     (Path(__file__).parent / "data" / "witness_search.json").read_text())
 
 
+def _corpus_pairs():
+    """(p, q1, q2, max_degree, zeros of q2 in the radical of B2) of every
+    pair of the corpus."""
+    for p, a, b, d in witness_corpus():
+        field = PrimeField(p)
+        q1, q2 = QuadraticForm.of_ints(field, a), QuadraticForm.of_ints(field, b)
+        forms = _int_forms(q1, q2)
+        zeros = _lexicographic_heads(field, forms)
+        yield p, q1, q2, d, [z for z in zeros if not _has_pivot(forms, p, z)]
+
+
 def test_witness_search_matches_the_pinned_answers():
     corpus = witness_corpus()
     assert [[p, q1, q2, d] for p, q1, q2, d in corpus] \
         == [[pin["p"], pin["q1"], pin["q2"], pin["max_degree"]] for pin in PINNED_SEARCHES]
     kinds = set()
-    for (p, a, b, d), pin in zip(corpus, PINNED_SEARCHES):
-        field = PrimeField(p)
-        q1, q2 = QuadraticForm.of_ints(field, a), QuadraticForm.of_ints(field, b)
+    for (p, q1, q2, d, radical), pin in zip(_corpus_pairs(), PINNED_SEARCHES):
         r = amer_brumer_check(q1, q2, d)
         witness = None if r.witness is None else [[c.v for c in f.coeffs] for f in r.witness]
         assert (r.common_zero_count, witness, r.witness_degree, r.leaves) \
             == (pin["common_zero_count"], pin["witness"], pin["witness_degree"], pin["leaves"])
-        forms = _int_forms(q1, q2)
-        radical = any(run.radical for run in _head_runs(forms, p, _lexicographic_heads(field, forms)))
-        kinds.add((p, len(a), r.common_zero_count > 0, radical and not r.common_zero_count))
+        kinds.add((p, q1.n, r.common_zero_count > 0, bool(radical) and not r.common_zero_count))
     # both kinds at every field and rank below 5, and heads without a pivot
     assert {(p, n, zero) for p, n, zero, _ in kinds} \
         == {(p, n, z) for p in (2, 3, 5) for n in (2, 3, 4, 5) for z in (True, False)
             if z or n < 5}
     assert {p for p, _, _, radical in kinds if radical} == {2, 3, 5}
+
+
+def test_radical_zeros_of_exhausted_pairs_have_no_child():
+    # below a zero h of q2 in the radical of B2 the coefficient of x^1 is
+    # q1(h), so without a common zero no v_1 solves it
+    pairs = 0
+    for p, q1, q2, _, radical in _corpus_pairs():
+        if pencil_isotropy_witness(q1, q2, 0)[0] is not None or not radical:
+            continue
+        forms = _int_forms(q1, q2)
+        assert all(_loop_head_search(forms, p, z, 1) == (None, 0) for z in radical)
+        pairs += 1
+    assert pairs == 15
+
+
+def _exhausted_pair(pick):
+    """The first pair of the corpus without a common zero, with leaves
+    below its heads, that pick accepts, as (q1, q2, max_degree)."""
+    for p, q1, q2, d, radical in _corpus_pairs():
+        if pick(p, radical):
+            witness, leaves = pencil_isotropy_witness(q1, q2, d)
+            if witness is None and leaves:
+                return q1, q2, d
+
+
+@pytest.mark.parametrize("pick", [lambda p, radical: p == 2, lambda p, radical: bool(radical)],
+                         ids=["p=2", "radical zero"])
+def test_a_search_one_leaf_short_fails_the_coverage_check(pick, monkeypatch):
+    import quadclif.pencil as pencil_mod
+    q1, q2, d = _exhausted_pair(pick)
+    search = pencil_mod._head_search
+    monkeypatch.setattr(pencil_mod, "_head_search", lambda *args: search(*args) - 1)
+    with pytest.raises(InvariantViolation) as err:
+        amer_brumer_check(q1, q2, d)
+    assert err.value.invariant == "witness-coverage"
+
+
+def test_a_leaf_that_passes_is_refused(monkeypatch):
+    # every leaf of the last level passes the divisibility test
+    import numpy as np
+    import quadclif.pencil as pencil_mod
+    monkeypatch.setattr(pencil_mod, "_leaves_divisible",
+                        lambda values, p: np.ones(values.shape[:2] + values.shape[3:], bool))
+    with pytest.raises(InvariantViolation) as err:
+        amer_brumer_check(diag(F3, [1, 1]), diag(F3, [1, 2]))
+    assert err.value.invariant == "amer-brumer" and "degree-3" in str(err.value)
 
 
 def test_witness_polys_rejects_a_non_witness():

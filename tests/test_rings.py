@@ -272,6 +272,12 @@ def test_irreducible_search_and_certificate():
         ExtensionField(F3, (t + 1) * (t + 2))
 
 
+def test_extension_of_an_infinite_base_is_refused():
+    t = Poly.x(QQ, "t")
+    with pytest.raises(ValueError, match="finite base"):
+        ExtensionField(QQ, t * t - 2)
+
+
 def test_extension_square_classes():
     F9 = quadratic_extension(F3)
     squares = sum(1 for e in F9.elements() if e and F9.is_square(e))
