@@ -344,14 +344,14 @@ def cmd_analyze(spec):
         disc_str = scalar_str(disc)
     except ValueError:
         disc_str = None  # odd rank in characteristic 2
-    rad = q.radical_basis()
+    rad, rank = q.radical_basis(), q.regular_rank()
     body = {
         "form": _form_dict(q),
         "discriminant": disc_str,
         "radical_dim": len(rad),
         "radical_basis": [_vec(v) for v in rad],
-        "regular_rank": q.regular_rank(),
-        "simple_degeneration": q.regular_rank() >= q.n - 1,
+        "regular_rank": rank,
+        "simple_degeneration": rank >= q.n - 1,
     }
     if q.n <= 7:
         alg, rep = even_center_report(q)
@@ -499,7 +499,7 @@ def cmd_lagrangian(spec):
                             "characteristic, got %s" % field.label())
     if n not in (2, 4, 6):
         raise CliInputError("lagrangian needs rank 2, 4 or 6, got %d" % n)
-    if q.radical_basis():
+    if q.regular_rank() < n:
         raise CliInputError("lagrangian needs a regular form")
     # the center discriminant lies in the class of (-1)^(n/2) disc(q); a
     # nonsquare one moves the enumeration to the quadratic extension

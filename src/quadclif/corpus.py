@@ -55,11 +55,11 @@ def form_corpus():
     return [random_form(rng, FIELDS[fields[i % 4]], 1 + (i // 4) % 7) for i in range(200)]
 
 
-def orthogonal_pair_corpus(count=50, seed=DEFAULT_SEED):
-    """Pairs over F3/F5 whose ranks sum to at most 6."""
-    rng = random.Random(seed + 1)
+def orthogonal_pair_corpus():
+    """50 pairs over F3/F5 whose ranks sum to at most 6."""
+    rng = random.Random(DEFAULT_SEED + 1)
     out = []
-    for _ in range(count):
+    for _ in range(50):
         field = FIELDS[rng.choice(("F3", "F5"))]
         na = rng.randint(1, 5)
         nb = rng.randint(1, 6 - na)
@@ -67,18 +67,18 @@ def orthogonal_pair_corpus(count=50, seed=DEFAULT_SEED):
     return out
 
 
-def isotropic_form_corpus(count=100, seed=DEFAULT_SEED, budget=None):
-    """(form, isotropic vector) samples, ranks 3 to 6 over F3/F5/Q.
+def isotropic_form_corpus():
+    """100 (form, isotropic vector) samples, ranks 3 to 6 over F3/F5/Q.
 
     The vector is required to lie outside the radical, so splitting off
     a hyperbolic plane through it is possible.  Rejection sampling: a
-    draw without such a vector inside the search budget is discarded.
+    draw without such a vector inside the search budget (height 4) is
+    discarded.
     """
-    rng = random.Random(seed + 2)
-    if budget is None:
-        budget = SearchBudget(height=4)
+    rng = random.Random(DEFAULT_SEED + 2)
+    budget = SearchBudget(height=4)
     out = []
-    while len(out) < count:
+    while len(out) < 100:
         field = FIELDS[rng.choice(("F3", "F5", "Q"))]
         n = rng.randint(3, 6)
         q = random_form(rng, field, n, zero_weight=0.15, bound=4)
@@ -122,12 +122,12 @@ def morita_corpus():
     return [QuadraticForm.diagonal(f, cs) for f, cs in specs]
 
 
-def rank5_pencil_corpus(count=50, seed=DEFAULT_SEED):
-    """Nonzero rank-5 pairs over F3 for the isotropy-witness bound."""
-    rng = random.Random(seed + 3)
+def rank5_pencil_corpus():
+    """50 nonzero rank-5 pairs over F3 for the isotropy-witness bound."""
+    rng = random.Random(DEFAULT_SEED + 3)
     f3 = FIELDS["F3"]
     out = []
-    while len(out) < count:
+    while len(out) < 50:
         q1 = random_form(rng, f3, 5, zero_weight=0.2)
         q2 = random_form(rng, f3, 5, zero_weight=0.2)
         if _is_zero_form(q1) or _is_zero_form(q2):
@@ -136,12 +136,12 @@ def rank5_pencil_corpus(count=50, seed=DEFAULT_SEED):
     return out
 
 
-def squarefree_pencil_corpus(n, field_name, count=20, seed=DEFAULT_SEED):
-    """Pencils of rank-n forms whose discriminant is squarefree."""
-    rng = random.Random(seed + 100 * n + sum(map(ord, field_name)))
+def squarefree_pencil_corpus(n, field_name):
+    """20 pencils of rank-n forms whose discriminant is squarefree."""
+    rng = random.Random(DEFAULT_SEED + 100 * n + sum(map(ord, field_name)))
     field = FIELDS[field_name]
     out = []
-    while len(out) < count:
+    while len(out) < 20:
         q1 = random_form(rng, field, n, zero_weight=0.1, bound=3)
         q2 = random_form(rng, field, n, zero_weight=0.1, bound=3)
         rep = analyze(Pencil(q1, q2))

@@ -306,7 +306,7 @@ def stein_vs_center(q):
         raise ValueError("needs characteristic not 2")
     if n % 2 or not 2 <= n <= 6:
         raise ValueError("rank must be 2, 4, or 6")
-    if q.radical_basis():
+    if q.regular_rank() < n:
         raise ValueError("regular forms only")
     m = n // 2
 

@@ -251,10 +251,6 @@ class PencilAnalysis:
         return sum(p.multiplicity * p.degree for p in self.points)
 
 
-def _radical_rank_at(pencil, s0, t0):
-    return len(pencil.member(s0, t0).radical_basis())
-
-
 def analyze(pencil):
     """Full degeneration analysis of the pencil.
 
@@ -304,7 +300,7 @@ def analyze(pencil):
             rational.append(((field.zero(), one), inf))
     points = []
     for (s0, t0), mult in rational:
-        rank = _radical_rank_at(pencil, s0, t0)
+        rank = n - pencil.member(s0, t0).regular_rank()
         if mult < rank:
             raise InvariantViolation(
                 "multiplicity-bound",
@@ -324,7 +320,7 @@ def analyze(pencil):
         ext = ExtensionField(field, g)
         theta = ext.gen()
         lifted = pencil.map_field(ext, ext.embed)
-        rank = len(lifted.member(ext.one(), theta).radical_basis())
+        rank = n - lifted.member(ext.one(), theta).regular_rank()
         if mult < rank:
             raise InvariantViolation(
                 "multiplicity-bound",
@@ -386,9 +382,10 @@ def cover_model(analysis):
     return model
 
 
-def center_matches_cover(pencil, samples=None):
+def center_matches_cover(pencil):
     """Per-member comparison of the even Clifford center with the value
-    of the discriminant form.
+    of the discriminant form, at every point of the projective line over
+    a finite field of at most 11 elements.
 
     At each regular sample point the center of the member's even algebra
     is a quadratic algebra k[z]/(z^2 - delta_c); its delta_c and the
@@ -404,13 +401,12 @@ def center_matches_cover(pencil, samples=None):
         raise ValueError("center/cover comparison expects even rank")
     if field.characteristic == 2:
         raise ValueError("center/cover comparison needs characteristic not 2")
+    if field.size() is None or field.size() > 11:
+        raise ValueError("sampling needs a small finite field")
     delta = discriminant_form(pencil)
-    if samples is None:
-        if field.size() is None or field.size() > 11:
-            raise ValueError("default sampling needs a small finite field")
-        one = field.one()
-        samples = [(a, one) for a in field.elements()]
-        samples.append((one, field.zero()))
+    one = field.one()
+    samples = [(a, one) for a in field.elements()]
+    samples.append((one, field.zero()))
 
     constant = None
     rows = []

@@ -1037,9 +1037,9 @@ class BinaryForm:
                 acc = acc + c * spow[self.deg - i] * tpow[i]
         return acc
 
-    def dehomogenize(self, var="t"):
+    def dehomogenize(self):
         """The polynomial in t given by s = 1."""
-        return Poly(self.field, var, self.coeffs)
+        return Poly(self.field, "t", self.coeffs)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -1204,7 +1204,7 @@ class Matrix:
         return Matrix(self.field, rows), tuple(pivots)
 
     def rank(self):
-        return len(coded_rref(*self._coded())[1])
+        return len(_fraction_free(*self._coded())[1])
 
     def kernel_basis(self):
         """Deterministic kernel basis: one vector per free column, ascending."""
@@ -1479,10 +1479,10 @@ def coded_rref(coding, a):
     """(reduced row echelon rows, pivot columns) of a coded matrix.
 
     The one exact single-matrix elimination for every field: Matrix.rref
-    and rank decode it, and coded_kernel reads its kernel off the same
-    fraction-free pass (_fraction_free).  The fraction-free pivot rows are
-    divided by their pivots at the end, the only step over Q that makes
-    Fractions, and only from nonzero entries.
+    decodes it, and Matrix.rank and coded_kernel read their answers off
+    the same fraction-free pass (_fraction_free).  The fraction-free
+    pivot rows are divided by their pivots at the end, the only step over
+    Q that makes Fractions, and only from nonzero entries.
     """
     rows, pivots = _fraction_free(coding, a)
     return coding.divide_rows(rows, [rows[k, c] for k, c in enumerate(pivots)]), pivots

@@ -353,6 +353,14 @@ def test_fault_injection_fails_with_named_invariant():
     assert code == 0
 
 
+def test_fault_in_the_ambient_even_algebra_fails_the_morita_check():
+    code, rep = run_json(["selftest", "--check", "c05-matrix-algebra-witness",
+                          "--fault-inject", "clifford-mul"])
+    assert code == 3
+    assert rep["failed"] == 1
+    assert "invariant falsified: algebra-associativity" in rep["checks"][0]["detail"]
+
+
 @pytest.mark.parametrize("form", ["field=F5; q=diag(1,2)", "field=Q; q=diag(1,3)",
                                   "field=F7; q=diag(1,1)"])
 def test_fault_in_a_rank_two_center_is_refused(form):

@@ -64,9 +64,9 @@ def test_rank5_pencils():
 
 
 def test_squarefree_pencils_are_squarefree():
-    pens = squarefree_pencil_corpus(4, "F5", count=5)
-    assert len(pens) == 5
-    for pen in pens:
+    pens = squarefree_pencil_corpus(4, "F5")
+    assert len(pens) == 20
+    for pen in pens[:5]:
         rep = analyze(pen)
         assert rep.squarefree and not rep.identically_degenerate
 

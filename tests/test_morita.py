@@ -13,7 +13,7 @@ from quadclif import morita
 from quadclif.corpus import morita_corpus
 from quadclif.rings import QQ, InvariantViolation, PrimeField, quadratic_extension, scalar_str
 from quadclif.quadform import QuadraticForm
-from quadclif.clifford import even_clifford, center_report
+from quadclif.clifford import even_clifford, center_report, full_clifford
 from quadclif.morita import build_P, endomorphism_algebra, morita_witness
 from quadclif.splitting import DEFAULT_BUDGET, find_isotropic, split_hyperbolic
 
@@ -298,6 +298,19 @@ def test_witnesses_match_the_pinned_answers():
         assert (w.dim_even, w.dim_end, list(w.checks)) \
             == (pin["dim_even"], pin["dim_end"], pin["checks"])
         assert hashlib.sha256(json.dumps(strs).encode()).hexdigest() == pin["matrix_sha256"]
+
+
+def test_the_only_full_algebra_built_is_that_of_the_rest(monkeypatch):
+    # the ambient side needs only its even algebra
+    built = []
+
+    def counted(form):
+        built.append(form.n)
+        return full_clifford(form)
+
+    monkeypatch.setattr(morita, "full_clifford", counted)
+    morita_witness(QuadraticForm.diagonal(F5, [1, 2, 3]))
+    assert built == [3]
 
 
 # -- faults -----------------------------------------------------------------
