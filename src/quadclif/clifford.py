@@ -9,9 +9,7 @@ decodes, for the products that an error message names.  Basis element 0
 is the unit.  T holds residues over F_p, and integers over Q when the form's
 coefficients bound its entries below 2^62, in the narrowest numpy
 integer dtype; otherwise object codes (Fractions, huge integers,
-elements of F_{p^2}).  Under the same bound the generator steps that
-build T run unreduced in int64, over F_p too, where a row block is
-reduced mod p once.  Contractions run in float64 only where a bound
+elements of F_{p^2}).  Contractions run in float64 only where a bound
 proves every partial sum exact, and on the object codes otherwise
 (ArrayCoding.matmul).  Over Q with an integer T the center stays on
 integers up to its final division by one denominator per row.
@@ -23,14 +21,13 @@ rules
 
     e_i e_i -> q(e_i)           e_i e_j -> b(e_i, e_j) - e_j e_i   (i > j)
 
-so left multiplication by a generator e_a moves it past the lower
-indices t of a mask m: e_a e_m is the sum over t in m, t < a, of
-(-1)^(bits of m below t) b(e_t, e_a) e_(m - t), plus (-1)^(bits of m
-below a) times e_(m + a) when a is not in m and q(e_a) e_(m - a) when it
-is: at most n + 1 signed index maps on the 2^n masks.  Row S of T is an
-earlier row S' stepped by the generators peeled off S.  The same engine
-produces the full Clifford algebra (all 2^n subsets), used by the
-orthogonal-sum and hyperbolic-splitting verifications.
+and T is built by doubling on the generators (Chevalley): the tensor on
+e_a, ..., e_(n-1) is four blocks of the one on e_(a+1), ..., e_(n-1) and
+of its boundary, the terms that moving e_a past e_S leaves.  Each level
+is held in the narrowest dtype for its bound and computed in int64 row
+slabs of about 2^15 entries.  The full Clifford algebra (all 2^n
+subsets, used by the orthogonal-sum check and the Morita certificate)
+is checked against the defining relations as well.
 
 Every constructed algebra re-verifies unitality and associativity:
 exhaustively through dimension 16, and on a 256-triple sample above
@@ -174,117 +171,102 @@ class StructuredAlgebra:
         return True
 
 # ---------------------------------------------------------------------------
-# Clifford construction by generator steps
+# Clifford construction by doubling on the generators
 
 
-def _generator_maps(c, n, dtype):
-    """Left multiplication by each generator e_a as signed index maps.
-
-    maps[a] lists (parity, dst, src, coef): e_a e_m has coefficient coef
-    at the mask dst for each mask m in src, all of that parity.  dst is a
-    permutation of src, so a map applies by fancy indexing.
-    """
-    m = np.arange(1 << n)
-    parity = np.array([bin(x).count("1") & 1 for x in range(1 << n)])
-    below = np.zeros(1 << n, dtype=np.int64)  # parity of the bits of m below t
-    maps = [[] for _ in range(n)]
-    for t in range(n):
-        for a in range(t, n):
-            if t == a:  # insert a, or square it to q(e_a)
-                src = m if c[a][a] else m[m >> a & 1 == 0]
-                coef = np.ones(len(src), dtype=dtype)
-                coef[src >> a & 1 == 1] = c[a][a]
-            elif c[t][a]:  # drop t: the polar value b(e_t, e_a)
-                src = m[m >> t & 1 == 1]
-                coef = np.full(len(src), c[t][a], dtype=dtype)
-            else:
-                continue
-            coef = (1 - 2 * below[src]).astype(dtype) * coef
-            for p in (0, 1):
-                part = parity[src] == p
-                maps[a].append((p, src[part] ^ 1 << t, src[part], coef[part]))
-        below ^= (m >> t) & 1
-    return maps
+@functools.lru_cache(maxsize=None)
+def _parity(h):
+    """The parity of the bit count of each mask below h, as int64."""
+    par = np.array([bin(m).count("1") & 1 for m in range(h)], dtype=np.int64)
+    par.flags.writeable = False  # shared by every tensor of size h
+    return par
 
 
-def _clifford_table(coding, form, masks):
-    """Structure tensor of the Clifford algebra of form on the basis masks.
+def _scaled(x, coef):
+    """coef * x, coef broadcast over the leading axes of x; on object codes
+    only the nonzero entries of x are multiplied."""
+    if x.dtype != object:
+        return x * coef.reshape(coef.shape + (1,) * (x.ndim - coef.ndim))
+    out = np.zeros(x.shape, dtype=object)
+    nz = np.nonzero(x)
+    out[nz] = x[nz] * coef[nz[:coef.ndim]]
+    return out
 
-    Row S peels its fewest lowest indices s1 < ... < sr that leave a basis
-    mask S', and e_S e_j = e_s1 (... (e_sr (e_S' e_j))): rows peeling the
-    same indices are stepped together, a few at a time, on the full 2^n
-    masks.  The steps run in int64, unreduced, when the integer codes c
-    of the form (residues 0..p-1 over F_p, integral coefficients over Q)
-    satisfy ((n + 1) max(|c|, 1))^n < 2^62, which bounds every entry:
-    over Q that is the bound on the table itself, and over F_p a step
-    adds at most n products of an entry with a code to each entry, while
-    a block steps rows of residues (the unit row, when it peels all n
-    generators), so a block is reduced mod p once, after its last step.
-    Otherwise every step is reduced over F_p, and runs on object codes
-    over Q.
-    """
-    n, d = form.n, len(masks)
-    c = [[coding.code(x) for x in row] for row in form.c]
+
+def _boundary(level, lo, size, polar, work):
+    """Rows lo .. lo + size - 1 (aligned, size a power of two) of (de_S) e_T,
+    de_S = sum over t in S of (-1)^(bits of S above t) b(e_a, e_t) e_(S - t)
+    for a new lowest generator e_a, with polar[j] = b(e_a, e_t) for t at
+    bit j.  The rows S - 2^j are a view of the slab or a slice of level."""
+    par = _parity(len(level))
+    out = np.zeros((size,) + level.shape[1:], dtype=work)
+    for j, b in enumerate(polar):
+        if b and size >> j > 1:
+            view = (size >> j + 1, 2, 1 << j) + level.shape[1:]
+            sign = 1 - 2 * par[(lo >> j + 1) + np.arange(size >> j + 1)]
+            out.reshape(view)[:, 1] += _scaled(level[lo:lo + size].reshape(view)[:, 0],
+                                               sign.astype(work) * b)
+        elif b and lo >> j & 1:
+            coef = np.array(int(1 - 2 * par[lo >> j + 1]) * b, dtype=work)
+            out += _scaled(level[lo - (1 << j):lo - (1 << j) + size], coef)
+    return out
+
+
+def _double(coding, level, q, polar, work, dtype):
+    """The tensor with a new lowest generator e_a: the mask of e_a^s e_S is
+    s + 2 S, and as e_S e_a = (-1)^|S| e_a e_S + de_S, the blocks (s, t)
+    are e_S e_T, e_a e_S e_T, (-1)^|S| e_a e_S e_T + (de_S) e_T and
+    (-1)^|S| q(e_a) e_S e_T + e_a (de_S) e_T."""
+    h = len(level)
+    out, size = np.zeros((2 * h,) * 3, dtype=dtype), min(h, max(1, (1 << 15) // (h * h)))
+    for lo in range(0, h, size):
+        x, o = level[lo:lo + size], out.reshape(h, 2, h, 2, h, 2)[lo:lo + size]
+        sign = (1 - 2 * _parity(h)[lo:lo + size]).astype(work)
+        o[:, 0, :, 0, :, 0] = o[:, 1, :, 0, :, 1] = x
+        o[:, 0, :, 1, :, 1] = coding.reduce(_scaled(x, sign))
+        o[:, 0, :, 1, :, 0] = o[:, 1, :, 1, :, 1] = coding.reduce(
+            _boundary(level, lo, size, polar, work))
+        if q:
+            o[:, 1, :, 1, :, 0] = coding.reduce(_scaled(x, sign * q))
+    return out
+
+
+def _even_top(coding, level, q, polar, work, dtype):
+    """The even algebra on a new lowest generator e_a: an even mask s + 2 S
+    has s the parity of S, so the axes are level's, and an entry is
+    _double's at the output bit of U's parity: with D for (de_S) e_T, level
+    for even T, level + D (even S) or -q(e_a) level + D (odd S) for odd T.
+    It drops the entries of level with |S| + |T| + |U| odd: they are 0."""
+    h, par, odd = len(level), _parity(len(level)), _parity(len(level)).astype(bool)
+    if np.count_nonzero(level.astype(bool) & (odd[:, None, None] ^ odd[None, :, None] ^ odd)):
+        raise InvariantViolation("clifford-grading", "product of basis masks escaped the span")
+    odd_t, out, size = level[:, odd], level.astype(dtype), min(h, max(1, (1 << 15) // (h * h)))
+    for lo in range(0, h, size):
+        factor = np.array([1, -q], dtype=work)[par[lo:lo + size]]
+        out[lo:lo + size, odd] = coding.reduce(
+            _scaled(odd_t[lo:lo + size], factor) + _boundary(odd_t, lo, size, polar, work))
+    return out
+
+
+def _clifford_table(coding, form, even):
+    """Structure tensor of the full or even Clifford algebra of form: from
+    the unit, _double adds e_(n-1), ..., e_0, but _even_top adds e_0 to the
+    even one.  Over Q with integral c, ((n + 1) max(|c|, 1))^n < 2^62 bounds
+    every level, each max(1, |q(e_a)|, sum |b(e_a, e_t)|) times the last;
+    else Q and F_(p^e) run on object codes."""
+    n, c = form.n, [[coding.code(x) for x in row] for row in form.c]
     flat = [x for row in c for x in row]
-    work, deferred = coding.dtype, False
-    if coding.p or (coding.field.kind == "rationals" and all(type(x) is int for x in flat)):
-        big = max(1, max(abs(x) for x in flat))
-        if ((n + 1) * big) ** n < 1 << 62:
-            work, deferred = np.int64, True
-    maps = _generator_maps(c, n, work)
-    index = {mask: i for i, mask in enumerate(masks)}
-    groups = {}
-    for i, s in enumerate(masks[1:], 1):
-        peeled = []
-        while not peeled or s not in index:
-            low = s & -s
-            peeled.append(low.bit_length() - 1)
-            s ^= low
-        groups.setdefault(tuple(peeled), []).append((i, index[s]))
-    cols = np.array(masks)
-    outside = np.ones(1 << n, dtype=bool)
-    outside[cols] = False
-    # a generator step flips the parity of every mask
-    parities = {bin(mask).count("1") & 1 for mask in masks}
-    table = np.zeros((d, d, d), dtype=np.int8 if work is np.int64 else object)
-    table[0] = np.eye(d, dtype=table.dtype)
-    step = max(1, (1 << 15) // (d << n))
-    # a row's S' keeps only indices above its peeled ones, so descending
-    # order of the peeled tuples builds every S' before it is read
-    for peeled in sorted(groups, reverse=True):
-        pairs = groups[peeled]
-        for lo in range(0, len(pairs), step):
-            rows, prev = (list(v) for v in zip(*pairs[lo:lo + step]))
-            # x[m, r, j]: coefficient of e_m in row r's e_S e_j, masks first
-            # so that every map moves whole contiguous slices
-            x = np.zeros((1 << n, len(rows), d), dtype=work)
-            x[cols] = table[prev].transpose(2, 0, 1)
-            present = parities
-            for a in reversed(peeled):
-                out = np.zeros_like(x)
-                for parity, dst, src, coef in maps[a]:
-                    if parity not in present:
-                        continue
-                    vals = x[src]
-                    if work is object:
-                        # only the nonzero entries: zeros stay the int 0
-                        m, r, j = np.nonzero(vals)
-                        out[dst[m], r, j] += vals[m, r, j] * coef[m]
-                    else:
-                        out[dst] += vals * coef[:, None, None]
-                x = out if deferred else coding.reduce(out)
-                present = {1 - p for p in present}
-            if deferred:
-                x = coding.reduce(x)
-            if np.count_nonzero(x[outside]):
-                raise InvariantViolation("clifford-grading",
-                                         "product of basis masks escaped the span")
-            x = x[cols].transpose(1, 2, 0)
-            if work is np.int64:
-                need = np.min_scalar_type(-int(np.abs(x).max()) - 1)
-                table = table.astype(np.promote_types(table.dtype, need), copy=False)
-            table[rows] = x
-    return table
+    integral = (coding.field.kind == "rationals" and all(type(x) is int for x in flat)
+                and ((n + 1) * max(1, *map(abs, flat))) ** n < 1 << 62)
+    work, bound = np.int64 if integral else coding.dtype, coding.p - 1 if coding.p else 1
+    level = np.ones((1, 1, 1), dtype=work)
+    for a in range(n - 1, -1, -1):
+        if integral:
+            bound *= max(1, abs(c[a][a]), sum(abs(x) for x in c[a][a + 1:]))
+        dtype = object if work is object else np.min_scalar_type(-bound - 1)
+        step = _even_top if even and a == 0 else _double
+        level = step(coding, level, c[a][a], c[a][a + 1:], work, dtype)
+    return level
 
 
 def _mask_label(mask):
@@ -296,20 +278,17 @@ def _mask_label(mask):
 class CliffordAlgebra(StructuredAlgebra):
     """Structure-tensor algebra whose basis is a set of index masks."""
 
-    def __init__(self, form, masks, gen_popcount):
+    def __init__(self, form, even):
         if not 1 <= form.n <= 7:
             raise ValueError("Clifford construction supports rank 1 through 7, got %d" % form.n)
         self.form = form
-        self.masks = list(masks)
+        self.masks = [m for m in range(1 << form.n) if not even or bin(m).count("1") % 2 == 0]
         self.mask_index = {m: i for i, m in enumerate(self.masks)}
-        table = _clifford_table(ArrayCoding(form.field), form, self.masks)
+        table = _clifford_table(ArrayCoding(form.field), form, even)
         if _fault_target == "clifford-mul" and len(self.masks) > 1:
             table[1, 1, 0] += 1
-        gen_indices = [i for i, m in enumerate(self.masks)
-                       if bin(m).count("1") == gen_popcount]
-        super().__init__(form.field, table,
-                         labels=[_mask_label(m) for m in self.masks],
-                         gen_indices=gen_indices)
+        gens = [i for i, m in enumerate(self.masks) if bin(m).count("1") == (2 if even else 1)]
+        super().__init__(form.field, table, [_mask_label(m) for m in self.masks], gens)
 
     def mask_mul(self, mask_s, mask_t):
         """Product by masks instead of indices, as a mask-keyed dict."""
@@ -319,13 +298,31 @@ class CliffordAlgebra(StructuredAlgebra):
 
 def even_clifford(form):
     """The even Clifford algebra, dimension 2^(n-1), n up to 7."""
-    masks = [m for m in range(1 << form.n) if bin(m).count("1") % 2 == 0]
-    return CliffordAlgebra(form, masks, 2)
+    return CliffordAlgebra(form, True)
 
 
 def full_clifford(form):
-    """The full Clifford algebra, dimension 2^n, n up to 7."""
-    return CliffordAlgebra(form, list(range(1 << form.n)), 1)
+    """The full Clifford algebra, dimension 2^n, n up to 7, with its
+    generator relations checked after the algebra checks."""
+    alg = CliffordAlgebra(form, False)
+    _verify_relations(alg)
+    return alg
+
+
+def _verify_relations(alg):
+    """e_i e_i = q(e_i) and e_i e_j + e_j e_i = b(e_i, e_j) in a full
+    Clifford algebra, else InvariantViolation "clifford-relations"."""
+    n, c, coding = alg.form.n, alg.form.c, alg.coding
+    gens = [1 << i for i in range(n)]  # a full algebra's index is its mask
+    prods = alg.table[np.ix_(gens, gens)].astype(alg.work_dtype)
+    sums = prods + np.where(np.eye(n, dtype=bool)[:, :, None], 0, prods.transpose(1, 0, 2))
+    sums[:, :, 0] -= coding.array([[c[min(i, j)][max(i, j)] for j in range(n)]
+                                   for i in range(n)]).astype(sums.dtype)
+    bad = np.argwhere(np.count_nonzero(coding.reduce(sums), axis=2))
+    if len(bad):
+        i, j = (_mask_label(gens[v]) for v in bad[0])
+        raise InvariantViolation("clifford-relations", "%s %s != q(%s)" % (i, i, i) if i == j
+                                 else "%s %s + %s %s != b(%s, %s)" % (i, j, j, i, i, j))
 
 # ---------------------------------------------------------------------------
 # graded tensor decomposition
@@ -387,6 +384,8 @@ def center_basis(algebra):
         if len(rows) <= 1:
             break
         comm = coding.matmul(rows, t[g].astype(work) - t[:, g])
+        if not np.count_nonzero(comm):
+            continue  # the kernel of zero is everything: the rows stay
         free, kernel, scales = coded_kernel(coding, comm.T)
         rows = coding.matmul(kernel, rows)
         dens = scales * dens[free]

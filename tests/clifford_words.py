@@ -1,9 +1,9 @@
 """Reference Clifford products for the tests: word rewriting on sparse dicts.
 
-The package builds each algebra's structure tensor by vectorised
-generator steps (clifford._clifford_table).  The tests compare that
-tensor against this independent construction, which rewrites one word
-at a time with the two local rules
+The package builds each algebra's structure tensor by doubling on the
+generators (clifford._clifford_table).  The tests compare that tensor
+against this independent construction, which rewrites one word at a
+time with the two local rules
 
     e_i e_i -> q(e_i)           e_i e_j -> b(e_i, e_j) - e_j e_i   (i > j)
 

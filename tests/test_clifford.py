@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 import clifford_words
 import gauss_jordan
+from quadclif import clifford
 from quadclif.clifford import (
     CenterReport,
     StructuredAlgebra,
@@ -194,8 +196,10 @@ def test_orthogonal_sum_reports_the_first_failing_product(monkeypatch):
     # the corrupted constant sits at index 1 of each algebra: e1 e1 of
     # C(q1) and of the sum agree, but e1 e1 of C(q2), mask 1 << 2 in the
     # sum, does not.  Construction would refuse the corrupted algebras
-    # as "algebra-associativity" first, so its check is switched off.
+    # as "algebra-associativity" or "clifford-relations" first, so those
+    # checks are switched off.
     monkeypatch.setattr(StructuredAlgebra, "verify_associativity", lambda self: True)
+    monkeypatch.setattr(clifford, "_verify_relations", lambda alg: None)
     inject_fault("clifford-mul")
     try:
         for field in (F3, QQ):
@@ -409,10 +413,13 @@ def _seeded_form(rng, field, n, kind):
 REFERENCE_CORPUS = (
     [(field, n, kind) for field in (F2, F3, F5, QQ) for n in range(1, 8)
      for kind in ("regular", "degenerate")]
-    + [(F9, n, "regular") for n in range(1, 5)]
+    # object codes: F9 and fractional Q at ranks 5 and 6 reach levels
+    # built in several row slabs
+    + [(F9, n, "regular") for n in range(1, 7)]
     + [(QQ, n, kind) for n in range(1, 5) for kind in ("fraction", "huge")]
-    # both sides of the bound under which F_p tables are reduced once per
-    # block: inside it at F7 rank 7, outside it at F65521
+    + [(QQ, 6, "fraction")]
+    # residues in int8 at F7 rank 7, and in int32 at F65521, whose
+    # products of two residues pass 2^31
     + [(F7, 7, "regular")] + [(F65521, n, "regular") for n in range(5, 8)]
 )
 
@@ -420,8 +427,8 @@ REFERENCE_CORPUS = (
 @pytest.mark.parametrize("field, n, kind", REFERENCE_CORPUS,
                          ids=lambda v: v.label() if hasattr(v, "label") else str(v))
 def test_tensor_matches_word_rewriting(field, n, kind, monkeypatch):
-    # the vectorised generator steps against the word-by-word rewriting
-    # of clifford_words, entry for entry, for the even and full algebras;
+    # the doubling recursion against the word-by-word rewriting of
+    # clifford_words, entry for entry, for the even and full algebras;
     # the entries are compared here, so construction skips its own check
     monkeypatch.setattr(StructuredAlgebra, "verify_associativity", lambda self: True)
     rng = random.Random("%s/%d/%s" % (field.label(), n, kind))
@@ -440,8 +447,53 @@ def test_tensor_matches_word_rewriting(field, n, kind, monkeypatch):
         elif field is QQ and kind in ("regular", "degenerate"):
             assert a.table.dtype.kind == "i" and a.bound == int(np.abs(a.table).max())
     if field in (F7, F65521):
-        top = max(1, max(c.v for row in q.c for c in row))
-        assert (((n + 1) * top) ** n < 1 << 62) == (field is F7)
+        assert a.table.dtype == (np.int8 if field is F7 else np.int32)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=lambda f: f.label())
+def test_even_construction_refuses_an_odd_entry(field, monkeypatch):
+    # a nonzero coefficient of e_1 in 1 * 1 sits in a parity block that
+    # the even basis drops; the even construction must refuse it
+    double = clifford._double
+
+    def planted(*args):
+        out = double(*args)
+        out[0, 0, 1] = 1
+        return out
+
+    monkeypatch.setattr(clifford, "_double", planted)
+    q = QuadraticForm.diagonal(field, [1, 2, Fraction(1, 2) if field is QQ else 1])
+    with pytest.raises(InvariantViolation, match="clifford-grading"):
+        even_clifford(q)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=lambda f: f.label())
+def test_rank7_even_construction_memory(field):
+    # the levels of the recursion stay in narrow dtypes and the int64 work
+    # runs in row slabs: a rank-6 level held in int64 alone takes 2 MiB
+    rng = random.Random("memory/%s" % field.label())
+    q = QuadraticForm.of_ints(field, [[rng.randint(-2, 2) if j >= i else 0 for j in range(7)]
+                                      for i in range(7)])
+    even_clifford(q)  # fills the caches kept per dimension
+    tracemalloc.start()
+    try:
+        a = even_clifford(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.dim == 64 and a.bound is not None and peak < 4 << 20
+
+
+def test_full_construction_checks_the_generator_relations():
+    # the corrupted e1 e1 = 2 leaves C(<1>) a commutative, associative
+    # algebra of dimension 2, but not the Clifford algebra of the form
+    inject_fault("clifford-mul")
+    try:
+        with pytest.raises(InvariantViolation) as err:
+            full_clifford(QuadraticForm.diagonal(F3, [1]))
+        assert err.value.invariant == "clifford-relations"
+    finally:
+        inject_fault(None)
 
 
 def _fault_form(field, n, seed):
