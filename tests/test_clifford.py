@@ -452,8 +452,8 @@ def test_tensor_matches_word_rewriting(field, n, kind, monkeypatch):
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=lambda f: f.label())
 def test_even_construction_refuses_an_odd_entry(field, monkeypatch):
-    # a nonzero coefficient of e_1 in 1 * 1 sits in a parity block that
-    # the even basis drops; the even construction must refuse it
+    # a generator's coefficient in the square of the unit sits in a
+    # parity block that the even basis drops; construction must refuse it
     double = clifford._double
 
     def planted(*args):
