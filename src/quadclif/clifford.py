@@ -44,9 +44,8 @@ import numpy as np
 
 from .rings import ArrayCoding, InvariantViolation, coded_kernel, coded_rref, scalar_str
 
-# fault injection hook for the self-test machinery: when set to
-# "clifford-mul", freshly built even Clifford algebras get one corrupted
-# structure constant, which the construction checks must then catch
+# fault injection hook for the self-test machinery: "clifford-mul" corrupts
+# one structure constant of each Clifford algebra built, for the checks to catch
 _fault_target = None
 
 
@@ -124,10 +123,8 @@ class StructuredAlgebra:
         t, eye = self.table, self.coding.eye(self.dim)
         bad = np.flatnonzero(((t[0] != eye) | (t[:, 0] != eye)).any(axis=1))
         if bad.size:
-            raise InvariantViolation(
-                "algebra-unit",
-                "basis element 0 does not act as the unit on index %d" % bad[0],
-            )
+            raise InvariantViolation("algebra-unit", "basis element 0 does not act as "
+                                     "the unit on index %d" % bad[0])
 
     def verify_associativity(self):
         """(e_i e_j) e_k = e_i (e_j e_k), exhaustive or sampled by dimension.
@@ -193,13 +190,17 @@ def _scaled(x, coef):
     return out
 
 
+def _slab_rows(h):
+    """Rows per int64 slab of an h^3 level: a power of two, ~2^15 entries."""
+    return min(h, max(1, (1 << 15) // (h * h)))
+
+
 def _boundary(level, lo, size, polar, work):
     """Rows lo .. lo + size - 1 (aligned, size a power of two) of (de_S) e_T,
     de_S = sum over t in S of (-1)^(bits of S above t) b(e_a, e_t) e_(S - t)
     for a new lowest generator e_a, with polar[j] = b(e_a, e_t) for t at
     bit j.  The rows S - 2^j are a view of the slab or a slice of level."""
-    par = _parity(len(level))
-    out = np.zeros((size,) + level.shape[1:], dtype=work)
+    par, out = _parity(len(level)), np.zeros((size,) + level.shape[1:], dtype=work)
     for j, b in enumerate(polar):
         if b and size >> j > 1:
             view = (size >> j + 1, 2, 1 << j) + level.shape[1:]
@@ -218,7 +219,7 @@ def _double(coding, level, q, polar, work, dtype):
     are e_S e_T, e_a e_S e_T, (-1)^|S| e_a e_S e_T + (de_S) e_T and
     (-1)^|S| q(e_a) e_S e_T + e_a (de_S) e_T."""
     h = len(level)
-    out, size = np.zeros((2 * h,) * 3, dtype=dtype), min(h, max(1, (1 << 15) // (h * h)))
+    out, size = np.zeros((2 * h,) * 3, dtype=dtype), _slab_rows(h)
     for lo in range(0, h, size):
         x, o = level[lo:lo + size], out.reshape(h, 2, h, 2, h, 2)[lo:lo + size]
         sign = (1 - 2 * _parity(h)[lo:lo + size]).astype(work)
@@ -233,14 +234,13 @@ def _double(coding, level, q, polar, work, dtype):
 
 def _even_top(coding, level, q, polar, work, dtype):
     """The even algebra on a new lowest generator e_a: an even mask s + 2 S
-    has s the parity of S, so the axes are level's, and an entry is
-    _double's at the output bit of U's parity: with D for (de_S) e_T, level
-    for even T, level + D (even S) or -q(e_a) level + D (odd S) for odd T.
-    It drops the entries of level with |S| + |T| + |U| odd: they are 0."""
+    has s the parity of S, so the axes are level's, entries with |S| + |T|
+    + |U| odd are 0 and dropped, and with D = (de_S) e_T an entry is level
+    (even T), level + D (odd T, even S) or -q(e_a) level + D (odd T, odd S)."""
     h, par, odd = len(level), _parity(len(level)), _parity(len(level)).astype(bool)
     if np.count_nonzero(level.astype(bool) & (odd[:, None, None] ^ odd[None, :, None] ^ odd)):
         raise InvariantViolation("clifford-grading", "product of basis masks escaped the span")
-    odd_t, out, size = level[:, odd], level.astype(dtype), min(h, max(1, (1 << 15) // (h * h)))
+    odd_t, out, size = level[:, odd], level.astype(dtype), _slab_rows(h)
     for lo in range(0, h, size):
         factor = np.array([1, -q], dtype=work)[par[lo:lo + size]]
         out[lo:lo + size, odd] = coding.reduce(

@@ -353,10 +353,22 @@ def test_fault_injection_fails_with_named_invariant():
     assert code == 0
 
 
-def test_fault_in_the_ambient_even_algebra_fails_the_morita_check():
+def test_fault_in_the_ambient_even_algebra_fails_the_morita_check(monkeypatch):
+    # the certificate builds C(q') before the ambient even algebra, and the
+    # generator relations of C(q') would refuse the fault first, so they
+    # are switched off to reach the ambient algebra's own refusal
+    import quadclif.clifford as clifford
+    monkeypatch.setattr(clifford, "_verify_relations", lambda alg: None)
+    code, rep = run_json(["selftest", "--check", "c05-matrix-algebra-witness",
+                          "--fault-inject", "clifford-mul"])
+    assert code == 3
+    assert rep["failed"] == 1
+    assert "invariant falsified: algebra-associativity" in rep["checks"][0]["detail"]
+
+
+def test_fault_in_the_morita_certificate_breaks_the_generator_relations():
     # the fault corrupts every Clifford algebra; the certificate builds
     # C(q') first, whose corrupted e1 e1 breaks the generator relations
-    # before the ambient even algebra fails its associativity check
     code, rep = run_json(["selftest", "--check", "c05-matrix-algebra-witness",
                           "--fault-inject", "clifford-mul"])
     assert code == 3
