@@ -443,7 +443,7 @@ def cmd_pencil(spec):
     size = field.size()
     if (pen.n % 2 == 0 and pen.n <= 7 and field.characteristic != 2 and ana.simple
             and size is not None and size <= 11):
-        match = center_matches_cover(pen)
+        match = center_matches_cover(pen, ana.delta)
         body["center_cover"] = {
             "matched": match["matched"],
             "normalization": scalar_str(match["constant"])

@@ -5,11 +5,12 @@ A pencil is the line of forms s*q1 + t*q2 through two forms of the same
 rank.  Its discriminant is a binary form of degree n in (s, t) whose
 roots mark the degenerate members; the analysis here computes that form
 exactly, from the determinants of n + 1 integer matrices B1 + k*B2 (the
-polar matrices scaled or lifted to integers) interpolated over Z,
-locates every root over the coefficient field (over Q by the divisor
-test on the primitive integer model) and (for finite fields) over all
-extension fields that can carry one, and checks the
-radical rank of each degenerate member.  A pencil degenerates simply
+polar matrices scaled or lifted to integers) interpolated over Z, and
+visits its roots in one pass over the factors of its dehomogenization
+(rational roots over Q, every irreducible factor over F_q) and (0 : 1).
+The radical rank at the root of a factor g is read off B1 (x) I + B2 (x)
+C_g, C_g the companion matrix, the member's Weil restriction to the base
+field, eliminated over the prime field.  A pencil degenerates simply
 when every member has radical rank at most 1, which the multiplicity
 bound (root multiplicity >= radical rank, by a Smith form argument over
 the local ring at the root) ties to squarefreeness of the discriminant.
@@ -21,10 +22,8 @@ checks that the correspondence powers.
 
 The common-zero search is the zero search of splitting.find_isotropic
 run on both forms: exhaustive over every finite field, a height sweep
-over Q.  The degenerate members over F_q come from the one
-factorization of the discriminant: its linear factors are the rational
-points, the others the extension points.  The rank-6 plane search is one
-step of lagrangian.common_isotropic_subspaces over both forms.
+over Q.  The rank-6 plane search is one step of
+lagrangian.common_isotropic_subspaces over both forms.
 
 The witness search and the Amer-Brumer check code F_p by residues: their
 points are the frozen rings.ResidueCoding.points tables, their forms
@@ -54,16 +53,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rings import (
+    ArrayCoding,
     BinaryForm,
     ExtElem,
-    ExtensionField,
     InvariantViolation,
     Poly,
     PrimeField,
     ResidueCoding,
+    _fraction_free,
     _mod,
     bilinear,
     irreducible_factors,
+    rational_roots,
     scalar_str,
 )
 from .lagrangian import common_isotropic_subspaces
@@ -97,10 +98,6 @@ class Pencil:
         rows = [[s0 * a + t0 * b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.q1.c, self.q2.c)]
         return QuadraticForm(self.field, rows)
-
-    def map_field(self, target, embed):
-        return Pencil(self.q1.map_field(target, embed),
-                      self.q2.map_field(target, embed))
 
 
 def discriminant_form(pencil):
@@ -252,22 +249,27 @@ class PencilAnalysis:
 
 
 def analyze(pencil):
-    """Full degeneration analysis of the pencil.
+    """Full degeneration analysis of the pencil, in one pass over the
+    factors of the dehomogenized discriminant.
 
     Computes the discriminant form, its squarefreeness, and the radical
-    rank of the member at every root.  Over Q the roots are the rational
-    ones.  Over a finite field one factorization of the dehomogenized
-    discriminant gives them all: a linear factor t + c is the rational
-    root (1 : -c), listed in element order and followed by (0 : 1), and
-    a factor g of higher degree is evaluated in its residue field (the
-    class of the variable is a root there, and radical rank is constant
-    along a conjugacy class).  Each visited root is checked against the
-    multiplicity bound: multiplicity >= radical rank.
+    rank of the member at every root.  The linear factors t - r (from
+    rational_roots over Q, irreducible_factors over F_q) give the roots
+    (1 : r), sorted over Q and in element order over F_q; then come
+    (0 : 1), when the top coefficients vanish, and the factors of higher
+    degree over F_q.  At the root theta of a factor g of degree d over the
+    field K (radical rank is constant along a conjugacy class) the member
+    B1 + theta B2 restricts to K as B1 (x) I_d + B2 (x) C_g, C_g the
+    companion matrix of g, of d times its rank; (0 : 1) is B2, d = 1.
+    _restricted_rank eliminates that over the prime field, which over
+    F_{p^e} multiplies the rank by e once more: a rank that is no multiple
+    of d e raises InvariantViolation("weil-rank").  Each root is checked
+    against the multiplicity bound: multiplicity >= radical rank.
     """
     field = pencil.field
     n = pencil.n
     delta = discriminant_form(pencil)
-    one = field.one()
+    one, zero = field.one(), field.zero()
 
     if delta.is_zero():
         return PencilAnalysis(
@@ -276,7 +278,7 @@ def analyze(pencil):
             simple=False)
 
     # the construction promises exact agreement with member discriminants
-    for s0, t0 in ((one, field.zero()), (field.zero(), one), (one, one)):
+    for s0, t0 in ((one, zero), (zero, one), (one, one)):
         member = pencil.member(s0, t0)
         if n % 2 == 0 or field.characteristic != 2:
             if delta.evaluate(s0, t0) != member.discriminant():
@@ -286,48 +288,42 @@ def analyze(pencil):
                     % (scalar_str(s0), scalar_str(t0)))
 
     squarefree = delta.is_squarefree()
-    factors = []
-    if field.size() is None:
-        rational = delta.roots_projective()
-    else:
-        dehom = delta.dehomogenize()
-        if dehom.degree() > 0:
-            _, factors = irreducible_factors(dehom)
-        roots = {-g.coeff(0): mult for g, mult in factors if g.degree() == 1}
-        rational = [((one, r), roots[r]) for r in field.elements() if r in roots]
-        inf = delta.infinity_multiplicity()
-        if inf:
-            rational.append(((field.zero(), one), inf))
+    dehom = delta.dehomogenize()
+    linear, higher = [], []
+    if dehom.degree() > 0 and field.size() is None:
+        linear = [(Poly(field, "t", (-r, one)), m) for r, m in rational_roots(dehom)[0]]
+    elif dehom.degree() > 0:
+        factors = irreducible_factors(dehom)[1]
+        roots = {-g.coeff(0): (g, m) for g, m in factors if g.degree() == 1}
+        linear = [roots[r] for r in field.elements() if r in roots]
+        higher = [(g, m) for g, m in factors if g.degree() > 1]
+    inf = delta.infinity_multiplicity()
+    polars = [c + c.transpose(2, 1, 0, 3)  # B = C + C^T
+              for c in (_prime_matrix(field, q.c) for q in (pencil.q1, pencil.q2))]
+    e = polars[0].shape[1]
     points = []
-    for (s0, t0), mult in rational:
-        rank = n - pencil.member(s0, t0).regular_rank()
-        if mult < rank:
-            raise InvariantViolation(
-                "multiplicity-bound",
-                "root (%s : %s) has multiplicity %d < radical rank %d"
-                % (scalar_str(s0), scalar_str(t0), mult, rank))
-        if s0:
-            label = str(Poly(field, "t", (-t0, one)))
+    for g, mult in linear + [(None, inf)] * (inf > 0) + higher:
+        if g is None:
+            label, point, d, s, t = "inf", (zero, one), 1, [[zero]], [[one]]
         else:
-            label = "inf"
-        points.append(DegenerationPoint(
-            point=(s0, t0), factor=label, degree=1,
-            multiplicity=mult, radical_rank=rank))
-
-    for g, mult in factors:
-        if g.degree() == 1:
-            continue  # already visited as a rational root
-        ext = ExtensionField(field, g)
-        theta = ext.gen()
-        lifted = pencil.map_field(ext, ext.embed)
-        rank = n - lifted.member(ext.one(), theta).regular_rank()
+            d = g.degree()
+            label, point = str(g), ((one, -g.coeff(0)) if d == 1 else None)
+            s = [[one if b == a else zero for b in range(d)] for a in range(d)]
+            t = [[one if b == a + 1 else zero for b in range(d)] for a in range(d - 1)]
+            t.append([-g.coeff(b) for b in range(d)])
+        rank = _restricted_rank(field, polars, s, t)
+        if rank % (d * e):
+            raise InvariantViolation(
+                "weil-rank", "the member at the root of %s restricts to rank %d, "
+                "no multiple of %d" % (label, rank, d * e))
+        rank = n - rank // (d * e)
         if mult < rank:
             raise InvariantViolation(
                 "multiplicity-bound",
-                "root of %s has multiplicity %d < radical rank %d"
-                % (str(g), mult, rank))
+                "the root of %s has multiplicity %d < radical rank %d"
+                % (label, mult, rank))
         points.append(DegenerationPoint(
-            point=None, factor=str(g), degree=g.degree(),
+            point=point, factor=label, degree=d,
             multiplicity=mult, radical_rank=rank))
     # irrational roots over Q are not enumerated; the multiplicity bound
     # still decides simplicity whenever delta is squarefree
@@ -338,6 +334,31 @@ def analyze(pencil):
         field_label=field.label(), n=n, delta=delta, squarefree=squarefree,
         identically_degenerate=False, points=tuple(points),
         exhaustive=exhaustive, simple=simple)
+
+
+def _prime_matrix(field, rows):
+    """A d x d matrix over Q or F_{p^e} over the prime field, (d, e, d, e):
+    its codes over Q (e = 1), else its Weil restriction to F_p as int64
+    residues, block [i, :, j, :] multiplication by rows[i][j]."""
+    import numpy as np
+    d = len(rows)
+    if field.kind == "rationals":
+        return ArrayCoding(field).array(rows).reshape(d, 1, d, 1)
+    coding = ResidueCoding(field)
+    return coding.weil(coding.array(rows)).astype(np.int64).reshape(d, coding.e, d, coding.e)
+
+
+def _restricted_rank(field, polars, s, t):
+    """The rank over the prime field of B1 (x) s + B2 (x) t, for polars
+    the _prime_matrix of B1 and B2 and d x d matrices s, t over the field,
+    by one _fraction_free pass.  Weil restriction W is multiplicative, so
+    block (i, a; j, b) is W(B1[i, j]) W(s[a, b]) + W(B2[i, j]) W(t[a, b])."""
+    import numpy as np
+    a = sum(np.einsum("ixjy,aybk->iaxjbk", b, _prime_matrix(field, m))
+            for b, m in zip(polars, (s, t)))
+    side = math.prod(a.shape[:3])
+    prime = field.base if field.kind == "extension" else field
+    return len(_fraction_free(ArrayCoding(prime), a.reshape(side, side))[1])
 
 
 @dataclass(frozen=True)
@@ -354,38 +375,30 @@ class CoverModel:
 
 def cover_model(analysis):
     """Genus and branch data of y^2 = delta, defined for squarefree delta
-    away from characteristic 2."""
+    away from characteristic 2: the roots of the model y^2 = delta(x, 1)
+    and infinity when its degree is odd, genus = branch / 2 - 1 (-1, two
+    disjoint lines, for a constant model)."""
     if not analysis.squarefree:
         raise ValueError("the discriminant cover needs a squarefree discriminant")
     delta = analysis.delta
     if delta.field.characteristic == 2:
         raise ValueError("double covers need characteristic not 2")
-    n = analysis.n
     dehom = delta.dehomogenize()
     aff_deg = dehom.degree()
-    # branch divisor: the n roots of the binary form, plus infinity when
-    # n is odd (the cover needs an even branch divisor)
-    branch = n if n % 2 == 0 else n + 1
-    genus = (n + 1) // 2 - 1
-    inf_branched = (aff_deg % 2 == 1)
-    model = CoverModel(
-        n=n,
+    branch = aff_deg + aff_deg % 2
+    return CoverModel(
+        n=analysis.n,
         model_coeffs=tuple(dehom.coeff(i) for i in range(aff_deg + 1)),
-        genus=genus,
+        genus=branch // 2 - 1,
         branch_points=branch,
-        infinity_branched=inf_branched,
+        infinity_branched=aff_deg % 2 == 1,
     )
-    if genus + 1 != branch // 2:
-        raise InvariantViolation(
-            "cover-genus", "genus %d does not match %d branch points"
-            % (genus, branch))
-    return model
 
 
-def center_matches_cover(pencil):
+def center_matches_cover(pencil, delta):
     """Per-member comparison of the even Clifford center with the value
-    of the discriminant form, at every point of the projective line over
-    a finite field of at most 11 elements.
+    of its discriminant form delta (analyze holds it), at every point of
+    the projective line over a finite field of at most 11 elements.
 
     At each regular sample point the center of the member's even algebra
     is a quadratic algebra k[z]/(z^2 - delta_c); its delta_c and the
@@ -403,7 +416,6 @@ def center_matches_cover(pencil):
         raise ValueError("center/cover comparison needs characteristic not 2")
     if field.size() is None or field.size() > 11:
         raise ValueError("sampling needs a small finite field")
-    delta = discriminant_form(pencil)
     one = field.one()
     samples = [(a, one) for a in field.elements()]
     samples.append((one, field.zero()))

@@ -1069,27 +1069,6 @@ class BinaryForm:
         d = self.dehomogenize()
         return poly_gcd(d, d.derivative()).degree() == 0
 
-    def roots_projective(self):
-        """[( (s0, t0), multiplicity ), ...] over Q.
-
-        Affine roots are (1, r) for the rational roots r of the
-        dehomogenization; the point (0, 1) appears when the top
-        coefficients vanish.  Over a finite field pencil.analyze reads
-        the roots off the factorization of the dehomogenization instead.
-        """
-        if self.is_zero():
-            raise ValueError("the zero form vanishes everywhere")
-        if self.field.kind != "rationals":
-            raise ValueError("root listing needs Q")
-        d = self.dehomogenize()
-        affine, _ = rational_roots(d) if d.degree() > 0 else ([], d)
-        one = self.field.one()
-        out = [((one, r), m) for r, m in affine]
-        inf = self.infinity_multiplicity()
-        if inf:
-            out.append(((self.field.zero(), one), inf))
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)

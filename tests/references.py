@@ -1,16 +1,20 @@
 """Slow, independent references for the integer kernels of quadclif.
 
 poly_det_discriminant is the discriminant form by minor expansion over
-wrapped Poly entries, and sweep_first_common_zero the zero search over Q
-one vector at a time; both are the earlier implementations, kept here
-to pin pencil.discriminant_form and splitting._first_common_zero.
+wrapped Poly entries, sweep_first_common_zero the zero search over Q
+one vector at a time, and extension_field_points the degeneration points
+with each radical rank taken in the residue field of its root; all are
+the earlier implementations, kept here to pin pencil.discriminant_form,
+splitting._first_common_zero and the radical ranks of pencil.analyze.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from quadclif.rings import ArrayCoding, BinaryForm, Poly, QQ
+from quadclif.pencil import DegenerationPoint, Pencil
+from quadclif.rings import (
+    ArrayCoding, BinaryForm, ExtensionField, Poly, QQ, irreducible_factors, rational_roots)
 
 
 def _poly_det(entries):
@@ -54,6 +58,51 @@ def poly_det_discriminant(pencil):
     if n % 2:
         det = det * Poly(field, "t", (field.one() / field.from_int(2),))
     return BinaryForm(field, n, [det.coeff(i) for i in range(n + 1)])
+
+
+def extension_field_points(pencil):
+    """The DegenerationPoints of a pencil that does not degenerate
+    identically, in the order of pencil.analyze, each radical rank
+    n - regular_rank of the member at its root over the root's own field.
+
+    The discriminant is poly_det_discriminant.  The rational roots (1 : r)
+    come from rational_roots over Q and from the linear factors of
+    irreducible_factors over F_q, in element order, then (0 : 1) when the
+    top coefficients vanish.  For a factor g of higher degree over F_q
+    the member is s*q1 + t*q2 at (1 : theta) in ExtensionField(field, g),
+    theta the class of the variable, eliminated on ExtElem entries."""
+    field, n = pencil.field, pencil.n
+    delta = poly_det_discriminant(pencil)
+    one, zero = field.one(), field.zero()
+    dehom = delta.dehomogenize()
+    factors = []
+    if dehom.degree() > 0 and field.size() is None:
+        factors = [(Poly(field, "t", (-r, one)), m) for r, m in rational_roots(dehom)[0]]
+    elif dehom.degree() > 0:
+        _, factors = irreducible_factors(dehom)
+        by_root = {-g.coeff(0): (g, m) for g, m in factors if g.degree() == 1}
+        factors = ([by_root[r] for r in field.elements() if r in by_root]
+                   + [(g, m) for g, m in factors if g.degree() > 1])
+    out = []
+    for g, mult in factors:
+        if g.degree() > 1:
+            ext = ExtensionField(field, g)
+            lifted = Pencil(pencil.q1.map_field(ext, ext.embed), pencil.q2.map_field(ext, ext.embed))
+            rank = n - lifted.member(ext.one(), ext.gen()).regular_rank()
+            out.append(DegenerationPoint(point=None, factor=str(g), degree=g.degree(),
+                                         multiplicity=mult, radical_rank=rank))
+            continue
+        root = -g.coeff(0)
+        out.append(DegenerationPoint(
+            point=(one, root), factor=str(g), degree=1, multiplicity=mult,
+            radical_rank=n - pencil.member(one, root).regular_rank()))
+    inf = sum(1 for _ in itertools.takewhile(lambda c: not c, reversed(delta.coeffs)))
+    if inf:
+        at = sum(1 for p in out if p.degree == 1)
+        out.insert(at, DegenerationPoint(
+            point=(zero, one), factor="inf", degree=1, multiplicity=inf,
+            radical_rank=n - pencil.q2.regular_rank()))
+    return out
 
 
 def height_shell(h, n):

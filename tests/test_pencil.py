@@ -204,11 +204,83 @@ def test_multiplicity_bound_is_tight_at_rank_two_radical():
     assert not a.simple
 
 
+# q2 = x0 x1 + x1^2 against x0^2 + x1^2 over F3: delta is the
+# irreducible t^2 + 2t + 2, so both degenerate members live over F9
+RANK2_F9 = (diag(F3, [1, 1]), QuadraticForm.of_ints(F3, [[0, 1], [0, 1]]))
+# x0^2 + x1^2 + x2^2 against x0 x2 + x1^2 + x1 x2 over F3: delta is the
+# irreducible t^3 + 2t^2 + 2t + 2
+RANK3_F27 = (diag(F3, [1, 1, 1]), QuadraticForm.of_ints(F3, [[0, 0, 1], [0, 1, 1], [0, 0, 0]]))
+
+
+def _reference_rank_pencils():
+    """_reference_pencils that do not degenerate identically, seeded
+    pencils over F7, and over F3 the sums RANK2_F9 + RANK3_F27 (factors of
+    degrees 2 and 3) and RANK2_F9 + RANK2_F9 (delta the square of an
+    irreducible quadratic, radical rank 2 at its roots).  The Q pencils
+    with entries up to 10^9 are left out: rational_roots finds the
+    divisors of delta's end coefficients by trial division, which does
+    not finish on them."""
+    rng = random.Random(23)
+    pencils = [p for p in _reference_pencils() if not discriminant_form(p).is_zero()
+               and all(abs(c) < 10 ** 6 for q in (p.q1, p.q2) for row in q.c for c in row
+                       if p.field is QQ)]
+    pencils += [_pencil_corpus(rng, PrimeField(7), n) for n in range(1, 8) for _ in range(3)]
+    for (a1, a2), (b1, b2) in ((RANK2_F9, RANK3_F27), (RANK2_F9, RANK2_F9)):
+        pencils.append(Pencil(a1.direct_sum(b1), a2.direct_sum(b2)))
+    return pencils
+
+
+def test_degeneration_points_match_the_extension_field_reference():
+    from references import extension_field_points
+    seen = set()
+    for pencil in _reference_rank_pencils():
+        got = analyze(pencil).points
+        assert list(got) == extension_field_points(pencil), pencil
+        seen |= {(pencil.field.label(), p.degree >= 3, p.degree > 1 and p.radical_rank > 1)
+                 for p in got}
+    assert {label for label, _, _ in seen} >= {
+        f.label() for f in (QQ, F2, F3, F5, PrimeField(7), F4, F9)}
+    assert (F3.label(), True, False) in seen and (F3.label(), False, True) in seen
+    assert any(deep for label, deep, _ in seen if label in (F4.label(), F9.label()))
+
+
+def test_prime_field_analysis_makes_no_extension_field(monkeypatch):
+    from quadclif.rings import ExtElem, ExtensionField
+
+    def refuse(*args):
+        raise AssertionError("analyze over a prime field built an extension field")
+
+    (a1, a2), (b1, b2) = RANK2_F9, RANK3_F27
+    pencil = Pencil(a1.direct_sum(b1), a2.direct_sum(b2))
+    monkeypatch.setattr(ExtensionField, "__new__", refuse)
+    monkeypatch.setattr(ExtElem, "__mul__", refuse)
+    a = analyze(pencil)
+    assert [(p.factor, p.degree, p.radical_rank) for p in a.points] == [
+        ("t^2+2*t+2", 2, 1), ("t^3+2*t^2+2*t+2", 3, 1)]
+
+
+@pytest.mark.parametrize("pencil", [
+    Pencil(*RANK2_F9),
+    Pencil(diag(F9, [1, 1]), diag(F9, [1, 2])),
+], ids=["F3-degree-2", "F9-degree-1"])
+def test_weil_rank_refuses_one_pivot_too_many(monkeypatch, pencil):
+    import quadclif.pencil as pencil_module
+    real = pencil_module._fraction_free
+
+    def one_more(coding, a):
+        rows, pivots = real(coding, a)
+        return rows, pivots + [a.shape[1]]
+
+    monkeypatch.setattr(pencil_module, "_fraction_free", one_more)
+    with pytest.raises(InvariantViolation) as err:
+        analyze(pencil)
+    assert err.value.invariant == "weil-rank"
+
+
 def test_extension_field_degeneration_is_visited():
     # delta dehomogenizes to an irreducible quadratic over F3, so the
     # two degenerate members live only over F9
-    q2 = QuadraticForm.of_ints(F3, [[0, 1], [0, 1]])
-    a = analyze(Pencil(diag(F3, [1, 1]), q2))
+    a = analyze(Pencil(*RANK2_F9))
     ext = [p for p in a.points if p.degree == 2]
     assert len(ext) == 1 and a.exhaustive
     assert ext[0].radical_rank == 1 and ext[0].multiplicity == 1
@@ -299,19 +371,27 @@ def test_rational_degeneration_points_match_brute_force(field):
 
 
 def test_cover_genus_by_rank():
-    for entries, genus, branch in (
-        ([1, 1], 0, 2),
-        ([1, 1, 1], 1, 4),
-        ([1, 1, 1, 1], 1, 4),
-        ([1, 1, 1, 1, 1], 2, 6),
-        ([1, 1, 1, 1, 1, 1], 2, 6),
+    # a zero in q2 puts a root at infinity: at odd rank the model then
+    # has even degree n - 1 and infinity is unbranched, and at rank 1 the
+    # model is a constant, two disjoint lines of genus -1
+    for other, genus, branch, at_inf in (
+        ([1, 2], 0, 2, False),
+        ([1, 2, 3], 1, 4, True),
+        ([1, 2, 3, 4], 1, 4, False),
+        ([1, 2, 3, 4, 5], 2, 6, True),
+        ([1, 2, 3, 4, 5, 6], 2, 6, False),
+        ([0], -1, 0, False),
+        ([0, 1, 2], 0, 2, False),
+        ([0, 1, 2, 3], 1, 4, True),
+        ([0, 1, 2, 3, 4], 1, 4, False),
     ):
-        n = len(entries)
-        other = diag(QQ, list(range(1, n + 1)))
-        a = analyze(Pencil(diag(QQ, entries), other))
+        n = len(other)
+        a = analyze(Pencil(diag(QQ, [1] * n), diag(QQ, other)))
         assert a.squarefree
+        assert any(p.factor == "inf" for p in a.points) == (0 in other)
         m = cover_model(a)
-        assert (m.genus, m.branch_points) == (genus, branch)
+        assert (m.genus, m.branch_points, m.infinity_branched) == (genus, branch, at_inf)
+        assert len(m.model_coeffs) - 1 + m.infinity_branched == m.branch_points
 
 
 def test_cover_requires_squarefree():
@@ -330,14 +410,16 @@ def test_cover_model_coeffs_match_delta():
 def test_center_matches_cover_f5_with_degenerate_samples():
     # all four degeneration points are rational over F5, so the default
     # sample sweep exercises the dual-numbers branch four times
-    out = center_matches_cover(Pencil(diag(F5, [1, 1, 1, 1]), diag(F5, [1, 2, 3, 4])))
+    pencil = Pencil(diag(F5, [1, 1, 1, 1]), diag(F5, [1, 2, 3, 4]))
+    out = center_matches_cover(pencil, analyze(pencil).delta)
     kinds = [kind for _, kind, _ in out["samples"]]
     assert kinds.count("dual") == 4
     assert out["matched"]
 
 
 def test_center_matches_cover_f3_rank2():
-    out = center_matches_cover(Pencil(diag(F3, [1, 1]), diag(F3, [1, 2])))
+    pencil = Pencil(diag(F3, [1, 1]), diag(F3, [1, 2]))
+    out = center_matches_cover(pencil, discriminant_form(pencil))
     assert out["matched"]
 
 

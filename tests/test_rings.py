@@ -295,26 +295,36 @@ def test_extension_square_classes():
 
 
 def test_binary_form_evaluation_and_infinity_roots():
-    # 16 (s+t)(s+2t)(s+3t)(s+4t) over Q
+    # 16 (t+s)(t+2s)(t+3s)(t+4s) over Q
     bf = BinaryForm(QQ, 4, [Fraction(c) for c in (384, 800, 560, 160, 16)])
     assert bf.evaluate(Fraction(1), Fraction(-2)) == 0
     assert bf.evaluate(Fraction(1), Fraction(0)) == 16 * 24
-    roots = bf.roots_projective()
-    assert len(roots) == 4 and all(m == 1 for _, m in roots)
+    roots, rest = rational_roots(bf.dehomogenize())
+    assert roots == [(Fraction(r), 1) for r in (-4, -3, -2, -1)]
+    assert rest.degree() == 0
+    assert bf.infinity_multiplicity() == 0
     assert bf.is_squarefree()
 
 
 def test_binary_form_root_at_infinity():
     # degree-4 form with vanishing top coefficients: the s^3 t model
     bf = BinaryForm(QQ, 4, [Fraction(c) for c in (0, 1, 0, 0, 0)])  # s^3 t
-    inf = [m for (pt, m) in bf.roots_projective() if not pt[0]]
-    assert inf == [3]
+    assert bf.infinity_multiplicity() == 3
     assert not bf.is_squarefree()
-    affine = [(pt, m) for (pt, m) in bf.roots_projective() if pt[0]]
-    assert affine == [((Fraction(1), Fraction(0)), 1)]
-    # over a finite field pencil.analyze reads roots off the factorization
+    assert rational_roots(bf.dehomogenize())[0] == [(Fraction(0), 1)]
+    # rational_roots runs over Q only; over a finite field pencil.analyze
+    # reads the roots off the factorization, and lists (0 : 1) after them
     with pytest.raises(ValueError):
-        BinaryForm(F3, 4, [F3.from_int(c) for c in (0, 1, 0, 0, 0)]).roots_projective()
+        rational_roots(BinaryForm(F3, 4, [F3.from_int(c) for c in (0, 1, 0, 0, 0)]).dehomogenize())
+    from quadclif.pencil import Pencil, analyze
+    from quadclif.quadform import QuadraticForm
+    for field in (QQ, F3):
+        # det(s diag(2, 2, 2, 0) + t diag(0, 0, 0, 2)) = 16 s^3 t
+        a = analyze(Pencil(QuadraticForm.of_ints(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]),
+                           QuadraticForm.of_ints(field, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])))
+        assert a.delta.infinity_multiplicity() == 3
+        assert [(tuple(map(str, p.point)), p.factor, p.multiplicity, p.radical_rank)
+                for p in a.points] == [(("1", "0"), "t", 1, 1), (("0", "1"), "inf", 3, 3)]
 
 
 def test_binary_form_frobenius_power_detected():
