@@ -227,7 +227,7 @@ def _interpolate(values):
 @dataclass(frozen=True)
 class DegenerationPoint:
     point: tuple  # (s0, t0) over the base field, or None for extension points
-    factor: str  # minimal polynomial of the(s0 : 1) root, "t" style
+    factor: str  # minimal polynomial of the (1 : t0) root in t, or "inf"
     degree: int  # residue field degree over the base
     multiplicity: int
     radical_rank: int
@@ -337,9 +337,9 @@ def analyze(pencil):
 
 
 def _prime_matrix(field, rows):
-    """A d x d matrix over Q or F_{p^e} over the prime field, (d, e, d, e):
-    its codes over Q (e = 1), else its Weil restriction to F_p as int64
-    residues, block [i, :, j, :] multiplication by rows[i][j]."""
+    """The d x d matrix rows over the prime field, shaped (d, e, d, e):
+    its codes over Q (e = 1), over F_{p^e} its Weil restriction to F_p as
+    int64 residues, block [i, :, j, :] the multiplication by rows[i][j]."""
     import numpy as np
     d = len(rows)
     if field.kind == "rationals":

@@ -96,7 +96,7 @@ def extension_field_points(pencil):
         out.append(DegenerationPoint(
             point=(one, root), factor=str(g), degree=1, multiplicity=mult,
             radical_rank=n - pencil.member(one, root).regular_rank()))
-    inf = sum(1 for _ in itertools.takewhile(lambda c: not c, reversed(delta.coeffs)))
+    inf = delta.infinity_multiplicity()
     if inf:
         at = sum(1 for p in out if p.degree == 1)
         out.insert(at, DegenerationPoint(

@@ -221,9 +221,8 @@ def _reference_rank_pencils():
     divisors of delta's end coefficients by trial division, which does
     not finish on them."""
     rng = random.Random(23)
-    pencils = [p for p in _reference_pencils() if not discriminant_form(p).is_zero()
-               and all(abs(c) < 10 ** 6 for q in (p.q1, p.q2) for row in q.c for c in row
-                       if p.field is QQ)]
+    pencils = [p for p in _reference_pencils() if not discriminant_form(p).is_zero() and (
+        p.field is not QQ or all(abs(c) < 10 ** 6 for q in (p.q1, p.q2) for row in q.c for c in row))]
     pencils += [_pencil_corpus(rng, PrimeField(7), n) for n in range(1, 8) for _ in range(3)]
     for (a1, a2), (b1, b2) in ((RANK2_F9, RANK3_F27), (RANK2_F9, RANK2_F9)):
         pencils.append(Pencil(a1.direct_sum(b1), a2.direct_sum(b2)))
