@@ -403,14 +403,16 @@ class CenterReport:
       dual     -- rank 2 with a nilpotent, k[z]/(z^2): degenerate
       big      -- dimension above 2 (heavily degenerate input)
 
-    delta is the discriminant scalar with center k[z]/(z^2 - delta)
-    (characteristic not 2; None otherwise).  idempotents is the pair of
-    coded vectors of a split center, None otherwise.
+    delta is the discriminant scalar with center k[z]/(z^2 - delta),
+    and z that central element as a coded vector (characteristic not 2
+    with a rank-2 center; both None otherwise).  idempotents is the pair
+    of coded vectors of a split center, None otherwise.
     """
 
     dim: int
     kind: str
     delta: object
+    z: object
     idempotents: object
     separable: bool
 
@@ -431,9 +433,9 @@ def center_report(algebra):
     dim = len(basis)
     field, coding, decode = algebra.field, algebra.coding, algebra.coding.decode
     if dim == 1:
-        return CenterReport(1, "trivial", None, None, True)
+        return CenterReport(1, "trivial", None, None, None, True)
     if dim > 2:
-        return CenterReport(dim, "big", None, None, False)
+        return CenterReport(dim, "big", None, None, None, False)
 
     # pick a generator w of the center not proportional to the unit, and
     # a coordinate k > 0 where it is nonzero
@@ -457,21 +459,21 @@ def center_report(algebra):
         if np.count_nonzero(z2[1:]) or decode(z2[0]) != delta:
             raise InvariantViolation("center-quadratic", "z^2 != delta")
         if not delta:
-            return CenterReport(2, "dual", delta, None, False)
+            return CenterReport(2, "dual", delta, z, None, False)
         root = field.sqrt(delta)
         if root is not None:
             half = one / two
             e1, e2 = (_affine(coding, half, s * half / root, z) for s in (one, -one))
             _check_idempotents(algebra, e1, e2)
-            return CenterReport(2, "split", delta, (e1, e2), True)
-        return CenterReport(2, "field", delta, None, True)
+            return CenterReport(2, "split", delta, z, (e1, e2), True)
+        return CenterReport(2, "field", delta, z, None, True)
 
     # characteristic 2: w^2 = alpha + beta w
     separable = bool(beta)
     if not separable:
         # inseparable: nilpotent iff alpha is a square (then (w - r)^2 = 0)
         kind = "dual" if field.sqrt(alpha) is not None else "field"
-        return CenterReport(2, kind, None, None, False)
+        return CenterReport(2, kind, None, None, None, False)
     # split iff x^2 + beta x + alpha has a root; search the field, finite
     # as every field of characteristic 2 here is (signs are immaterial)
     for r in field.elements():
@@ -480,8 +482,8 @@ def center_report(algebra):
             e1 = _affine(coding, -r / beta, one / beta, w)
             e2 = _affine(coding, one, -one, e1)
             _check_idempotents(algebra, e1, e2)
-            return CenterReport(2, "split", None, (e1, e2), True)
-    return CenterReport(2, "field", None, None, True)
+            return CenterReport(2, "split", None, None, (e1, e2), True)
+    return CenterReport(2, "field", None, None, None, True)
 
 
 def even_center_report(form):

@@ -2,11 +2,15 @@
 
 Exhaustive enumeration of isotropic subspaces of a quadratic form in
 row-echelon canonical form, the partition of the maximal ones into the
-two rulings by the intersection-parity rule, and the comparison of that
-component picture with the center of the even Clifford algebra: a
-square center discriminant must show two components over the ground
-field, a nonsquare one must show the two components only over the
-quadratic extension with the q-power map swapping them.
+two rulings, and the comparison of that component picture with the
+center of the even Clifford algebra: a square center discriminant must
+show two components over the ground field, a nonsquare one must show
+the two components only over the quadratic extension with the q-power
+map swapping them.  Each lagrangian L is labelled by the parity of its
+intersection with the first one, L0, in one pass, and stein_vs_center
+certifies every label by the pure spinor of L: the central element z of
+C0 with z^2 = delta scales it by +-sqrt(delta), with the sign of L0
+exactly when L lies in L0's ruling.
 
 Everything runs on rings.ResidueCoding: an element of F_{p^e} is its e
 residues mod p and a form over F_{p^e} its e Gram matrices over F_p, so
@@ -19,10 +23,10 @@ column is past the last pivot and zero in every earlier row, and which
 is polar to every earlier row under every form, tested for a block of
 candidates at once.  Every RREF basis arises this way from its first
 rows exactly once, so nothing needs deduplication.  The subspaces stay
-residue rows through the rulings and the q-power map; only the reported
-LagrangianSet decodes them.  _assert_totally_isotropic re-verifies the
-whole stack independently of the growth's Gram matrices, forming every
-Gram matrix in int64 straight from the residues.
+residue rows through the rulings, the spinors and the q-power map; only
+the reported LagrangianSet decodes them.  _assert_totally_isotropic
+re-verifies the whole stack independently of the growth's Gram
+matrices, forming every Gram matrix in int64 straight from the residues.
 """
 
 from __future__ import annotations
@@ -31,16 +35,15 @@ from dataclasses import dataclass
 
 from .rings import (
     InvariantViolation,
-    ResidueCoding,
     bilinear,
     quadratic_extension,
+    residue_coding,
     scalar_str,
 )
 
 
-# residues one chunk of the candidate test in _grow, or of the pair ranks
-# in ruling_components, holds at most, unless a single parent subspace or
-# a single row of pairs is already larger
+# residues one chunk of the candidate test in _grow holds at most, unless
+# a single parent subspace is already larger
 _BLOCK = 1 << 16
 
 
@@ -95,7 +98,7 @@ def common_isotropic_subspaces(forms, r):
     entry."""
     import numpy as np
 
-    coding = ResidueCoding(forms[0].field)
+    coding = residue_coding(forms[0].field)
     n = forms[0].n
     coefs = [coding.gram(q.c) for q in forms]
     polars = [coding.gram(q.polar_matrix().rows) for q in forms]
@@ -139,7 +142,7 @@ def _enumerate_codes(q, r):
 
     level = common_isotropic_subspaces([q], r)
     if not level:
-        coding = ResidueCoding(field)
+        coding = residue_coding(field)
         return np.zeros((0, r + 1, n * coding.e), dtype=coding.dtype)
     flat = np.concatenate([sub.reshape(len(sub), -1) for sub in level.values()])
     found = flat[np.lexsort(flat.T[::-1])].reshape(len(flat), r + 1, -1)
@@ -155,7 +158,7 @@ def enumerate_isotropic(q, r):
     returned basis is re-checked against the form and its polar before
     being handed out.
     """
-    return ResidueCoding(q.field).decode(_enumerate_codes(q, r))
+    return residue_coding(q.field).decode(_enumerate_codes(q, r))
 
 
 def _assert_totally_isotropic(q, rows):
@@ -169,7 +172,7 @@ def _assert_totally_isotropic(q, rows):
     """
     import numpy as np
 
-    coding = ResidueCoding(q.field)
+    coding = residue_coding(q.field)
     p, e = coding.p, coding.e
     mult = coding.mult.reshape(e * e, e)
 
@@ -200,12 +203,14 @@ def ruling_components(coding, rows, m):
     """Partition of maximal isotropic subspaces into the two rulings.
 
     rows is a stack (count, m, n*e) of residue rows of RREF bases over
-    coding's field.  Two subspaces land in one component exactly when
-    the dimension of their intersection is congruent to m mod 2.  With
-    K_i the reduced echelon kernel basis of L_i, dim(L_i & L_j) = m -
-    rank(L_j K_i): one product and one m x (n-m) elimination per pair.
-    The rule is checked as an equivalence relation, pair by pair, and
-    must give exactly two classes; anything else falsifies it here.
+    coding's field.  Two maximal isotropic subspaces lie in one ruling
+    exactly when the dimension of their intersection is congruent to m
+    mod 2, so each subspace L is labelled by the parity of m - dim(L &
+    L0) against the first subspace L0.  With K the reduced echelon
+    kernel basis of L0, dim(L & L0) = m - rank(L K): one product with K
+    and one stacked m x (n-m) elimination label every subspace.  Two
+    classes must result; stein_vs_center certifies the labels by the
+    pure spinors.
     """
     import numpy as np
 
@@ -216,42 +221,108 @@ def ruling_components(coding, rows, m):
         raise ValueError("a single lagrangian cannot be split into rulings")
     if rows.shape[1] != m:
         raise ValueError("input subspace of dimension != m")
-    res = coding.elements_axis(rows)
-    n, width = res.shape[2], rows.shape[2]
-    # the kernel basis: a 1 in each free column, -L[r, free] at pivot r
-    at, cols = np.arange(count)[:, None], np.arange(n - m)
-    pivots = res.any(axis=3).argmax(axis=2)
-    is_pivot = (pivots[:, :, None] == np.arange(n)).any(axis=1)
-    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :n - m]
-    kernel = np.zeros((count, n, n - m, coding.e), dtype=coding.dtype)
-    kernel[at, free, cols, 0] = 1
-    kernel[at[:, :, None], pivots[:, :, None], cols] = \
-        -np.take_along_axis(res, free[:, None, :, None], axis=2) % coding.p
-    maps = coding.weil(kernel.reshape(count, n, -1))
-    flat = rows.reshape(count * m, width).astype(maps.dtype)
-    # the pairs (i, j), i < j, of a block of rows i at a time
-    step = max(1, _BLOCK // max(1, flat.size // n * (n - m)))
-    for i0 in range(0, count - 1, step):
-        i1 = min(count - 1, i0 + step)
-        prod = coding.reduce(flat @ maps[i0:i1].transpose(1, 0, 2).reshape(width, -1))
-        prod = prod.reshape(count, m, i1 - i0, -1).transpose(2, 0, 1, 3)  # [i, j] = L_j K_i
-        ii, jj = np.nonzero(np.triu(np.ones((i1 - i0, count), dtype=bool), i0 + 1))
-        _, rank = coding.rref(prod[ii, jj])
-        ii += i0
-        same = rank % 2 == 0  # m - dim(L_i & L_j) is even
-        if i0 == 0:
-            labels = np.concatenate([[0], np.where(same[:count - 1], 0, 1)])
-        if np.any(same != (labels[ii] == labels[jj])):
-            raise InvariantViolation(
-                "ruling-parity",
-                "intersection parity is not an equivalence relation here")
-    labels = labels.tolist()
+    first = coding.elements_axis(rows[0])
+    n = first.shape[1]
+    # the kernel basis of L0: a 1 in each free column, -L0[r, free] at pivot r
+    pivots = first.any(axis=2).argmax(axis=1)
+    free = np.delete(np.arange(n), pivots)
+    kernel = np.zeros((n, n - m, coding.e), dtype=coding.dtype)
+    kernel[free, np.arange(n - m), 0] = 1
+    kernel[pivots] = -first[:, free] % coding.p
+    kernel = coding.weil(kernel.reshape(n, -1))
+    prod = coding.reduce(rows.reshape(count * m, -1).astype(kernel.dtype) @ kernel)
+    _, rank = coding.rref(prod.reshape(count, m, -1))
+    labels = (rank % 2).tolist()
     sizes = (labels.count(0), labels.count(1))
     if 0 in sizes:
         raise InvariantViolation(
             "ruling-two-classes",
             "parity rule yields a single class on %d subspaces" % count)
     return RulingPartition(m=m, labels=tuple(labels), sizes=sizes)
+
+
+def _certify_rulings(alg, rep, form, root, rows, labels):
+    """Refuse ruling labels that the pure spinors contradict.
+
+    alg is C0(q) and rep its center report, with z central and z^2 =
+    delta; form is q over the field the subspaces rows (count, m, n*e)
+    were enumerated in, and root a square root s of delta there.  A
+    maximal isotropic L with basis l1..lm has the pure spinor l1...lm
+    (Chevalley), which z scales by s or -s, the sign telling its ruling.
+    Here x_L = l1...lm is formed in C0, times e_j for odd m, j the first
+    non-pivot column of L, so that e_j is not in L and x_L != 0.  The
+    sign of z x_L = +-s x_L, relative to L0's, must be the label; it
+    must exist, and x_L must not be 0, or InvariantViolation
+    "ruling-spinor" is raised.
+
+    Products are residue products (coding.mul) contracted against Weil
+    matrices: of the e_i e_j table in C0, of C0's structure tensor, and
+    of left multiplication by z.
+    """
+    import numpy as np
+
+    coding = residue_coding(form.field)
+    count, m, _ = rows.shape
+    p, e, d, n = coding.p, coding.e, alg.dim, form.n
+    coefs = coding.elements_axis(coding.array(form.c))
+    # e_i e_j in C0: e_(ij) for i < j, b(e_i, e_j) - e_(ij) for i > j,
+    # and q(e_i) for i = j; the mask of e_(ij) is 2^i + 2^j
+    gens = np.zeros((n, n, d, e), dtype=coding.dtype)
+    i, j = np.triu_indices(n, 1)
+    k = [alg.mask_index[(1 << a) | (1 << b)] for a, b in zip(i.tolist(), j.tolist())]
+    gens[i, j, k, 0] = 1
+    gens[j, i, k, 0] = p - 1
+    gens[j, i, 0] = coefs[i, j]
+    gens[np.arange(n), np.arange(n), 0] = coefs.diagonal().T
+
+    def residues(codes):
+        # C0's codes: residues over F_p, or elements of coding's field,
+        # of which only the nonzero ones are decoded
+        out = np.zeros(codes.shape + (e,), dtype=coding.dtype)
+        if codes.dtype != object:
+            out[..., 0] = codes
+            return out
+        nz = np.nonzero(codes)
+        out[nz] = coding.elements_axis(coding.array([list(map(alg.coding.decode, codes[nz]))]))[0]
+        return out
+
+    table, z = residues(alg.table), residues(rep.z)
+    pair = coding.weil(gens.reshape(n * n, d * e))
+    times = coding.weil(table.reshape(d * d, d * e))
+    zmat = coding.weil(coding.reduce(
+        z.reshape(1, -1) @ coding.weil(table.reshape(d, -1))).reshape(d, -1))
+
+    def product(weil, x, y):
+        # sum over a, b of x_a y_b W[a, b], for stacks x (count, r, e)
+        outer = coding.mul(x.transpose(2, 0, 1)[:, :, :, None], y.transpose(2, 0, 1)[:, :, None])
+        outer = outer.transpose(1, 2, 3, 0).reshape(count, -1)
+        return coding.reduce(outer.astype(weil.dtype) @ weil).reshape(count, d, e)
+
+    res = coding.elements_axis(rows)
+    vectors = list(res.transpose(1, 0, 2, 3))
+    if m % 2:
+        at = np.arange(count)
+        pivot = np.zeros((count, n), dtype=bool)
+        pivot[at[:, None], res.any(axis=3).argmax(axis=2)] = True
+        tail = np.zeros((count, n, e), dtype=coding.dtype)
+        tail[at, pivot.argmin(axis=1), 0] = 1
+        vectors.append(tail)
+    spinor = product(pair, vectors[0], vectors[1])
+    for a in range(2, len(vectors), 2):
+        spinor = product(times, spinor, product(pair, vectors[a], vectors[a + 1]))
+    zx = coding.reduce(spinor.reshape(count, -1).astype(zmat.dtype) @ zmat)
+    sx = coding.mul(coding.array([root])[:, None, None], spinor.transpose(2, 0, 1))
+    sx = sx.transpose(1, 2, 0).reshape(count, -1)
+    plus, minus = (zx == sx).all(axis=1), (zx == -sx % p).all(axis=1)
+    sign = minus.astype(int)
+    bad = ~spinor.any(axis=(1, 2)) | ~(plus | minus) | (sign ^ sign[0] != np.array(labels))
+    if bad.any():
+        at = int(bad.argmax())
+        raise InvariantViolation(
+            "ruling-spinor", "subspace %d: its spinor %s" % (at, (
+                "is zero" if not spinor[at].any() else
+                "is scaled by neither root of delta" if not plus[at] | minus[at] else
+                "contradicts its ruling label %d" % labels[at])))
 
 
 @dataclass(frozen=True)
@@ -295,8 +366,9 @@ def stein_vs_center(q):
     ground field must split into two components.  Nonsquare: none exist
     over the ground field, the enumeration runs over the quadratic
     extension instead, and the q-power map must swap the two components
-    there.  Every one of these expectations is asserted; the report
-    records what was seen.
+    there.  The ruling labels are certified by the pure spinors
+    (_certify_rulings).  Every one of these expectations is asserted;
+    the report records what was seen.
     """
     field = q.field
     n = q.n
@@ -311,7 +383,7 @@ def stein_vs_center(q):
     m = n // 2
 
     from .clifford import even_center_report
-    _, rep = even_center_report(q)
+    alg, rep = even_center_report(q)
     if rep.kind not in ("split", "field"):
         raise InvariantViolation(
             "stein-center", "center kind %s on a regular even form" % rep.kind)
@@ -321,7 +393,7 @@ def stein_vs_center(q):
             "stein-center", "square class of the center discriminant "
             "disagrees with the idempotent split")
 
-    over = field if delta_square else quadratic_extension(field)
+    over, form = field, q
     rows = _enumerate_codes(q, m - 1)
     if delta_square and not len(rows):
         raise InvariantViolation(
@@ -333,13 +405,17 @@ def stein_vs_center(q):
                 "stein-witt",
                 "nonsquare center discriminant yet %d maximal isotropic "
                 "subspaces exist over the ground field" % len(rows))
-        rows = _enumerate_codes(q.map_field(over, over.embed), m - 1)
+        over = quadratic_extension(field)
+        form = q.map_field(over, over.embed)
+        rows = _enumerate_codes(form, m - 1)
         if not len(rows):
             raise InvariantViolation(
                 "stein-extension", "no maximal isotropic subspaces even over "
                 "the quadratic extension")
-    coding = ResidueCoding(over)
+    coding = residue_coding(over)
     part = ruling_components(coding, rows, m)
+    root = over.sqrt(rep.delta if delta_square else over.embed(rep.delta))
+    _certify_rulings(alg, rep, form, root, rows, part.labels)
     perm = None
     if not delta_square:
         # the q-power map fixes 0 and 1, so it takes an RREF basis to the

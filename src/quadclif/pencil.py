@@ -59,12 +59,12 @@ from .rings import (
     InvariantViolation,
     Poly,
     PrimeField,
-    ResidueCoding,
     _fraction_free,
     _mod,
     bilinear,
     irreducible_factors,
     rational_roots,
+    residue_coding,
     scalar_str,
 )
 from .lagrangian import common_isotropic_subspaces
@@ -344,7 +344,7 @@ def _prime_matrix(field, rows):
     d = len(rows)
     if field.kind == "rationals":
         return ArrayCoding(field).array(rows).reshape(d, 1, d, 1)
-    coding = ResidueCoding(field)
+    coding = residue_coding(field)
     return coding.weil(coding.array(rows)).astype(np.int64).reshape(d, coding.e, d, coding.e)
 
 
@@ -481,20 +481,13 @@ def _int_forms(q1, q2):
 
 
 @functools.lru_cache(maxsize=None)
-def _all_vectors(p, m):
-    """The p^m vectors of F_p^m in lexicographic order, as rows, frozen."""
-    import numpy as np
-    out = np.indices((p,) * m).reshape(m, -1).T.copy()
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def _zero_at(p, n):
     """(n, p^(n-1), n): row j the vectors of F_p^n with coordinate j zero,
-    in lexicographic order, frozen."""
+    in lexicographic order, as int64, frozen.  The points with lead 0
+    are 1 followed by every vector of F_p^(n-1) in that order."""
     import numpy as np
-    out = np.stack([np.insert(_all_vectors(p, n - 1), j, 0, axis=1) for j in range(n)])
+    rest = residue_coding(PrimeField(p)).points(n, 0)[:, 1:].astype(np.int64)
+    out = np.stack([np.insert(rest, j, 0, axis=1) for j in range(n)])
     out.setflags(write=False)
     return out
 
@@ -505,7 +498,7 @@ def _projective_points(p, n, lexicographic):
     frozen stack of the ResidueCoding.points tables: by descending lead in
     lexicographic order, by ascending lead in the canonical one."""
     import numpy as np
-    coding = ResidueCoding(PrimeField(p))
+    coding = residue_coding(PrimeField(p))
     leads = reversed(range(n)) if lexicographic else range(n)
     out = np.concatenate([coding.points(n, lead) for lead in leads])
     out.setflags(write=False)
@@ -970,7 +963,7 @@ def common_isotropic_plane_rank6(q1, q2):
     field = q1.field
     if not isinstance(field, PrimeField) or field.p > 5:
         raise ValueError("plane search runs over prime fields with p <= 5")
-    coding = ResidueCoding(field)
+    coding = residue_coding(field)
     tables = [coding.points(6, lead) for lead in range(6)]
     count = sum(int((tables[pa][:, pb] == 0).sum()) * len(tables[pb])
                 for pa in range(6) for pb in range(pa + 1, 6))

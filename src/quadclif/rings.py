@@ -934,40 +934,77 @@ def irreducible_factors(f):
 def rational_roots(f):
     """Rational roots with multiplicities, plus the rootless cofactor.
 
-    Runs on the primitive integer model of f: candidates a/b come from
-    the classical divisor test (a divides the trailing coefficient, b
-    the leading one), so this is exact, not a search heuristic.  A
-    candidate is a root when the homogeneous form sum c_i a^i b^(d-i)
-    vanishes, evaluated in Python ints, and each root is divided out of
-    the integer coefficients (by b t - a, exact by Gauss's lemma) as
-    often as it vanishes.  Fractions are made only for the report.
+    Runs on the primitive integer model of f.  The candidates are the
+    roots of its squarefree part lifted from a prime (_root_candidates),
+    so the work grows with the number of digits of the coefficients, not
+    with their size.  A candidate a/b is a root when the homogeneous form
+    sum c_i a^i b^(d-i) vanishes, evaluated in Python ints, and each root
+    is divided out of the integer coefficients (by b t - a, exact by
+    Gauss's lemma) as often as it vanishes.  Fractions are made only for
+    the squarefree part (one gcd over Q) and for the report.
     """
     if f.field.kind != "rationals":
         raise ValueError("rational root extraction expects coefficients in Q")
     if not f:
         raise ValueError("the zero polynomial vanishes everywhere")
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
+    ints = _primitive_ints(f.coeffs)
     # strip powers of t so the trailing coefficient is nonzero
     shift = next(i for i, c in enumerate(ints) if c)
     ints = ints[shift:]
     roots = [(Fraction(0), shift)] if shift else []
-    candidates = {(sign * a, b) for a in _divisors(abs(ints[0]))
-                  for b in _divisors(abs(ints[-1])) for sign in (1, -1)
-                  if math.gcd(a, b) == 1}
-    for a, b in candidates:  # in any order: every root is divided out in full
-        if len(ints) == 1:
-            break
+    for root in _root_candidates(ints):  # in any order: every root is divided out in full
+        a, b = root.numerator, root.denominator
         mult = 0
         while len(ints) > 1 and not _homogeneous_value(ints, a, b):
             ints = _deflate(ints, a, b)
             mult += 1
         if mult:
-            roots.append((Fraction(a, b), mult))
+            roots.append((root, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, Poly(f.field, f.var, tuple(Fraction(c, ints[-1]) for c in ints))
+
+
+def _primitive_ints(coeffs):
+    """The primitive integer coefficients of a nonzero rational multiple."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _root_candidates(ints):
+    """Rationals among which are all rational roots of the integer
+    polynomial ints (ascending, ints[0] != 0).
+
+    A root a/b in lowest terms of the squarefree part s, with end
+    coefficients c0 and cd, has a | c0 and b | cd, so u = cd a/b is an
+    integer with |u| <= |c0 cd|.  Take the least prime ell not dividing
+    cd at which every root of s modulo ell is simple (any ell dividing
+    neither cd nor the discriminant of s is one).  Newton's iteration
+    lifts each root uniquely to a root r modulo M = ell^(2^k) > 2|c0 cd|,
+    and u is cd r reduced to (-M/2, M/2].  One candidate per root of s
+    modulo ell; the caller confirms each.
+    """
+    f = Poly.of_ints(QQ, "t", ints)
+    s = _primitive_ints((f // poly_gcd(f, f.derivative())).coeffs)
+    if len(s) < 2:
+        return []
+    slope = [i * c for i, c in enumerate(s)][1:]
+    for ell in (k for k in itertools.count(2) if _prime_divisors(k) == [k]):
+        roots = [r for r in range(ell) if not _homogeneous_value(s, r, 1) % ell]
+        if s[-1] % ell and all(_homogeneous_value(slope, r, 1) % ell for r in roots):
+            break
+    bound = 2 * abs(s[0] * s[-1])
+    out = []
+    for r in roots:
+        mod = ell
+        while mod <= bound:
+            mod *= mod
+            step = _homogeneous_value(s, r, 1) * pow(_homogeneous_value(slope, r, 1), -1, mod)
+            r = (r - step) % mod
+        u = s[-1] * r % mod
+        out.append(Fraction(u - mod if 2 * u > mod else u, s[-1]))
+    return out
 
 
 def _homogeneous_value(ints, a, b):
@@ -988,20 +1025,6 @@ def _deflate(ints, a, b):
         out[i - 1] = (ints[i] + carry) // b
         carry = a * out[i - 1]
     return out
-
-
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1597,6 +1620,7 @@ class ResidueCoding:
             [c.v for c in row] for row in getattr(field, "_xpow", ())]
         self.mult = np.array([[powers[x + y] for y in range(e)] for x in range(e)],
                              dtype=self.dtype)
+        self.mult.setflags(write=False)
 
     @functools.cached_property
     def frobenius(self):
@@ -1731,6 +1755,13 @@ class ResidueCoding:
             a = _mod(a, self.p)
             rank += has
         return a.transpose(3, 1, 2, 0).reshape(count, nr, width), rank
+
+
+@functools.lru_cache(maxsize=None)
+def residue_coding(field):
+    """The ResidueCoding of field, built once per field and shared, like
+    the point tables: its tensor and q-power map are computed once."""
+    return ResidueCoding(field)
 
 
 # ---------------------------------------------------------------------------

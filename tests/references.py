@@ -2,10 +2,12 @@
 
 poly_det_discriminant is the discriminant form by minor expansion over
 wrapped Poly entries, sweep_first_common_zero the zero search over Q
-one vector at a time, and extension_field_points the degeneration points
-with each radical rank taken in the residue field of its root; all are
-the earlier implementations, kept here to pin pencil.discriminant_form,
-splitting._first_common_zero and the radical ranks of pencil.analyze.
+one vector at a time, extension_field_points the degeneration points
+with each radical rank taken in the residue field of its root, and
+divisor_rational_roots the rational roots by the classical divisor
+test; all are the earlier implementations, kept here to pin
+pencil.discriminant_form, splitting._first_common_zero, the radical
+ranks of pencil.analyze and, on small coefficients, rings.rational_roots.
 """
 
 import itertools
@@ -14,7 +16,8 @@ from fractions import Fraction
 
 from quadclif.pencil import DegenerationPoint, Pencil
 from quadclif.rings import (
-    ArrayCoding, BinaryForm, ExtensionField, Poly, QQ, irreducible_factors, rational_roots)
+    ArrayCoding, BinaryForm, ExtensionField, Poly, QQ, _deflate, _homogeneous_value,
+    irreducible_factors, rational_roots)
 
 
 def _poly_det(entries):
@@ -103,6 +106,48 @@ def extension_field_points(pencil):
             point=(zero, one), factor="inf", degree=1, multiplicity=inf,
             radical_rank=n - pencil.q2.regular_rank()))
     return out
+
+
+def _divisors(n):
+    if n == 0:
+        return [1]
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def divisor_rational_roots(f):
+    """rings.rational_roots by the classical divisor test: the
+    candidates a/b have a dividing the trailing coefficient and b the
+    leading one of the primitive integer model, found by trial division
+    up to their square roots, so only small coefficients finish."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    shift = next(i for i, c in enumerate(ints) if c)
+    ints = ints[shift:]
+    roots = [(Fraction(0), shift)] if shift else []
+    candidates = {(sign * a, b) for a in _divisors(abs(ints[0]))
+                  for b in _divisors(abs(ints[-1])) for sign in (1, -1)
+                  if math.gcd(a, b) == 1}
+    for a, b in candidates:
+        if len(ints) == 1:
+            break
+        mult = 0
+        while len(ints) > 1 and not _homogeneous_value(ints, a, b):
+            ints = _deflate(ints, a, b)
+            mult += 1
+        if mult:
+            roots.append((Fraction(a, b), mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, Poly(f.field, f.var, tuple(Fraction(c, ints[-1]) for c in ints))
 
 
 def height_shell(h, n):

@@ -142,6 +142,19 @@ def test_pencil_plain_report():
     assert rep["center_cover"]["matched"] is True
 
 
+def test_pencil_with_large_rational_coefficients():
+    # the end coefficients of the discriminant are near 10^27 and 24: the
+    # rational roots come from a prime, not from their divisors
+    code, rep = run_json(["pencil", "--pencil", "field=Q; "
+                          "q1=[[912345677,3,0],[0,823456791,5],[0,0,734567893]]; "
+                          "q2=[[1,0,0],[0,2,0],[0,0,3]]"])
+    assert code == 0
+    ana = rep["analysis"]
+    assert ana["discriminant"]["coeffs"][0] == "2207456567164150971827158042"
+    assert ana["degenerations"] == [] and ana["squarefree"]
+    assert rep["cover"]["genus"] == 1
+
+
 def test_pencil_scenario_rank_is_validated():
     code, out, err = run_cli(["pencil", "--scenario", "elliptic", "--pencil",
                               "field=Q; q1=diag(1,1); q2=diag(1,2)"])

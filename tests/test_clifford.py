@@ -557,7 +557,7 @@ def _wrapped_mul(a):
 
 
 def _reference_center(a):
-    """(kind, delta, idempotents) as the center report derives them, on
+    """(kind, delta, z, idempotents) as the center report derives them, on
     wrapped scalars: the center is the echelon kernel of every commutator
     with a basis element, and w^2 = alpha + beta w is solved by
     Gauss-Jordan.  The commutator rows are row-reduced after each basis
@@ -575,7 +575,7 @@ def _reference_center(a):
         rows = red[:len(pivots)]
     basis = gauss_jordan.kernel_basis(field, rows, d)
     if len(basis) != 2:
-        return ("trivial" if len(basis) == 1 else "big"), None, None
+        return ("trivial" if len(basis) == 1 else "big"), None, None, None
     w = next(v for v in basis if any(v[1:]))
     red, pivots = gauss_jordan.rref(field, [[unit[k], w[k], x] for k, x in enumerate(mul(w, w))])
     assert pivots == (0, 1)
@@ -590,19 +590,19 @@ def _reference_center(a):
         delta = alpha + beta * beta / (two * two)
         assert mul(z, z) == comb(delta, zero, z)
         if not delta:
-            return "dual", delta, None
+            return "dual", delta, z, None
         root = field.sqrt(delta)
         if root is None:
-            return "field", delta, None
+            return "field", delta, z, None
         half = one / two
-        return "split", delta, (comb(half, half / root, z), comb(half, -half / root, z))
+        return "split", delta, z, (comb(half, half / root, z), comb(half, -half / root, z))
     if not beta:
-        return ("dual" if field.sqrt(alpha) is not None else "field"), None, None
+        return ("dual" if field.sqrt(alpha) is not None else "field"), None, None, None
     r = next((r for r in field.elements() if not (r * r + beta * r + alpha)), None)
     if r is None:
-        return "field", None, None
+        return "field", None, None, None
     e1 = comb(-r / beta, one / beta, w)
-    return "split", None, (e1, comb(one, -one, e1))
+    return "split", None, None, (e1, comb(one, -one, e1))
 
 
 def _reference_fibers(a, idempotents):
@@ -664,8 +664,9 @@ CENTER_CASES = [
 def test_coded_center_matches_the_wrapped_reference(field, q):
     a = even_clifford(q)
     rep = center_report(a)
-    kind, delta, idempotents = _reference_center(a)
+    kind, delta, z, idempotents = _reference_center(a)
     assert (rep.kind, rep.delta) == (kind, delta)
+    assert (None if rep.z is None else tuple(a.coding.decode(x) for x in rep.z)) == z
     if idempotents is None:
         assert rep.idempotents is None
         return

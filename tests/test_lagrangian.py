@@ -15,6 +15,7 @@ from quadclif.rings import (
     PrimeField,
     ResidueCoding,
     quadratic_extension,
+    residue_coding,
 )
 from quadclif.quadform import QuadraticForm
 from quadclif.lagrangian import (
@@ -356,22 +357,6 @@ def test_wrong_dimension_is_rejected():
         ruling_components(coding, subs, 3)
 
 
-def test_parity_that_is_no_equivalence_is_refuted(monkeypatch):
-    # three planes of F3^3 pairwise meet in a line, an odd dimension
-    # against m = 2: all three would be pairwise in different classes.
-    # One pair per elimination block still finds it, in the last block.
-    coding = ResidueCoding(F3)
-    planes = np.array([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]],
-                      dtype=coding.dtype)
-    with pytest.raises(InvariantViolation) as err:
-        ruling_components(coding, planes, 2)
-    assert err.value.invariant == "ruling-parity"
-    monkeypatch.setattr(lagrangian, "_BLOCK", 1)
-    with pytest.raises(InvariantViolation) as err:
-        ruling_components(coding, planes, 2)
-    assert err.value.invariant == "ruling-parity"
-
-
 def test_one_ruling_alone_is_refuted():
     coding, subs = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
     labels = np.array(ruling_components(coding, subs, 2).labels)
@@ -380,25 +365,92 @@ def test_one_ruling_alone_is_refuted():
     assert err.value.invariant == "ruling-two-classes"
 
 
-def test_rulings_do_not_depend_on_the_block_size(monkeypatch):
-    coding, subs = _coded(QuadraticForm.hyperbolic(F3, 3), 2)
-    labels = ruling_components(coding, subs, 3).labels
-    monkeypatch.setattr(lagrangian, "_BLOCK", 1)
-    assert ruling_components(coding, subs, 3).labels == labels
-
-
 def test_intersection_parity_within_components():
-    # planes in one ruling of H(2) meet in dimension 0 or 2; across
-    # rulings they meet in dimension 1
+    # lagrangians in one ruling meet in a dimension congruent to m mod 2,
+    # across rulings in the other parity: checked by rank on every pair,
+    # over the ground field and over the quadratic extension
     from quadclif.rings import Matrix
-    coding, codes = _coded(QuadraticForm.hyperbolic(F3, 2), 1)
-    labels = ruling_components(coding, codes, 2).labels
-    subs = coding.decode(codes)
-    a = [s for s, l in zip(subs, labels) if l == 0]
-    b = [s for s, l in zip(subs, labels) if l == 1]
-    inter = lambda U, V: 4 - Matrix(F3, [list(r) for r in U + V]).rank()
-    assert all(inter(u, v) % 2 == 0 for u in a for v in a)
-    assert all(inter(u, v) % 2 == 1 for u in a for v in b)
+    for q in (QuadraticForm.hyperbolic(F3, 2), QuadraticForm.hyperbolic(F3, 3),
+              QuadraticForm.diagonal(F3, [1, 1, 1, 2]), QuadraticForm.diagonal(F5, [1, 1, 1, 2])):
+        rep = stein_vs_center(q)
+        lag = rep.lagrangians
+        over = quadratic_extension(q.field) if rep.extension_used else q.field
+        for (u, a), (v, b) in itertools.combinations(zip(lag.subspaces, lag.labels), 2):
+            meet = q.n - Matrix(over, [list(row) for row in u + v]).rank()
+            assert (lag.m - meet) % 2 == (a != b)
+
+
+# -------------------------------------------- the spinor certificate
+
+
+# split forms over F3 at ranks 2, 4 and 6, nonsplit ones whose
+# lagrangians live over F9 and F25, and a split form over F9 itself,
+# whose even algebra holds its structure constants as field elements
+PLANTED = [
+    QuadraticForm.diagonal(F3, [1, 2]),
+    QuadraticForm.diagonal(F3, [1, 1, 1, 1]),
+    QuadraticForm.diagonal(F3, [1, 1, 1, 1, 1, 2]),
+    QuadraticForm.diagonal(F3, [1, 1, 1, 2]),
+    QuadraticForm.diagonal(F5, [1, 1, 1, 2]),
+    QuadraticForm.diagonal(F9, [1, F9.gen(), 1, 1]),
+]
+PLANTED_IDS = ["F3-rank2", "F3-rank4", "F3-rank6", "F9-rank4", "F25-rank4", "F9-ground-rank4"]
+
+
+@pytest.mark.parametrize("q", PLANTED, ids=PLANTED_IDS)
+def test_flipped_ruling_label_is_refused(q, monkeypatch):
+    import dataclasses
+
+    real = lagrangian.ruling_components
+
+    def flipped(coding, rows, m):  # the last subspace put in the other ruling
+        part = real(coding, rows, m)
+        return dataclasses.replace(part, labels=part.labels[:-1] + (1 - part.labels[-1],))
+
+    monkeypatch.setattr(lagrangian, "ruling_components", flipped)
+    with pytest.raises(InvariantViolation) as err:
+        stein_vs_center(q)
+    assert err.value.invariant == "ruling-spinor"
+    assert "contradicts its ruling label" in str(err.value)
+
+
+def _corrupted(q, rows):
+    """rows with one subspace replaced by one that is not totally
+    isotropic: the first entry, from the last subspace on, in a free
+    column of some basis row, whose change by 1 breaks isotropy; the
+    basis stays in RREF."""
+    coding = residue_coding(q.field)
+    e = coding.e
+    for k in reversed(range(len(rows))):
+        sub = rows[k]
+        res = coding.elements_axis(sub)
+        pivots = res.any(axis=2).argmax(axis=1)
+        for i, c in itertools.product(range(len(sub)), range(q.n)):
+            if c <= pivots[i] or c in pivots:
+                continue
+            bad = sub.copy()
+            bad[i, c * e] = (bad[i, c * e] + 1) % coding.p
+            try:
+                lagrangian._assert_totally_isotropic(q, bad[None])
+            except InvariantViolation:
+                out = rows.copy()
+                out[k] = bad
+                return out
+    raise AssertionError("no entry breaks isotropy")
+
+
+@pytest.mark.parametrize("q", PLANTED, ids=PLANTED_IDS)
+def test_corrupted_subspace_is_refused(q, monkeypatch):
+    real = lagrangian._enumerate_codes
+
+    def corrupted(form, r):
+        rows = real(form, r)
+        return _corrupted(form, rows) if len(rows) else rows
+
+    monkeypatch.setattr(lagrangian, "_enumerate_codes", corrupted)
+    with pytest.raises(InvariantViolation) as err:
+        stein_vs_center(q)
+    assert err.value.invariant == "ruling-spinor"
 
 
 # ------------------------------------------------- center comparison

@@ -216,13 +216,9 @@ def _reference_rank_pencils():
     """_reference_pencils that do not degenerate identically, seeded
     pencils over F7, and over F3 the sums RANK2_F9 + RANK3_F27 (factors of
     degrees 2 and 3) and RANK2_F9 + RANK2_F9 (delta the square of an
-    irreducible quadratic, radical rank 2 at its roots).  The Q pencils
-    with entries up to 10^9 are left out: rational_roots finds the
-    divisors of delta's end coefficients by trial division, which does
-    not finish on them."""
+    irreducible quadratic, radical rank 2 at its roots)."""
     rng = random.Random(23)
-    pencils = [p for p in _reference_pencils() if not discriminant_form(p).is_zero() and (
-        p.field is not QQ or all(abs(c) < 10 ** 6 for q in (p.q1, p.q2) for row in q.c for c in row))]
+    pencils = [p for p in _reference_pencils() if not discriminant_form(p).is_zero()]
     pencils += [_pencil_corpus(rng, PrimeField(7), n) for n in range(1, 8) for _ in range(3)]
     for (a1, a2), (b1, b2) in ((RANK2_F9, RANK3_F27), (RANK2_F9, RANK2_F9)):
         pencils.append(Pencil(a1.direct_sum(b1), a2.direct_sum(b2)))
@@ -438,6 +434,14 @@ def test_anisotropic_rank2_pair_has_neither():
     assert r.searched_degree == 3
     # 2 heads, each searched over 3 + 3^2 + 3^3 leaves
     assert r.leaves == 78
+
+
+def test_rank1_pair_has_no_heads():
+    # the one point of P^0 is a zero of q2 = 0 in the radical of B2: no
+    # head, so the search ends with 0 leaves and no witness
+    r = amer_brumer_check(diag(F3, [1]), QuadraticForm.zero_form(F3, 1))
+    assert r.common_zero is None and r.witness is None
+    assert r.common_zero_count == 0 and r.leaves == 0
 
 
 def test_rank4_pair_without_common_zero_has_no_witness():

@@ -231,6 +231,27 @@ def test_rational_roots_with_multiplicity():
     assert (Fraction(-3), 1) in roots
     assert (Fraction(0), 1) in roots
     assert cofactor.degree() == 0
+    # end coefficients near 10^27: trial division up to their square
+    # roots would not finish
+    f = (912345677 * t - 823456791) ** 2 * (734567893 * t + 3) * (t * t + 2)
+    roots, cofactor = rational_roots(f)
+    assert roots == [(Fraction(-3, 734567893), 1), (Fraction(823456791, 912345677), 2)]
+    assert cofactor == t * t + 2
+
+
+def test_rational_roots_match_the_divisor_reference():
+    # seeded products of small linear factors, repeated ones included, and
+    # of a random small cofactor, against the classical divisor test
+    from references import divisor_rational_roots
+
+    rng = random.Random(31)
+    t = Poly.x(QQ, "t")
+    for _ in range(60):
+        f = Poly.of_ints(QQ, "t", [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]) or t
+        for _ in range(rng.randint(0, 4)):
+            f = f * (rng.randint(1, 12) * t - rng.randint(-12, 12))
+        f = f * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        assert rational_roots(f) == divisor_rational_roots(f), f
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,16 @@ def test_lagrangian_census_counts_match():
     assert "all counts match the formula and all center flags agree" in done.stdout
 
 
+def test_lagrangian_census_rank6_sample():
+    # diag(1^6), whose planes live over F9, and diag(1,1,1,1,1,2) over F3
+    done = _run("lagrangian_census.py", "--field", "F3", "--rank", "6", "--limit", "2")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "2 of 64 swept" in done.stdout
+    assert "extension=True  count=1640" in done.stdout
+    assert "extension=False count=80" in done.stdout
+    assert "all counts match the formula and all center flags agree" in done.stdout
+
+
 def test_degeneration_survey_runs():
     done = _run("degeneration_survey.py", "--field", "F3", "--rank", "4", "--count", "20")
     assert done.returncode == 0, done.stdout + done.stderr
